@@ -20,16 +20,10 @@ from .controller import (
     DEFAULT_EPS_B,
     DEFAULT_U_MAX,
     POSTERIOR_FLOOR,
-    ControlSplit,
-    EnsembleState,
-    SubsystemState,
     ce_control,
     ensemble_control,
-    oracle_control,
     posterior_update,
-    split_estimate,
     subsystem_log_likelihood,
-    uniform_ensemble,
 )
 from .estimator import (
     EstimatorState,
@@ -49,7 +43,6 @@ from .harness import (
     export_trace_csv,
     max_tracking_error,
     monte_carlo,
-    noise_realization,
     read_summary_csv,
     read_trace_csv,
     run_episode,
@@ -71,14 +64,9 @@ from .noise import (
 from .plant import (
     TRAJECTORY_KINDS,
     ArxParams,
-    PlantState,
     TrajectorySpec,
-    initial_plant_state,
-    measure,
     parameter_vector,
     plant_step,
-    record_measurement,
-    reference,
     reference_trajectory,
 )
 

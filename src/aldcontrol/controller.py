@@ -8,28 +8,19 @@ posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import EstimatorState
 from .noise import AldParams, pinball_loss
-from .plant import ArxParams, parameter_vector
 
 __all__ = [
     "DEFAULT_EPS_B",
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
-    "ControlSplit",
-    "SubsystemState",
-    "EnsembleState",
-    "split_estimate",
-    "uniform_ensemble",
     "ce_control",
     "subsystem_log_likelihood",
     "posterior_update",
     "ensemble_control",
-    "oracle_control",
 ]
 
 # Divisor safeguard and saturation for the certainty-equivalence law; early
@@ -39,160 +30,71 @@ DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ControlSplit:
-    """Estimate split for the one-step law: leading input coefficient, the rest, and the regressor without u(k)."""
-
-    b1_hat: float
-    alpha_hat: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.alpha_hat).shape != np.asarray(self.eta).shape:
-            raise ValueError("alpha_hat and eta must have matching dimension")
-
-
-def split_estimate(w: np.ndarray, eta) -> ControlSplit:
-    """Split a parameter vector [b_1, rest...] against its reduced regressor."""
-    w = np.asarray(w, dtype=float)
-    return ControlSplit(float(w[0]), w[1:], np.asarray(eta, dtype=float))
-
-
 def ce_control(
-    split: ControlSplit,
+    w,
+    eta,
     y_r_next: float,
     eps_b: float = DEFAULT_EPS_B,
     u_max: float = DEFAULT_U_MAX,
 ) -> float:
-    """Certainty-equivalence input (y_r_next - eta'alpha)/b1, safeguarded.
+    """Certainty-equivalence input (y_r_next - eta'alpha)/b1 for an estimate w = [b1, alpha...].
 
-    Divisors smaller than ``eps_b`` in magnitude are replaced by
-    ``eps_b*sign(b1)`` with sign(0) = +1, and the result is clamped to
-    [-u_max, u_max].
+    ``eta`` is the regressor without u(k).  Divisors smaller than ``eps_b`` in
+    magnitude are replaced by ``eps_b*sign(b1)`` with sign(0) = +1, and the
+    result is clamped to [-u_max, u_max].
     """
-    if not math.isfinite(y_r_next):
-        raise ValueError("reference value must be finite")
-    if not math.isfinite(split.b1_hat):
-        raise ValueError("leading coefficient estimate must be finite")
-    if not (np.all(np.isfinite(split.alpha_hat)) and np.all(np.isfinite(split.eta))):
-        raise ValueError("non-finite control regressor or estimate")
-    b1 = split.b1_hat
+    w = np.asarray(w, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if not (math.isfinite(y_r_next) and np.isfinite(w).all() and np.isfinite(eta).all()):
+        raise ValueError("non-finite reference, estimate or control regressor")
+    b1 = float(w[0])
     if abs(b1) < eps_b:
         b1 = eps_b if b1 >= 0.0 else -eps_b
-    u = (y_r_next - float(split.eta @ split.alpha_hat)) / b1
+    u = (y_r_next - float(eta @ w[1:])) / b1
     return float(min(max(u, -u_max), u_max))
 
 
-def subsystem_log_likelihood(
-    hyp: AldParams,
-    x_prev: np.ndarray,
-    w_hat_prev: np.ndarray,
-    z: float,
-    sigma_scaled: bool = True,
-) -> float:
-    """Log-density of measurement z under one hypothesis' one-step prediction.
+def subsystem_log_likelihood(hyp: AldParams, residual: float, sigma_scaled: bool = True) -> float:
+    """Log-density of a one-step prediction residual z - x'w_hat under one hypothesis.
 
     Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of the
-    prediction residual.  With ``sigma_scaled=False`` the loss is not divided
-    by sigma; that variant is not a proper density and is kept only as a
-    configuration switch.
+    residual.  With ``sigma_scaled=False`` the loss is not divided by sigma;
+    that variant is not a proper density and is kept only as a configuration
+    switch.
     """
-    residual = float(z - np.asarray(x_prev, dtype=float) @ np.asarray(w_hat_prev, dtype=float))
     loss = pinball_loss(hyp.tau, residual)
     if sigma_scaled:
         loss = loss / hyp.sigma
     return math.log(hyp.tau * (1.0 - hyp.tau) / hyp.sigma) - loss
 
 
-@dataclass(frozen=True)
-class SubsystemState:
-    """One noise hypothesis with its estimator and posterior probability."""
-
-    hypothesis: AldParams
-    estimator: EstimatorState
-    posterior: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.posterior <= 1.0:
-            raise ValueError(f"posterior must lie in [0, 1], got {self.posterior}")
-
-
-@dataclass(frozen=True)
-class EnsembleState:
-    subsystems: tuple[SubsystemState, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.subsystems) == 0:
-            raise ValueError("ensemble needs at least one subsystem")
-        total = math.fsum(s.posterior for s in self.subsystems)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"posteriors must sum to 1 within 1e-9, got {total!r}")
-
-    @property
-    def posteriors(self) -> np.ndarray:
-        return np.array([s.posterior for s in self.subsystems])
-
-
-def uniform_ensemble(subsystems: list[tuple[AldParams, EstimatorState]]) -> EnsembleState:
-    """Ensemble with the uniform 1/s prior over subsystems."""
-    s = len(subsystems)
-    return EnsembleState(tuple(SubsystemState(h, est, 1.0 / s) for h, est in subsystems))
-
-
-def posterior_update(
-    ens: EnsembleState,
-    x_prev: np.ndarray,
-    z: float,
-    sigma_scaled: bool = True,
-) -> EnsembleState:
-    """Bayes update of the subsystem posteriors from measurement ``z``.
+def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
+    """Bayes update of the subsystem posteriors ``post`` (S,) by per-subsystem log-likelihoods.
 
     Computed in the log domain with max-subtraction; the result is
     renormalized and floored at POSTERIOR_FLOOR so a temporarily discredited
-    subsystem can recover.
+    subsystem can recover.  A non-finite log-likelihood gives non-finite
+    posteriors; the caller diagnoses divergence.
     """
-    log_lik = np.array(
-        [
-            subsystem_log_likelihood(s.hypothesis, x_prev, s.estimator.w, z, sigma_scaled)
-            for s in ens.subsystems
-        ]
-    )
-    peak = np.max(log_lik)
-    if not np.isfinite(peak):
-        raise ValueError("non-finite subsystem log-likelihoods")
-    post = ens.posteriors * np.exp(log_lik - peak)
+    log_lik = np.asarray(log_lik, dtype=float)
+    post = post * np.exp(log_lik - np.max(log_lik))
     post /= post.sum()
     post = np.maximum(post, POSTERIOR_FLOOR)
     post /= post.sum()
     # renormalization can push a floored entry a hair below the floor again
-    post = np.maximum(post, POSTERIOR_FLOOR)
-    return EnsembleState(
-        tuple(replace(s, posterior=float(p)) for s, p in zip(ens.subsystems, post))
-    )
+    return np.maximum(post, POSTERIOR_FLOOR)
 
 
 def ensemble_control(
-    ens: EnsembleState,
+    post,
+    W,
     eta,
     y_r_next: float,
     eps_b: float = DEFAULT_EPS_B,
     u_max: float = DEFAULT_U_MAX,
 ) -> float:
-    """Posterior-weighted sum of the per-subsystem certainty-equivalence laws."""
-    return float(
-        sum(
-            s.posterior * ce_control(split_estimate(s.estimator.w, eta), y_r_next, eps_b, u_max)
-            for s in ens.subsystems
-        )
-    )
-
-
-def oracle_control(
-    true_params: ArxParams,
-    eta,
-    y_r_next: float,
-    eps_b: float = DEFAULT_EPS_B,
-    u_max: float = DEFAULT_U_MAX,
-) -> float:
-    """Certainty-equivalence law evaluated at the true plant parameters."""
-    return ce_control(split_estimate(parameter_vector(true_params), eta), y_r_next, eps_b, u_max)
+    """Posterior-weighted sum of the certainty-equivalence laws of the estimates W (S, d)."""
+    u = 0.0
+    for p, w in zip(post, W):
+        u += p * ce_control(w, eta, y_r_next, eps_b, u_max)
+    return float(u)

@@ -77,14 +77,14 @@ def _checked(x, z_next: float, state: EstimatorState):
     return x
 
 
-def _gain_update(state: EstimatorState, x: np.ndarray, p: float, innovation: float) -> EstimatorState:
-    Px = state.P @ x
+def _gain_update(w: np.ndarray, P: np.ndarray, x: np.ndarray, p: float, innovation: float) -> None:
+    """Weighted least-squares gain step, written into ``w`` and ``P`` in place."""
+    Px = P @ x
     # denominator >= 1 because P is positive semidefinite and p > 0
     gain = p * Px / (1.0 + p * (x @ Px))
-    w_next = state.w + gain * innovation
-    P_next = state.P - np.outer(gain, x @ state.P)
-    P_next = 0.5 * (P_next + P_next.T)
-    return EstimatorState(w_next, P_next)
+    w += gain * innovation
+    P -= np.outer(gain, x @ P)
+    P[...] = 0.5 * (P + P.T)
 
 
 def iqf_step(state: EstimatorState, cfg: IqfConfig, x, z_next: float) -> EstimatorState:
@@ -97,13 +97,17 @@ def iqf_step(state: EstimatorState, cfg: IqfConfig, x, z_next: float) -> Estimat
     x = _checked(x, z_next, state)
     residual = z_next - x @ state.w
     p = residual_weight(cfg.hypothesis.tau, residual)
-    return _gain_update(state, x, p, residual - ald_mean(cfg.hypothesis))
+    w, P = state.w.copy(), state.P.copy()
+    _gain_update(w, P, x, p, residual - ald_mean(cfg.hypothesis))
+    return EstimatorState(w, P)
 
 
 def rls_step(state: EstimatorState, x, z_next: float) -> EstimatorState:
     """Classic recursive least squares: unit weight, no mean correction."""
     x = _checked(x, z_next, state)
-    return _gain_update(state, x, 1.0, z_next - x @ state.w)
+    w, P = state.w.copy(), state.P.copy()
+    _gain_update(w, P, x, 1.0, z_next - x @ state.w)
+    return EstimatorState(w, P)
 
 
 def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:

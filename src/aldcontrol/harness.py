@@ -1,43 +1,35 @@
 """Closed-loop episodes, Monte Carlo evaluation, metrics, and CSV export.
 
-One episode runs the loop: score the newest measurement's prediction error
-to refresh the subsystem posteriors, assimilate it into every subsystem
-estimator, form the control signal for the next reference value, apply it to
-the plant, measure.  The trace records steps k = 1..N; everything is
-deterministic given the seed.
+Every controller runs on one stepping core over a bank of S subsystem
+estimates ``W`` (S, d) with covariances ``P`` (S, d, d) and posteriors
+``post`` (S,), updated in place.  Each step scores the newest measurement's
+prediction error to refresh the posteriors, assimilates it into every
+subsystem estimate, forms the posterior-weighted control for the next
+reference value, applies it to the plant and measures.  The controllers
+differ only in the bank set up before the loop: S, the sample-weight rule,
+and whether W learns and posteriors are scored.  The trace records steps
+k = 1..N; everything is deterministic given the seed.
 
-A run that produces a non-finite output or measurement is diagnosed as a
-failed episode (remaining rows are NaN) rather than aborting a batch; Monte
-Carlo summaries count failures and average the successes.
+An episode whose estimates, output or measurement become non-finite is
+diagnosed as failed (remaining rows are NaN) rather than aborting a batch;
+Monte Carlo summaries count failures and average the successes.  Any other
+error propagates.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import (
-    EnsembleState,
-    SubsystemState,
-    ce_control,
-    ensemble_control,
-    oracle_control,
-    posterior_update,
-    split_estimate,
-)
-from .estimator import EstimatorState, IqfConfig, initial_state, iqf_step, rls_step
-from .noise import mixture_sample
-from .plant import (
-    initial_plant_state,
-    parameter_vector,
-    plant_step,
-    record_measurement,
-    reference_trajectory,
-)
+from .controller import ensemble_control, posterior_update, subsystem_log_likelihood
+from .estimator import _gain_update
+from .noise import ald_mean, mixture_sample
+from .plant import parameter_vector, plant_step, reference_trajectory
 
 __all__ = [
     "EpisodeTrace",
@@ -45,7 +37,6 @@ __all__ = [
     "run_episode",
     "accumulated_error",
     "max_tracking_error",
-    "noise_realization",
     "monte_carlo",
     "compare_controllers",
     "export_trace_csv",
@@ -64,6 +55,7 @@ class EpisodeTrace:
     ``u[k]`` is the input applied at step k (the final row's input targets the
     step after the trace and is never applied).  ``posteriors`` has one column
     per subsystem and ``w_hat`` one (subsystem, coefficient) slice per row.
+    ``noise`` holds the measurement noise draws e(k).
     """
 
     controller: str
@@ -84,40 +76,37 @@ class EpisodeTrace:
         return self.k.size
 
 
-def noise_realization(trace: EpisodeTrace) -> np.ndarray:
-    """Measurement noise draws e(k) logged while the episode ran."""
-    return trace.noise
+def _bank(cfg: RunConfig):
+    """Subsystem bank of one controller: (hypotheses, weight rules, W).
+
+    A rule (p_neg, p_pos, shift) weights a sample by p_neg for a negative
+    prediction residual and p_pos otherwise, and shifts its innovation by
+    ``shift``.  Posteriors are scored only when there are hypotheses; a bank
+    without rules keeps W frozen.
+    """
+    kind, index = parse_controller(cfg.controller)
+    if kind == "oracle":
+        return (), (), parameter_vector(cfg.plant)[None, :]
+    if kind == "rls":
+        hyps, rules = (), ((1.0, 1.0, 0.0),)
+    else:
+        hyps = cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1]
+        rules = tuple((1.0 - h.tau, h.tau, ald_mean(h)) for h in hyps)
+    return hyps, rules, np.tile(cfg.initial_w(), (len(rules), 1))
 
 
 def run_episode(cfg: RunConfig) -> EpisodeTrace:
     """Simulate one closed-loop episode under ``cfg``; deterministic given the seed."""
     rng = np.random.default_rng(cfg.seed)
-    kind, index = parse_controller(cfg.controller)
-    plant = cfg.plant
-    steps = cfg.steps
+    plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
     refs = reference_trajectory(cfg.trajectory, steps + 2)
-    w0 = cfg.initial_w()
-    P0 = cfg.initial_P()
+    hyps, rules, W = _bank(cfg)
+    n_sub = W.shape[0]
+    P = np.tile(cfg.initial_P(), (n_sub, 1, 1))
+    post = np.full(n_sub, 1.0 / n_sub)
+    sigma_scaled = cfg.likelihood_sigma_scaling
+    feedback_z = cfg.feedback == "measurement"
 
-    if kind == "ensemble":
-        hyps = cfg.hypotheses
-    elif kind == "single_ald":
-        hyps = (cfg.hypotheses[index],)
-    else:
-        hyps = ()
-
-    ens: EnsembleState | None = None
-    iqf_cfgs: tuple[IqfConfig, ...] = ()
-    est: EstimatorState | None = None
-    if hyps:
-        iqf_cfgs = tuple(IqfConfig(h, w0, P0) for h in hyps)
-        ens = EnsembleState(
-            tuple(SubsystemState(h, initial_state(c), 1.0 / len(hyps)) for h, c in zip(hyps, iqf_cfgs))
-        )
-    elif kind == "rls":
-        est = EstimatorState(w0.copy(), P0.copy())
-
-    n_sub = max(len(hyps), 1)
     y_r = np.full(steps, np.nan)
     y_arr = np.full(steps, np.nan)
     z_arr = np.full(steps, np.nan)
@@ -128,43 +117,37 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
     failed = False
     fail_step: int | None = None
 
-    state = initial_plant_state(plant)
+    # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
+    # the control law sees eta = x[1:] and the estimators the previous step's x
+    x = np.zeros(plant.d)
+    eta = x[1:]
+    y_hist = np.zeros(plant.n)
     y = 0.0
     e = mixture_sample(cfg.noise, rng)
     z = y + e
-    state = record_measurement(state, z)
-    x_prev: np.ndarray | None = None
 
     # overflow inside a diverging loop is diagnosed as an episode failure,
     # so the numpy warnings are suppressed for the duration of the run
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            try:
-                if k >= 1 and x_prev is not None:
-                    if ens is not None:
-                        ens = posterior_update(ens, x_prev, z, cfg.likelihood_sigma_scaling)
-                        ens = EnsembleState(
-                            tuple(
-                                replace(sub, estimator=iqf_step(sub.estimator, c, x_prev, z))
-                                for sub, c in zip(ens.subsystems, iqf_cfgs)
-                            )
-                        )
-                    elif est is not None:
-                        est = rls_step(est, x_prev, z)
+            if k >= 1 and rules:
+                residuals = [z - x @ w for w in W]
+                if hyps:
+                    post = posterior_update(
+                        post, [subsystem_log_likelihood(h, r, sigma_scaled) for h, r in zip(hyps, residuals)]
+                    )
+                for (p_neg, p_pos, shift), w, P_i, r in zip(rules, W, P, residuals):
+                    _gain_update(w, P_i, x, p_neg if r < 0.0 else p_pos, r - shift)
 
-                feedback_hist = state.y_hist if cfg.feedback == "output" else state.z_hist
-                eta = np.concatenate([state.u_hist, feedback_hist])
-                target = refs[k + 1]
-                if ens is not None:
-                    u = ensemble_control(ens, eta, target, cfg.eps_b, cfg.u_max)
-                elif est is not None:
-                    u = ce_control(split_estimate(est.w, eta), target, cfg.eps_b, cfg.u_max)
-                else:
-                    u = oracle_control(plant, eta, target, cfg.eps_b, cfg.u_max)
-            except ValueError:
+            # shift both histories by one and put the newest fed-back value in front
+            x[1:] = x[:-1]
+            x[m : m + 1] = z if feedback_z else y
+            if not (np.isfinite(W).all() and np.isfinite(eta).all()):
                 failed = True
                 fail_step = max(k, 1)
                 break
+            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max)
+            x[0] = u
 
             if k >= 1:
                 i = k - 1
@@ -173,24 +156,15 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
                 z_arr[i] = z
                 u_arr[i] = u
                 e_arr[i] = e
-                if ens is not None:
-                    posteriors[i] = ens.posteriors
-                    w_hats[i] = np.stack([sub.estimator.w for sub in ens.subsystems])
-                elif est is not None:
-                    posteriors[i] = 1.0
-                    w_hats[i, 0] = est.w
-                else:
-                    posteriors[i] = 1.0
-                    w_hats[i, 0] = parameter_vector(plant)
+                posteriors[i] = post
+                w_hats[i] = W
             if k == steps:
                 break
 
-            x_prev = np.concatenate([[u], eta])
-            y, state = plant_step(plant, state, u)
+            y = plant_step(plant, x[:m], y_hist)
             e = mixture_sample(cfg.noise, rng)
             z = y + e
-            state = record_measurement(state, z)
-            if not (np.isfinite(y) and np.isfinite(z)):
+            if not (math.isfinite(y) and math.isfinite(z)):
                 failed = True
                 fail_step = k + 1
                 break
@@ -211,12 +185,12 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
     )
 
 
-def _window_slice(trace: EpisodeTrace, window: tuple[int, int]) -> slice:
+def _window_slice(steps: int, window: tuple[int, int]) -> slice:
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"empty window {window!r}")
-    if lo < 1 or hi > trace.steps:
-        raise ValueError(f"window {window!r} outside trace steps 1..{trace.steps}")
+    if lo < 1 or hi > steps:
+        raise ValueError(f"window {window!r} outside trace steps 1..{steps}")
     return slice(lo - 1, hi)
 
 
@@ -226,7 +200,7 @@ def accumulated_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     The window (k_lo, k_hi) is inclusive on both ends.  Returns NaN if the
     episode failed inside the window.
     """
-    sel = _window_slice(trace, window)
+    sel = _window_slice(trace.steps, window)
     err = trace.y[sel] - trace.y_r[sel]
     with np.errstate(over="ignore"):
         return float(np.mean(err**2))
@@ -234,7 +208,7 @@ def accumulated_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
 
 def max_tracking_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     """Largest |y - y_r| over the window; +inf for an episode that failed in or before it."""
-    sel = _window_slice(trace, window)
+    sel = _window_slice(trace.steps, window)
     err = np.abs(trace.y[sel] - trace.y_r[sel])
     if np.any(~np.isfinite(err)):
         return float("inf")
@@ -262,6 +236,7 @@ def monte_carlo(cfg: RunConfig, runs: int, window: tuple[int, int]) -> McSummary
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
+    _window_slice(cfg.steps, window)
     j_runs = np.full(runs, np.nan)
     seeds = cfg.seed + np.arange(runs)
     failures = 0
@@ -337,10 +312,12 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or rows[0][:5] != ["k", "y_r", "y", "z", "u"]:
+        raise ValueError(f"{path}: not a trace CSV (empty or missing the k,y_r,y,z,u header)")
     header, data = rows[0], rows[1:]
     n_sub = sum(1 for name in header if name.startswith("pi_"))
     dim = sum(1 for name in header if name.startswith("w_hat_")) // max(n_sub, 1)
-    table = np.array([[float(v) for v in row] for row in data])
+    table = np.array([[float(v) for v in row] for row in data]).reshape(len(data), len(header))
     return {
         "k": table[:, 0].astype(int),
         "y_r": table[:, 1],

@@ -1,12 +1,12 @@
-"""Discrete ARX plant, measurement corruption, and reference trajectories.
+"""Discrete ARX plant and reference trajectories.
 
 The plant is
 
     y(k+1) = b_1 u(k) + ... + b_m u(k-m+1) + a_1 y(k) + ... + a_n y(k-n+1)
 
-with measurements z(k) = y(k) + e(k).  ``PlantState`` carries the output,
-input, and measurement histories needed to form regressors; everything is a
-value, one state per episode.
+with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
+by the caller; :func:`plant_step` shifts each new output into the output
+history in place.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, mixture_sample
-
 __all__ = [
     "ArxParams",
-    "PlantState",
     "TrajectorySpec",
     "TRAJECTORY_KINDS",
     "parameter_vector",
-    "initial_plant_state",
     "plant_step",
-    "record_measurement",
-    "measure",
-    "reference",
     "reference_trajectory",
 ]
 
@@ -72,41 +65,17 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Newest-first histories: outputs y(k)..y(k-n+1), inputs u(k-1)..u(k-m+1), measurements z(k)..z(k-n+1)."""
+def plant_step(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray) -> float:
+    """Next output y(k+1) from inputs u(k)..u(k-m+1) and outputs y(k)..y(k-n+1).
 
-    y_hist: np.ndarray
-    u_hist: np.ndarray
-    z_hist: np.ndarray
-
-
-def initial_plant_state(p: ArxParams) -> PlantState:
-    """All-zero initial information."""
-    return PlantState(np.zeros(p.n), np.zeros(p.m - 1), np.zeros(p.n))
-
-
-def _shift(hist: np.ndarray, value: float) -> np.ndarray:
-    if hist.size == 0:
-        return hist
-    return np.concatenate([[value], hist[:-1]])
-
-
-def plant_step(p: ArxParams, s: PlantState, u: float) -> tuple[float, PlantState]:
-    """Advance one step with input ``u``; returns the next output and state."""
-    if not math.isfinite(u):
-        raise ValueError(f"control input must be finite, got {u!r}")
-    y_next = float(p.b @ np.concatenate([[u], s.u_hist]) + p.a @ s.y_hist)
-    return y_next, PlantState(_shift(s.y_hist, y_next), _shift(s.u_hist, u), s.z_hist)
-
-
-def record_measurement(s: PlantState, z: float) -> PlantState:
-    return PlantState(s.y_hist, s.u_hist, _shift(s.z_hist, z))
-
-
-def measure(y: float, noise: NoiseModel, rng: np.random.Generator) -> float:
-    """Corrupt the true output with one mixture noise draw."""
-    return y + mixture_sample(noise, rng)
+    The new output is shifted into ``y_hist`` in place, dropping the oldest.
+    """
+    if not math.isfinite(u_now[0]):
+        raise ValueError(f"control input must be finite, got {u_now[0]!r}")
+    y_next = float(p.b @ u_now + p.a @ y_hist)
+    y_hist[1:] = y_hist[:-1]
+    y_hist[:1] = y_next
+    return y_next
 
 
 @dataclass(frozen=True)
@@ -155,9 +124,3 @@ def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:
         out[i + 1] = decay * out[i] + (1.0 - decay) * square[i]
     return out
 
-
-def reference(spec: TrajectorySpec, k: int) -> float:
-    """Reference value at step ``k`` (k >= 0)."""
-    if k < 0:
-        raise ValueError("step index must be nonnegative")
-    return float(reference_trajectory(spec, k + 1)[k])

@@ -3,215 +3,181 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aldcontrol import (
     AldParams,
-    ArxParams,
-    ControlSplit,
-    EnsembleState,
-    EstimatorState,
     IqfConfig,
-    SubsystemState,
     ald_pdf,
     ald_sample,
     ce_control,
     ensemble_control,
     initial_state,
     iqf_step,
-    oracle_control,
+    parameter_vector,
     posterior_update,
-    split_estimate,
+    preset_config,
+    run_episode,
     subsystem_log_likelihood,
-    uniform_ensemble,
 )
-
-PLANT = ArxParams(a=np.array([-1.41, 0.9]), b=np.array([0.5]))
-
-
-def make_ensemble(posteriors, w_hats, hyps=None):
-    n = len(posteriors)
-    if hyps is None:
-        hyps = [AldParams(0.9, 0.0, 0.5)] * n
-    subs = tuple(
-        SubsystemState(h, EstimatorState(np.asarray(w, dtype=float), np.eye(len(w))), float(p))
-        for h, w, p in zip(hyps, w_hats, posteriors)
-    )
-    return EnsembleState(subs)
 
 
 class TestCeControl:
     def test_unit_gain(self):
-        split = ControlSplit(1.0, np.zeros(2), np.zeros(2))
-        assert ce_control(split, 5.0) == pytest.approx(5.0)
+        assert ce_control(np.array([1.0, 0.0, 0.0]), np.zeros(2), 5.0) == pytest.approx(5.0)
 
     def test_inverts_known_offset(self):
-        split = ControlSplit(0.5, np.array([1.0]), np.array([1.0]))
-        assert ce_control(split, 2.0) == pytest.approx(2.0)
+        assert ce_control(np.array([0.5, 1.0]), np.array([1.0]), 2.0) == pytest.approx(2.0)
 
     def test_divisor_safeguard_and_sign_convention(self):
-        split = ControlSplit(0.0, np.zeros(1), np.zeros(1))
-        assert ce_control(split, 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(1e6)
-        split_neg = ControlSplit(-1e-9, np.zeros(1), np.zeros(1))
-        assert ce_control(split_neg, 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(-1e6)
+        assert ce_control(np.array([0.0, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(1e6)
+        assert ce_control(np.array([-1e-9, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(-1e6)
 
     def test_saturation(self):
-        split = ControlSplit(1e-3, np.zeros(1), np.zeros(1))
-        assert ce_control(split, 100.0, u_max=50.0) == 50.0
-        assert ce_control(split, -100.0, u_max=50.0) == -50.0
+        w = np.array([1e-3, 0.0])
+        assert ce_control(w, np.zeros(1), 100.0, u_max=50.0) == 50.0
+        assert ce_control(w, np.zeros(1), -100.0, u_max=50.0) == -50.0
 
     def test_rejects_non_finite(self):
-        split = ControlSplit(1.0, np.zeros(1), np.array([np.nan]))
         with pytest.raises(ValueError):
-            ce_control(split, 1.0)
+            ce_control(np.array([1.0, 0.0]), np.array([np.nan]), 1.0)
         with pytest.raises(ValueError):
-            ce_control(ControlSplit(1.0, np.zeros(1), np.zeros(1)), math.inf)
+            ce_control(np.array([1.0, 0.0]), np.zeros(1), math.inf)
+        with pytest.raises(ValueError):
+            ce_control(np.array([np.inf, 0.0]), np.zeros(1), 1.0)
 
     def test_zero_noise_closed_loop_is_exact(self):
         w = np.array([0.5, -1.41, 0.9])
         y = [0.0, 0.0]
-        u_prev = 0.0
         for k in range(1, 40):
             target = math.sin(0.2 * k)
             eta = np.array([y[-1], y[-2]])
-            u = ce_control(split_estimate(w, eta), target)
+            u = ce_control(w, eta, target)
             y_next = 0.5 * u - 1.41 * y[-1] + 0.9 * y[-2]
             assert y_next == pytest.approx(target, abs=1e-12)
             y.append(y_next)
-            u_prev = u
 
 
 class TestSubsystemLogLikelihood:
     def test_peak_at_zero_residual(self):
         hyp = AldParams(0.9, 0.0, 0.5)
-        out = subsystem_log_likelihood(hyp, np.zeros(2), np.zeros(2), 0.0)
+        out = subsystem_log_likelihood(hyp, 0.0)
         assert out == pytest.approx(math.log(0.9 * 0.1 / 0.5))
 
     def test_symmetric_in_residual_at_half(self):
         hyp = AldParams(0.5, 0.0, 1.0)
-        x = np.array([1.0])
         for a in (0.3, 1.7):
-            up = subsystem_log_likelihood(hyp, x, np.array([0.0]), a)
-            dn = subsystem_log_likelihood(hyp, x, np.array([0.0]), -a)
-            assert up == pytest.approx(dn)
+            assert subsystem_log_likelihood(hyp, a) == pytest.approx(subsystem_log_likelihood(hyp, -a))
 
     def test_skewed_value_and_density_consistency(self):
         hyp = AldParams(0.95, 0.0, 0.01)
-        out = subsystem_log_likelihood(hyp, np.array([1.0]), np.array([0.0]), 0.02)
+        out = subsystem_log_likelihood(hyp, 0.02)
         assert out == pytest.approx(math.log(4.75) - 1.9)
         assert math.exp(out) == pytest.approx(ald_pdf(hyp, 0.02))
 
     def test_unscaled_variant(self):
         hyp = AldParams(0.95, 0.0, 0.01)
-        out = subsystem_log_likelihood(hyp, np.array([1.0]), np.array([0.0]), 0.02, sigma_scaled=False)
+        out = subsystem_log_likelihood(hyp, 0.02, sigma_scaled=False)
         assert out == pytest.approx(math.log(4.75) - 0.019)
+
+
+def log_likelihoods(hyps, W, x, z):
+    return [subsystem_log_likelihood(h, z - x @ w) for h, w in zip(hyps, W)]
 
 
 class TestPosteriorUpdate:
     def test_equal_likelihoods_leave_posteriors(self):
-        ens = make_ensemble([0.3, 0.7], [(0.0, 1.0), (0.0, 1.0)])
-        out = posterior_update(ens, np.array([1.0, 0.0]), 0.4)
-        assert out.posteriors == pytest.approx([0.3, 0.7])
+        out = posterior_update(np.array([0.3, 0.7]), [-1.7, -1.7])
+        assert out == pytest.approx([0.3, 0.7])
 
     def test_single_subsystem_stays_one(self):
-        ens = make_ensemble([1.0], [(0.2, 0.1)])
-        out = posterior_update(ens, np.array([1.0, 1.0]), -3.0)
-        assert out.posteriors[0] == 1.0
+        out = posterior_update(np.array([1.0]), [-123.0])
+        assert out[0] == 1.0
 
     def test_bayes_arithmetic_for_known_ratio(self):
-        # residuals 0 and ln(2)*sigma/tau > 0 give a likelihood ratio of exactly 2
+        # residuals ln(2)*sigma/tau > 0 and 0 give a likelihood ratio of exactly 2
         hyp = AldParams(0.5, 0.0, 1.0)
         gap = math.log(2.0) / 0.5
-        ens = make_ensemble([0.5, 0.5], [(0.0,), (gap,)], hyps=[hyp, hyp])
-        out = posterior_update(ens, np.array([1.0]), gap)
-        assert out.posteriors == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
+        out = posterior_update(np.array([0.5, 0.5]), log_likelihoods([hyp, hyp], [[0.0], [gap]], np.array([1.0]), gap))
+        assert out == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
     @pytest.mark.parametrize("shift", [8.0, -16.0, 0.5])
-    def test_shift_invariance_is_bitwise(self, monkeypatch, shift):
+    def test_shift_invariance_is_bitwise(self, shift):
         # dyadic log-likelihoods and shifts keep every sum exact, so with
         # max-subtraction a common shift must not change a single bit
-        import aldcontrol.controller as ctl
-
-        table = {0: -3.5, 1: 0.25, 2: -0.125}
-        hyps = [AldParams(0.9, 0.0, 0.5), AldParams(0.8, 0.0, 0.5), AldParams(0.7, 0.0, 0.5)]
-        ens = make_ensemble([0.25, 0.5, 0.25], [(0.0,), (0.0,), (0.0,)], hyps=hyps)
-        x, z = np.array([1.0]), 0.0
-
-        def fake_ll(hyp, x_prev, w_hat_prev, zv, sigma_scaled=True, offset=0.0):
-            return table[hyps.index(hyp)] + offset
-
-        monkeypatch.setattr(ctl, "subsystem_log_likelihood", fake_ll)
-        base = ctl.posterior_update(ens, x, z)
-        monkeypatch.setattr(
-            ctl,
-            "subsystem_log_likelihood",
-            lambda hyp, *a, **kw: table[hyps.index(hyp)] + shift,
-        )
-        shifted = ctl.posterior_update(ens, x, z)
-        assert np.array_equal(base.posteriors, shifted.posteriors)
+        table = np.array([-3.5, 0.25, -0.125])
+        post = np.array([0.25, 0.5, 0.25])
+        assert np.array_equal(posterior_update(post, table), posterior_update(post, table + shift))
 
     def test_floor_keeps_discredited_subsystem_alive(self):
-        hyp_good = AldParams(0.5, 0.0, 0.01)
-        hyp_bad = AldParams(0.5, 0.0, 0.01)
-        ens = make_ensemble([0.5, 0.5], [(0.0,), (1e6,)], hyps=[hyp_good, hyp_bad])
-        out = posterior_update(ens, np.array([1.0]), 0.0)
-        assert out.posteriors[1] >= 1e-12
-        assert math.fsum(out.posteriors) == pytest.approx(1.0, abs=1e-9)
+        hyp = AldParams(0.5, 0.0, 0.01)
+        out = posterior_update(np.array([0.5, 0.5]), log_likelihoods([hyp, hyp], [[0.0], [1e6]], np.array([1.0]), 0.0))
+        assert out[1] >= 1e-12
+        assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_posterior_rows_stay_on_simplex(self):
         rng = np.random.default_rng(31)
         hyps = [AldParams(0.95, 0.0, 0.01), AldParams(0.85, 0.0, 0.1)]
-        ens = uniform_ensemble(
-            [(h, EstimatorState(rng.normal(size=2), np.eye(2))) for h in hyps]
-        )
+        W = rng.normal(size=(2, 2))
+        post = np.full(2, 0.5)
         for _ in range(200):
             x = rng.normal(size=2)
             z = float(rng.normal())
-            ens = posterior_update(ens, x, z)
-            total = math.fsum(s.posterior for s in ens.subsystems)
-            assert abs(total - 1.0) <= 1e-9
-            assert all(s.posterior >= 1e-12 for s in ens.subsystems)
+            post = posterior_update(post, log_likelihoods(hyps, W, x, z))
+            assert abs(math.fsum(post) - 1.0) <= 1e-9
+            assert np.all(post >= 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(1, 3),
+    )
+    def test_simplex_and_floor_under_extreme_gaps(self, rows, n_sub):
+        post = np.full(n_sub, 1.0 / n_sub)
+        for log_lik in rows:
+            post = posterior_update(post, log_lik[:n_sub])
+            assert abs(math.fsum(post) - 1.0) <= 1e-9
+            assert np.all(post >= 1e-12)
 
 
 class TestEnsembleControl:
     def test_single_subsystem_equals_ce(self):
         w = np.array([0.5, -1.0])
         eta = np.array([2.0])
-        ens = make_ensemble([1.0], [w])
-        assert ensemble_control(ens, eta, 3.0) == pytest.approx(
-            ce_control(split_estimate(w, eta), 3.0)
-        )
+        assert ensemble_control(np.array([1.0]), w[None, :], eta, 3.0) == pytest.approx(ce_control(w, eta, 3.0))
 
     def test_degenerate_posterior_selects_subsystem(self):
-        w1, w2 = np.array([1.0, 0.0]), np.array([0.25, 0.0])
-        eta = np.array([0.0])
-        ens = make_ensemble([1.0 - 1e-12, 1e-12], [w1, w2])
-        assert ensemble_control(ens, eta, 2.0) == pytest.approx(2.0, abs=1e-9)
+        W = np.array([[1.0, 0.0], [0.25, 0.0]])
+        assert ensemble_control(np.array([1.0 - 1e-12, 1e-12]), W, np.array([0.0]), 2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_weighted_sum(self):
         # laws produce u = 2 and u = 4 for the same target
-        w1, w2 = np.array([1.0, 0.0]), np.array([0.5, 0.0])
-        eta = np.array([0.0])
-        ens = make_ensemble([0.5, 0.5], [w1, w2])
-        assert ensemble_control(ens, eta, 2.0) == pytest.approx(3.0)
+        W = np.array([[1.0, 0.0], [0.5, 0.0]])
+        assert ensemble_control(np.array([0.5, 0.5]), W, np.array([0.0]), 2.0) == pytest.approx(3.0)
 
     def test_linear_in_posterior(self):
         rng = np.random.default_rng(37)
-        w_hats = [rng.normal(size=3) + np.array([1.0, 0, 0]) for _ in range(3)]
+        W = rng.normal(size=(3, 3)) + np.array([1.0, 0, 0])
         eta = rng.normal(size=2)
-        laws = [ce_control(split_estimate(w, eta), 1.3) for w in w_hats]
+        laws = [ce_control(w, eta, 1.3) for w in W]
         for _ in range(25):
             p = rng.dirichlet(np.ones(3))
-            ens = make_ensemble(p, w_hats)
-            assert ensemble_control(ens, eta, 1.3) == pytest.approx(float(p @ laws))
+            assert ensemble_control(p, W, eta, 1.3) == pytest.approx(float(p @ laws))
 
 
 class TestOracleControl:
     def test_matches_ce_at_true_parameters(self):
-        eta = np.array([0.7, -0.2])
-        w = np.array([0.5, -1.41, 0.9])
-        assert oracle_control(PLANT, eta, 1.1) == pytest.approx(
-            ce_control(split_estimate(w, eta), 1.1)
-        )
+        # base plant: m = 1, n = 2, so the oracle's regressor at step k is [y(k), y(k-1)]
+        cfg = replace(preset_config("base"), controller="oracle", steps=60)
+        tr = run_episode(cfg)
+        w = parameter_vector(cfg.plant)
+        for i in range(1, cfg.steps - 1):
+            assert tr.u[i] == ce_control(w, np.array([tr.y[i], tr.y[i - 1]]), tr.y_r[i + 1])
 
 
 class TestEnsembleCollapse:
@@ -224,16 +190,12 @@ class TestEnsembleCollapse:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             cfgs = [IqfConfig(h, np.zeros(3), 100.0 * np.eye(3)) for h in (truth, other)]
-            ens = uniform_ensemble([(c.hypothesis, initial_state(c)) for c in cfgs])
+            states = [initial_state(c) for c in cfgs]
+            post = np.full(2, 0.5)
             for _ in range(500):
                 x = rng.normal(size=3)
                 z = float(x @ w_true + ald_sample(truth, rng))
-                ens = posterior_update(ens, x, z)
-                ens = EnsembleState(
-                    tuple(
-                        replace(s, estimator=iqf_step(s.estimator, c, x, z))
-                        for s, c in zip(ens.subsystems, cfgs)
-                    )
-                )
-            finals.append(ens.subsystems[0].posterior)
+                post = posterior_update(post, log_likelihoods((truth, other), [s.w for s in states], x, z))
+                states = [iqf_step(s, c, x, z) for s, c in zip(states, cfgs)]
+            finals.append(post[0])
         assert np.median(finals) > 0.9

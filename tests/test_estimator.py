@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aldcontrol import (
     AldParams,
@@ -13,6 +15,7 @@ from aldcontrol import (
     residual_weight,
     rls_step,
 )
+from aldcontrol.estimator import _gain_update
 
 
 def run_iqf(cfg, xs, zs):
@@ -141,6 +144,38 @@ class TestBatchWeightedLs:
         st, weights = run_iqf(cfg, xs, zs)
         out = batch_weighted_ls(xs, zs, np.full(50, ald_mean(hyp)), weights, w0, P0)
         assert np.max(np.abs(out - st.w)) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(0, 120),
+        tau=st.floats(0.02, 0.98),
+        mu=st.floats(-2.0, 2.0),
+        sigma=st.floats(0.01, 2.0),
+        p0_scale=st.floats(0.01, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_bank_update_matches_batch(self, d, n, tau, mu, sigma, p0_scale, seed):
+        # drive _gain_update the way run_episode does: row views of a (S, d)
+        # estimate bank and an (S, d, d) covariance bank, updated in place
+        rng = np.random.default_rng(seed)
+        hyp = AldParams(tau, mu, sigma)
+        shift = ald_mean(hyp)
+        root = rng.normal(size=(d, d))
+        P0 = p0_scale * (root @ root.T / d + np.eye(d))
+        w0 = rng.normal(size=d)
+        xs = rng.normal(size=(n, d))
+        zs = rng.normal(size=n, scale=2.0)
+        W = np.tile(w0, (1, 1))
+        P = np.tile(P0, (1, 1, 1))
+        weights = []
+        for x, z in zip(xs, zs):
+            for w, P_i in zip(W, P):
+                r = z - x @ w
+                weights.append(1.0 - tau if r < 0.0 else tau)
+                _gain_update(w, P_i, x, weights[-1], r - shift)
+        batch = batch_weighted_ls(xs, zs, np.full(n, shift), np.array(weights), w0, P0)
+        assert np.max(np.abs(batch - W[0])) <= 1e-8 * max(1.0, np.max(np.abs(batch)))
 
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from aldcontrol import (
     max_tracking_error,
     monte_carlo,
     compare_controllers,
-    noise_realization,
     preset_config,
     read_summary_csv,
     read_trace_csv,
@@ -60,9 +59,8 @@ class TestRunEpisode:
     def test_paired_noise_across_controllers(self, base):
         cfg = short(base, steps=150, seed=5)
         traces = [run_episode(short(cfg, controller=c)) for c in ("ensemble", "rls", "oracle", "single-ald:1")]
-        reference_noise = noise_realization(traces[0])
         for tr in traces[1:]:
-            assert np.array_equal(noise_realization(tr), reference_noise)
+            assert np.array_equal(tr.noise, traces[0].noise)
 
     def test_single_subsystem_trace_for_baselines(self, base):
         tr = run_episode(short(base, steps=50, controller="rls"))
@@ -79,6 +77,17 @@ class TestRunEpisode:
         assert np.all(np.isnan(tr.y[tr.fail_step :]))
         assert math.isnan(accumulated_error(tr, (100, 1400)))
         assert max_tracking_error(tr, (100, 1400)) == math.inf
+
+    def test_programming_error_propagates(self, base, monkeypatch):
+        import aldcontrol.harness as harness
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(harness, "ensemble_control", broken)
+        for token in ("ensemble", "rls", "oracle"):
+            with pytest.raises(ValueError, match="bug"):
+                run_episode(short(base, steps=20, controller=token))
 
 
 class TestMetrics:
@@ -113,6 +122,22 @@ class TestMetrics:
         finite = summary.j_runs[np.isfinite(summary.j_runs)]
         assert summary.j_bar_mean == float(np.mean(finite))
         assert np.array_equal(summary.seeds, 11 + np.arange(7))
+
+    def test_monte_carlo_checks_window_before_any_episode(self, base, monkeypatch):
+        import aldcontrol.harness as harness
+
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.seed)
+            return run_episode(cfg)
+
+        monkeypatch.setattr(harness, "run_episode", counting)
+        with pytest.raises(ValueError, match="outside trace steps"):
+            monte_carlo(short(base, steps=100), 50, (10, 2000))
+        with pytest.raises(ValueError, match="empty window"):
+            monte_carlo(short(base, steps=100), 50, (60, 20))
+        assert calls == []
 
     def test_monte_carlo_counts_failures(self, base):
         cfg = short(base, steps=1400, controller="rls", u_max=1e-12)
@@ -169,6 +194,26 @@ class TestTraceCsv:
         export_trace_csv(run_episode(cfg), p1)
         export_trace_csv(run_episode(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_empty_or_headerless_file_rejected_with_path(self, base, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            read_trace_csv(empty)
+        export_trace_csv(run_episode(short(base, steps=10)), tmp_path / "trace.csv")
+        headerless = tmp_path / "headerless.csv"
+        headerless.write_text("\n".join((tmp_path / "trace.csv").read_text().splitlines()[1:]))
+        with pytest.raises(ValueError, match="headerless.csv"):
+            read_trace_csv(headerless)
+
+    def test_header_only_file_reads_as_no_rows(self, base, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        back = read_trace_csv(path)
+        assert back["k"].size == 0
+        assert back["posteriors"].shape == (0, 2)
+        assert back["w_hat"].shape == (0, 2, 3)
 
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from aldcontrol import (
     NoiseModel,
     TrajectorySpec,
     ald_pdf,
-    initial_plant_state,
-    measure,
+    ce_control,
+    mixture_sample,
     parameter_vector,
     plant_step,
-    record_measurement,
-    reference,
+    preset_config,
     reference_trajectory,
+    run_episode,
 )
 
 PLANT = ArxParams(a=np.array([-1.41, 0.9]), b=np.array([0.5]))
@@ -37,43 +38,40 @@ class TestArxParams:
 
 class TestPlantStep:
     def test_zero_state_zero_input(self):
-        y, _ = plant_step(PLANT, initial_plant_state(PLANT), 0.0)
-        assert y == 0.0
+        assert plant_step(PLANT, np.zeros(1), np.zeros(2)) == 0.0
 
     def test_input_gain_from_rest(self):
-        y, s = plant_step(PLANT, initial_plant_state(PLANT), 2.0)
+        y_hist = np.zeros(2)
+        y = plant_step(PLANT, np.array([2.0]), y_hist)
         assert y == pytest.approx(1.0)
-        assert np.allclose(s.y_hist, [1.0, 0.0])
+        assert np.allclose(y_hist, [1.0, 0.0])
 
     def test_autoregressive_response(self):
-        s = initial_plant_state(PLANT)
-        s = type(s)(np.array([1.0, 0.0]), s.u_hist, s.z_hist)
-        y, _ = plant_step(PLANT, s, 0.0)
+        y = plant_step(PLANT, np.zeros(1), np.array([1.0, 0.0]))
         assert y == pytest.approx(-1.41)
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
-            plant_step(PLANT, initial_plant_state(PLANT), math.inf)
+            plant_step(PLANT, np.array([math.inf]), np.zeros(2))
 
     def test_superposition(self):
         rng = np.random.default_rng(5)
         u1, u2 = rng.normal(size=20), rng.normal(size=20)
 
         def response(us):
-            s = initial_plant_state(PLANT)
-            out = []
-            for u in us:
-                y, s = plant_step(PLANT, s, float(u))
-                out.append(y)
-            return np.array(out)
+            y_hist = np.zeros(2)
+            return np.array([plant_step(PLANT, np.array([u]), y_hist) for u in us])
 
         assert np.allclose(response(u1 + u2), response(u1) + response(u2), atol=1e-12)
 
     def test_measurement_history_shifts(self):
-        s = initial_plant_state(PLANT)
-        s = record_measurement(s, 1.5)
-        s = record_measurement(s, -2.0)
-        assert np.allclose(s.z_hist, [-2.0, 1.5])
+        # under measurement feedback the oracle's regressor at step k is
+        # [z(k), z(k-1)], so each input pins the shifted measurement history
+        cfg = replace(preset_config("base"), controller="oracle", feedback="measurement", steps=60)
+        tr = run_episode(cfg)
+        w = parameter_vector(cfg.plant)
+        for i in range(1, cfg.steps - 1):
+            assert tr.u[i] == ce_control(w, np.array([tr.z[i], tr.z[i - 1]]), tr.y_r[i + 1])
 
     def test_open_loop_is_unstable(self):
         companion = np.array([[PLANT.a[0], PLANT.a[1]], [1.0, 0.0]])
@@ -81,11 +79,13 @@ class TestPlantStep:
 
 
 class TestMeasure:
+    """Measurements z = y + e with e one mixture draw, as the episode loop forms them."""
+
     def test_vanishing_noise(self):
         tiny = NoiseModel((MixtureComponent(1.0, AldParams(0.5, 0.0, 1e-9)),))
         rng = np.random.default_rng(6)
         for y in (0.0, 3.2, -1.7):
-            assert measure(y, tiny, rng) == pytest.approx(y, abs=1e-7)
+            assert y + mixture_sample(tiny, rng) == pytest.approx(y, abs=1e-7)
 
     def test_repeated_measurement_mean(self):
         base = NoiseModel(
@@ -95,7 +95,7 @@ class TestMeasure:
             )
         )
         rng = np.random.default_rng(8)
-        draws = np.array([measure(0.0, base, rng) for _ in range(100_000)])
+        draws = np.array([mixture_sample(base, rng) for _ in range(100_000)])
         expected = sum(
             c.weight
             * (
@@ -114,7 +114,7 @@ class TestMeasure:
             )
         )
         rng = np.random.default_rng(9)
-        z = np.array([measure(0.0, noise2, rng) for _ in range(100_000)])
+        z = np.array([mixture_sample(noise2, rng) for _ in range(100_000)])
         # analytic tails of both mixture components beyond |e| = 1
         tail_main = 0.95 * math.exp(-0.05 / 0.01) + 0.05 * math.exp(-0.95 / 0.01)
         tail_wide = 0.85 * math.exp(-0.15 / 2.0) + 0.15 * math.exp(-0.85 / 2.0)
@@ -125,13 +125,14 @@ class TestMeasure:
 class TestReference:
     def test_sine_starts_at_zero(self):
         spec = TrajectorySpec("sine", 0.01, 1.0, 1.0)
-        assert reference(spec, 0) == 0.0
+        assert reference_trajectory(spec, 1)[0] == 0.0
 
     def test_triangle_quarter_period_peak(self):
         spec = TrajectorySpec("triangle", 0.01, 1.0, 1.0)
-        assert reference(spec, 25) == pytest.approx(1.0)
-        assert reference(spec, 75) == pytest.approx(-1.0)
-        assert reference(spec, 50) == pytest.approx(0.0)
+        r = reference_trajectory(spec, 76)
+        assert r[25] == pytest.approx(1.0)
+        assert r[75] == pytest.approx(-1.0)
+        assert r[50] == pytest.approx(0.0)
 
     def test_filtered_square_first_half_period_step_response(self):
         spec = TrajectorySpec("filtered_square", 0.01, 1.0, 1.0)
@@ -152,15 +153,10 @@ class TestReference:
         r = reference_trajectory(spec, 8 * period)
         assert np.max(np.abs(r[5 * period : 6 * period] - r[6 * period : 7 * period])) < 1e-9
 
-    def test_scalar_matches_trajectory(self):
-        spec = TrajectorySpec("filtered_square", 0.02, 0.7, 0.5)
-        r = reference_trajectory(spec, 30)
-        assert [reference(spec, k) for k in range(30)] == pytest.approx(list(r))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TrajectorySpec("sawtooth", 0.01, 1.0, 1.0)
         with pytest.raises(ValueError):
             TrajectorySpec("sine", 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            reference(TrajectorySpec("sine", 0.01, 1.0, 1.0), -1)
+            reference_trajectory(TrajectorySpec("sine", 0.01, 1.0, 1.0), -1)
