@@ -6,7 +6,6 @@ seeded closed-loop simulation harness with CSV export and a CLI.
 """
 
 from .config import (
-    CONTROLLER_KINDS,
     FEEDBACK_KINDS,
     PRESETS,
     ConfigError,

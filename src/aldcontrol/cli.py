@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, PRESETS, RunConfig, load_config, parse_controller, preset_config
+from .config import FEEDBACK_KINDS, PRESETS, ConfigError, RunConfig, load_config, preset_config
 from .harness import compare_controllers, export_summary_csv, export_trace_csv, run_episode
 
 _TRAJECTORY_TOKENS = {"square": "filtered_square", "triangle": "triangle", "sine": "sine"}
@@ -19,7 +19,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trajectory", choices=sorted(_TRAJECTORY_TOKENS), help="reference waveform override")
     parser.add_argument("--steps", type=int, help="episode length override")
     parser.add_argument("--seed", type=int, help="seed (base seed for montecarlo) override")
-    parser.add_argument("--feedback", choices=("output", "measurement"), help="control feedback signal override")
+    parser.add_argument("--feedback", choices=FEEDBACK_KINDS, help="control feedback signal override")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--force", action="store_true", help="overwrite an existing output file")
 
@@ -78,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _base_config(args)
         if args.command == "simulate":
             if args.controller is not None:
-                parse_controller(args.controller)
                 cfg = replace(cfg, controller=args.controller)
             trace = run_episode(cfg)
             export_trace_csv(trace, args.out, force=args.force)
@@ -88,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
             tokens = [t.strip() for t in args.controllers.split(",") if t.strip()]
             if not tokens:
                 raise ConfigError("no controllers given")
-            for token in tokens:
-                parse_controller(token)
             window = _parse_window(args.window)
             summaries = compare_controllers(cfg, tokens, args.runs, window)
             export_summary_csv(summaries, args.out, force=args.force)

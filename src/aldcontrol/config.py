@@ -1,4 +1,4 @@
-"""Run configuration: schema, strict JSON parsing, and shipped presets.
+"""Run configuration: schema, JSON reader, and shipped presets.
 
 A config document is JSON with the key paths
 
@@ -8,10 +8,13 @@ A config document is JSON with the key paths
     trajectory.{kind, frequency_hz, amplitude, sample_period_s}
     run.{steps, seed, controller, feedback}
     estimator.{w0, p0_scale}
-    controller.{eps_b, u_max, likelihood_sigma_scaling}
+    controller.{eps_b, u_max}
 
-Unknown keys are rejected with the offending path.  Presets ``base`` and
-``noise1``..``noise4`` ship with the package.
+The reader checks only the structure: every section is a mapping, every value
+has the right JSON type, and unknown or missing keys are rejected with their
+path.  Whether a value is valid is decided once, by the dataclass it builds;
+a dataclass error comes back as a :class:`ConfigError` carrying the key path.
+Presets ``base`` and ``noise1``..``noise4`` ship with the package.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import numpy as np
 
 from .controller import DEFAULT_EPS_B, DEFAULT_U_MAX
 from .noise import AldParams, GaussianParams, MixtureComponent, NoiseModel
-from .plant import TRAJECTORY_KINDS, ArxParams, TrajectorySpec
+from .plant import ArxParams, TrajectorySpec
 
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "CONTROLLER_KINDS",
     "FEEDBACK_KINDS",
     "PRESETS",
     "parse_controller",
@@ -40,7 +42,6 @@ __all__ = [
     "preset_config",
 ]
 
-CONTROLLER_KINDS = ("ensemble", "single_ald", "rls", "oracle")
 FEEDBACK_KINDS = ("output", "measurement")
 PRESETS = ("base", "noise1", "noise2", "noise3", "noise4")
 
@@ -64,12 +65,12 @@ def parse_controller(token: str) -> tuple[str, int]:
         try:
             index = int(token.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad single-ald index in controller token {token!r}") from None
+            raise ConfigError(f"run.controller: bad single-ald index in {token!r}") from None
         if index < 0:
-            raise ConfigError(f"single-ald index must be nonnegative, got {index}")
+            raise ConfigError(f"run.controller: single-ald index must be nonnegative, got {index}")
         return "single_ald", index
     raise ConfigError(
-        f"unknown controller {token!r}; expected ensemble, rls, oracle, or single-ald:<i>"
+        f"run.controller: unknown controller {token!r}; expected ensemble, rls, oracle, or single-ald:<i>"
     )
 
 
@@ -89,24 +90,26 @@ class RunConfig:
     p0_scale: float = DEFAULT_P0_SCALE
     eps_b: float = DEFAULT_EPS_B
     u_max: float = DEFAULT_U_MAX
-    likelihood_sigma_scaling: bool = True
 
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ConfigError(f"run.steps must be at least 2, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
         if self.feedback not in FEEDBACK_KINDS:
             raise ConfigError(f"run.feedback must be one of {FEEDBACK_KINDS}, got {self.feedback!r}")
         kind, index = parse_controller(self.controller)
         if kind in ("ensemble", "single_ald") and len(self.hypotheses) == 0:
-            raise ConfigError(f"controller {self.controller!r} requires at least one hypothesis")
+            raise ConfigError(f"run.controller {self.controller!r} requires at least one hypothesis")
         if kind == "single_ald" and index >= len(self.hypotheses):
             raise ConfigError(
-                f"single-ald index {index} out of range for {len(self.hypotheses)} hypotheses"
+                f"run.controller: single-ald index {index} out of range for {len(self.hypotheses)} hypotheses"
             )
-        if self.w0 is not None and len(self.w0) != self.plant.d:
-            raise ConfigError(
-                f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}"
-            )
+        if self.w0 is not None:
+            if len(self.w0) != self.plant.d:
+                raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
+            if not all(math.isfinite(v) for v in self.w0):
+                raise ConfigError(f"estimator.w0 entries must be finite, got {self.w0!r}")
         if not (math.isfinite(self.p0_scale) and self.p0_scale > 0.0):
             raise ConfigError("estimator.p0_scale must be positive")
         if not (math.isfinite(self.eps_b) and self.eps_b > 0.0):
@@ -123,186 +126,129 @@ class RunConfig:
         return self.p0_scale * np.eye(self.plant.d)
 
 
-def _expect_mapping(obj, path: str) -> dict:
+# JSON value kinds of the reader: float is any number, tuple a list of numbers
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    str: "a string",
+    tuple: "a list of numbers",
+    list: "a list",
+    dict: "a mapping",
+}
+_SECTIONS = {
+    "plant": dict,
+    "noise": dict,
+    "hypotheses": list,
+    "trajectory": dict,
+    "run": dict,
+    "estimator": dict,
+    "controller": dict,
+}
+# sections whose keys are RunConfig fields of the same name
+_RUN_SECTIONS = {
+    "run": {"steps": int, "seed": int, "controller": str, "feedback": str},
+    "estimator": {"w0": tuple, "p0_scale": float},
+    "controller": {"eps_b": float, "u_max": float},
+}
+# noise component kinds: the distribution, its keys, and how errors name it
+_DISTRIBUTIONS = {
+    "ald": (AldParams, ("tau", "mu", "sigma"), "an ald component"),
+    "gaussian": (GaussianParams, ("mean", "variance"), "a gaussian component"),
+}
+_COMPONENT_KEYS = {"weight": float, "kind": str} | {
+    key: float for _, keys, _ in _DISTRIBUTIONS.values() for key in keys
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _value(value, path: str, kind: type):
+    """``value`` checked to have JSON type ``kind``; numbers come back as floats."""
+    if kind is float:
+        if _is_number(value):
+            return float(value)
+    elif kind is tuple:
+        if isinstance(value, list) and all(map(_is_number, value)):
+            return tuple(map(float, value))
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
+
+
+def _section(obj, path: str, kinds: dict, required=(), unknown: str = "unknown key") -> dict:
+    """Mapping ``obj`` read key by key with :func:`_value`.
+
+    ``kinds`` maps every allowed key to its kind; any other key is rejected as
+    ``unknown``, and so is a missing ``required`` key.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-
-
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
+        if key not in kinds:
+            raise ConfigError(f"{path}.{key}: {unknown}")
+    for key in required:
+        if key not in obj:
             raise ConfigError(f"{path}.{key}: missing required key")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(value)
+    return {key: _value(value, f"{path}.{key}", kinds[key]) for key, value in obj.items()}
 
 
-def _vector(obj: dict, key: str, path: str) -> list[float]:
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: missing required key")
-    value = obj[key]
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    return [float(v) for v in value]
-
-
-def _ald_params(obj: dict, path: str) -> AldParams:
-    _reject_unknown(obj, {"tau", "mu", "sigma"}, path)
+def _build(path: str, ctor, *args, **kwargs):
+    """``ctor(*args, **kwargs)``, with its ValueError re-raised as a ConfigError at ``path``."""
     try:
-        return AldParams(
-            _number(obj, "tau", path), _number(obj, "mu", path), _number(obj, "sigma", path)
-        )
+        return ctor(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _component(obj: dict, path: str) -> MixtureComponent:
-    _reject_unknown(obj, {"weight", "kind", "tau", "mu", "sigma", "mean", "variance"}, path)
-    weight = _number(obj, "weight", path)
-    kind = obj.get("kind")
-    try:
-        if kind == "ald":
-            for bad in ("mean", "variance"):
-                if bad in obj:
-                    raise ConfigError(f"{path}.{bad}: not valid for an ald component")
-            dist = AldParams(
-                _number(obj, "tau", path), _number(obj, "mu", path), _number(obj, "sigma", path)
-            )
-        elif kind == "gaussian":
-            for bad in ("tau", "mu", "sigma"):
-                if bad in obj:
-                    raise ConfigError(f"{path}.{bad}: not valid for a gaussian component")
-            dist = GaussianParams(_number(obj, "mean", path), _number(obj, "variance", path))
-        else:
-            raise ConfigError(f"{path}.kind: expected 'ald' or 'gaussian', got {kind!r}")
-        return MixtureComponent(weight, dist)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _distribution(obj, path: str, kind: str = "ald", outer: dict | None = None):
+    """The distribution of a hypothesis (an ALD) or of a noise component of ``kind``.
+
+    A component also holds its ``outer`` keys; a key of another kind is
+    rejected as not valid for this one.
+    """
+    ctor, keys, name = _DISTRIBUTIONS[kind]
+    kinds = dict.fromkeys(keys, float) | (outer or {})
+    fields = _section(obj, path, kinds, keys, f"not valid for {name}" if outer else "unknown key")
+    return _build(path, ctor, *(fields[key] for key in keys))
+
+
+def _component(obj, path: str) -> MixtureComponent:
+    head = _section(obj, path, _COMPONENT_KEYS, ("weight", "kind"))
+    if head["kind"] not in _DISTRIBUTIONS:
+        raise ConfigError(f"{path}.kind: expected 'ald' or 'gaussian', got {head['kind']!r}")
+    dist = _distribution(obj, path, head["kind"], {"weight": float, "kind": str})
+    return _build(path, MixtureComponent, head["weight"], dist)
 
 
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
-    """Validate a parsed document and build a :class:`RunConfig`."""
-    doc = _expect_mapping(doc, source)
-    _reject_unknown(
-        doc, {"plant", "noise", "hypotheses", "trajectory", "run", "estimator", "controller"}, source
-    )
+    """Read a parsed document into a :class:`RunConfig`, naming ``source`` in every error."""
+    doc = _section(doc, source, _SECTIONS, ("plant", "noise"))
 
-    if "plant" not in doc:
-        raise ConfigError(f"{source}.plant: missing required key")
-    plant_doc = _expect_mapping(doc["plant"], f"{source}.plant")
-    _reject_unknown(plant_doc, {"a", "b"}, f"{source}.plant")
-    try:
-        plant = ArxParams(
-            np.array(_vector(plant_doc, "a", f"{source}.plant")),
-            np.array(_vector(plant_doc, "b", f"{source}.plant")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}.plant: {exc}") from None
+    path = f"{source}.plant"
+    plant = _build(path, ArxParams, **_section(doc["plant"], path, {"a": tuple, "b": tuple}, ("a", "b")))
 
-    if "noise" not in doc:
-        raise ConfigError(f"{source}.noise: missing required key")
-    noise_doc = _expect_mapping(doc["noise"], f"{source}.noise")
-    _reject_unknown(noise_doc, {"components"}, f"{source}.noise")
-    comps = noise_doc.get("components")
-    if not isinstance(comps, list) or len(comps) == 0:
-        raise ConfigError(f"{source}.noise.components: expected a non-empty list")
-    components = tuple(
-        _component(_expect_mapping(c, f"{source}.noise.components[{i}]"), f"{source}.noise.components[{i}]")
-        for i, c in enumerate(comps)
-    )
-    try:
-        noise = NoiseModel(components)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.noise: {exc}") from None
+    path = f"{source}.noise"
+    comps = _section(doc["noise"], path, {"components": list}, ("components",))["components"]
+    components = tuple(_component(c, f"{path}.components[{i}]") for i, c in enumerate(comps))
+    noise = _build(path, NoiseModel, components)
 
-    hyp_doc = doc.get("hypotheses", [])
-    if not isinstance(hyp_doc, list):
-        raise ConfigError(f"{source}.hypotheses: expected a list")
     hypotheses = tuple(
-        _ald_params(_expect_mapping(h, f"{source}.hypotheses[{i}]"), f"{source}.hypotheses[{i}]")
-        for i, h in enumerate(hyp_doc)
+        _distribution(h, f"{source}.hypotheses[{i}]") for i, h in enumerate(doc.get("hypotheses", []))
     )
 
-    traj_doc = _expect_mapping(doc.get("trajectory", {}), f"{source}.trajectory")
-    _reject_unknown(
-        traj_doc, {"kind", "frequency_hz", "amplitude", "sample_period_s"}, f"{source}.trajectory"
+    path = f"{source}.trajectory"
+    traj_kinds = {"kind": str, "frequency_hz": float, "amplitude": float, "sample_period_s": float}
+    traj = {"kind": "sine", **_section(doc.get("trajectory", {}), path, traj_kinds)}
+    trajectory = _build(path, TrajectorySpec, **traj)
+
+    options = {}
+    for name, kinds in _RUN_SECTIONS.items():
+        options |= _section(doc.get(name, {}), f"{source}.{name}", kinds)
+    return _build(
+        source, RunConfig, plant=plant, noise=noise, hypotheses=hypotheses, trajectory=trajectory, **options
     )
-    kind = traj_doc.get("kind", "sine")
-    if kind not in TRAJECTORY_KINDS:
-        raise ConfigError(
-            f"{source}.trajectory.kind: expected one of {TRAJECTORY_KINDS}, got {kind!r}"
-        )
-    try:
-        trajectory = TrajectorySpec(
-            kind,
-            _number(traj_doc, "frequency_hz", f"{source}.trajectory", 0.01),
-            _number(traj_doc, "amplitude", f"{source}.trajectory", 1.0),
-            _number(traj_doc, "sample_period_s", f"{source}.trajectory", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}.trajectory: {exc}") from None
-
-    run_doc = _expect_mapping(doc.get("run", {}), f"{source}.run")
-    _reject_unknown(run_doc, {"steps", "seed", "controller", "feedback"}, f"{source}.run")
-    steps = run_doc.get("steps", DEFAULT_STEPS)
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError(f"{source}.run.steps: expected an integer")
-    seed = run_doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"{source}.run.seed: expected an integer")
-    controller_token = run_doc.get("controller", "ensemble")
-    if not isinstance(controller_token, str):
-        raise ConfigError(f"{source}.run.controller: expected a string")
-    feedback = run_doc.get("feedback", "output")
-    if feedback not in FEEDBACK_KINDS:
-        raise ConfigError(
-            f"{source}.run.feedback: expected one of {FEEDBACK_KINDS}, got {feedback!r}"
-        )
-
-    est_doc = _expect_mapping(doc.get("estimator", {}), f"{source}.estimator")
-    _reject_unknown(est_doc, {"w0", "p0_scale"}, f"{source}.estimator")
-    w0 = tuple(_vector(est_doc, "w0", f"{source}.estimator")) if "w0" in est_doc else None
-    p0_scale = _number(est_doc, "p0_scale", f"{source}.estimator", DEFAULT_P0_SCALE)
-
-    ctl_doc = _expect_mapping(doc.get("controller", {}), f"{source}.controller")
-    _reject_unknown(ctl_doc, {"eps_b", "u_max", "likelihood_sigma_scaling"}, f"{source}.controller")
-    eps_b = _number(ctl_doc, "eps_b", f"{source}.controller", DEFAULT_EPS_B)
-    u_max = _number(ctl_doc, "u_max", f"{source}.controller", DEFAULT_U_MAX)
-    sigma_scaling = ctl_doc.get("likelihood_sigma_scaling", True)
-    if not isinstance(sigma_scaling, bool):
-        raise ConfigError(f"{source}.controller.likelihood_sigma_scaling: expected a boolean")
-
-    try:
-        return RunConfig(
-            plant=plant,
-            noise=noise,
-            hypotheses=hypotheses,
-            trajectory=trajectory,
-            steps=steps,
-            seed=seed,
-            controller=controller_token,
-            feedback=feedback,
-            w0=w0,
-            p0_scale=p0_scale,
-            eps_b=eps_b,
-            u_max=u_max,
-            likelihood_sigma_scaling=sigma_scaling,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

@@ -54,18 +54,13 @@ def ce_control(
     return float(min(max(u, -u_max), u_max))
 
 
-def subsystem_log_likelihood(hyp: AldParams, residual: float, sigma_scaled: bool = True) -> float:
-    """Log-density of a one-step prediction residual z - x'w_hat under one hypothesis.
+def subsystem_log_likelihood(hyp: AldParams, residual: float) -> float:
+    """ALD log-density of a one-step prediction residual z - x'w_hat under one hypothesis.
 
     Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of the
-    residual.  With ``sigma_scaled=False`` the loss is not divided by sigma;
-    that variant is not a proper density and is kept only as a configuration
-    switch.
+    residual.
     """
-    loss = pinball_loss(hyp.tau, residual)
-    if sigma_scaled:
-        loss = loss / hyp.sigma
-    return math.log(hyp.tau * (1.0 - hyp.tau) / hyp.sigma) - loss
+    return math.log(hyp.tau * (1.0 - hyp.tau) / hyp.sigma) - pinball_loss(hyp.tau, residual) / hyp.sigma
 
 
 def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:

@@ -10,8 +10,8 @@ differ only in the bank set up before the loop: S, the sample-weight rule,
 and whether W learns and posteriors are scored.  The trace records steps
 k = 1..N; everything is deterministic given the seed.
 
-An episode whose estimates, output or measurement become non-finite is
-diagnosed as failed (remaining rows are NaN) rather than aborting a batch;
+An episode whose estimates, control, output or measurement become non-finite
+is diagnosed as failed (remaining rows are NaN) rather than aborting a batch;
 Monte Carlo summaries count failures and average the successes.  Any other
 error propagates.
 """
@@ -104,7 +104,6 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
     n_sub = W.shape[0]
     P = np.tile(cfg.initial_P(), (n_sub, 1, 1))
     post = np.full(n_sub, 1.0 / n_sub)
-    sigma_scaled = cfg.likelihood_sigma_scaling
     feedback_z = cfg.feedback == "measurement"
 
     y_r = np.full(steps, np.nan)
@@ -134,7 +133,7 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
                 residuals = [z - x @ w for w in W]
                 if hyps:
                     post = posterior_update(
-                        post, [subsystem_log_likelihood(h, r, sigma_scaled) for h, r in zip(hyps, residuals)]
+                        post, [subsystem_log_likelihood(h, r) for h, r in zip(hyps, residuals)]
                     )
                 for (p_neg, p_pos, shift), w, P_i, r in zip(rules, W, P, residuals):
                     _gain_update(w, P_i, x, p_neg if r < 0.0 else p_pos, r - shift)
@@ -142,11 +141,13 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
             # shift both histories by one and put the newest fed-back value in front
             x[1:] = x[:-1]
             x[m : m + 1] = z if feedback_z else y
-            if not (np.isfinite(W).all() and np.isfinite(eta).all()):
+            # non-finite estimates, regressor or posteriors give no finite control
+            finite = np.isfinite(W).all() and np.isfinite(eta).all()
+            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max) if finite else math.nan
+            if not math.isfinite(u):
                 failed = True
                 fail_step = max(k, 1)
                 break
-            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max)
             x[0] = u
 
             if k >= 1:
@@ -264,8 +265,13 @@ def monte_carlo(cfg: RunConfig, runs: int, window: tuple[int, int]) -> McSummary
 def compare_controllers(
     cfg: RunConfig, controllers: list[str], runs: int, window: tuple[int, int]
 ) -> list[McSummary]:
-    """Monte Carlo for several controllers under paired noise (same seeds per run)."""
-    return [monte_carlo(replace(cfg, controller=token), runs, window) for token in controllers]
+    """Monte Carlo for several controllers under paired noise (same seeds per run).
+
+    Every controller's config is built before the first batch runs, so a bad
+    token fails before any episode.
+    """
+    cfgs = [replace(cfg, controller=token) for token in controllers]
+    return [monte_carlo(c, runs, window) for c in cfgs]
 
 
 def _open_for_write(path, force: bool):

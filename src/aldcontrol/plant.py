@@ -45,7 +45,7 @@ class ArxParams:
         if b.size < 1:
             raise ValueError("need at least one input coefficient")
         if b[0] == 0.0:
-            raise ValueError("leading input coefficient must be nonzero")
+            raise ValueError("leading input coefficient b[0] must be nonzero")
 
     @property
     def n(self) -> int:

@@ -48,6 +48,26 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg_path), "--seed", "3", "--out", str(out)) == 0
         assert read_trace_csv(out)["k"].size == 25
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--preset", "base", "--seed", "-1", "--out", str(out)) == 2
+        assert "run.seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_w0_in_config_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            '{"plant": {"a": [-1.41, 0.9], "b": [0.5]},'
+            ' "noise": {"components": [{"weight": 1.0, "kind": "ald", "tau": 0.5, "mu": 0.0, "sigma": 0.05}]},'
+            ' "hypotheses": [{"tau": 0.5, "mu": 0.0, "sigma": 0.05}],'
+            ' "estimator": {"w0": [0.1, NaN, Infinity]}}'
+        )
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and "estimator.w0 entries must be finite" in err
+        assert not out.exists()
+
     def test_bad_controller_token_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = run_cli("simulate", "--preset", "base", "--controller", "pid", "--out", str(out))
@@ -82,6 +102,24 @@ class TestMonteCarlo:
         for row in per_run:
             seeds.setdefault(row["controller"], []).append(row["seed"])
         assert seeds["ensemble"] == seeds["oracle"] == [11, 12]
+
+    def test_bad_controller_token_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        import aldcontrol.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_episode", lambda cfg: calls.append(cfg))
+        out = tmp_path / "summary.csv"
+        for tokens in ("ensemble,rls,pid", "ensemble,single-ald:7"):
+            code = run_cli("montecarlo", "--preset", "base", "--controllers", tokens, "--out", str(out))
+            assert code == 2
+            assert "run.controller" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = run_cli("montecarlo", "--preset", "base", "--seed", "-3", "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "run.seed must be nonnegative" in capsys.readouterr().err
 
     def test_bad_window_rejected(self, tmp_path, capsys):
         code = run_cli(

@@ -76,11 +76,6 @@ class TestSubsystemLogLikelihood:
         assert out == pytest.approx(math.log(4.75) - 1.9)
         assert math.exp(out) == pytest.approx(ald_pdf(hyp, 0.02))
 
-    def test_unscaled_variant(self):
-        hyp = AldParams(0.95, 0.0, 0.01)
-        out = subsystem_log_likelihood(hyp, 0.02, sigma_scaled=False)
-        assert out == pytest.approx(math.log(4.75) - 0.019)
-
 
 def log_likelihoods(hyps, W, x, z):
     return [subsystem_log_likelihood(h, z - x @ w) for h, w in zip(hyps, W)]

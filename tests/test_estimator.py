@@ -205,3 +205,39 @@ class TestBiasCorrection:
             err_iqf.append(np.linalg.norm(st_i.w - w_true))
             err_rls.append(np.linalg.norm(st_r.w - w_true))
         assert np.median(err_iqf) < np.median(err_rls)
+
+
+class TestCovarianceInvariant:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        taus=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3),
+        sigma=st.floats(0.01, 2.0),
+        p0_scale=st.floats(0.01, 1e3),
+        offset=st.floats(-3.0, 3.0),
+        scale=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bank_covariance_stays_symmetric_positive_definite(
+        self, d, taus, sigma, p0_scale, offset, scale, seed
+    ):
+        # drive _gain_update the way run_episode does: a shift-register
+        # regressor over one lagged signal, and row views of (S, d) estimate
+        # and (S, d, d) covariance banks updated in place for 10_000 steps
+        rng = np.random.default_rng(seed)
+        hyps = [AldParams(tau, 0.0, sigma) for tau in taus]
+        rules = [(1.0 - h.tau, h.tau, ald_mean(h)) for h in hyps]
+        w_true = rng.normal(size=d)
+        W = np.zeros((len(hyps), d))
+        P = np.tile(p0_scale * np.eye(d), (len(hyps), 1, 1))
+        signal = offset + scale * rng.standard_normal(10_000 + d)
+        x = np.zeros(d)
+        for k in range(10_000):
+            x[1:] = x[:-1]
+            x[0] = signal[k]
+            z = float(x @ w_true + ald_sample(hyps[0], rng))
+            for (p_neg, p_pos, shift), w, P_i in zip(rules, W, P):
+                r = z - x @ w
+                _gain_update(w, P_i, x, p_neg if r < 0.0 else p_pos, r - shift)
+                assert np.max(np.abs(P_i - P_i.T)) <= 1e-10
+                assert np.linalg.eigvalsh(P_i)[0] > 0.0

@@ -1,12 +1,20 @@
+import json
 import math
+import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aldcontrol import (
     AldParams,
+    ArxParams,
     ConfigError,
+    EpisodeTrace,
     MixtureComponent,
     NoiseModel,
     accumulated_error,
@@ -78,6 +86,23 @@ class TestRunEpisode:
         assert math.isnan(accumulated_error(tr, (100, 1400)))
         assert max_tracking_error(tr, (100, 1400)) == math.inf
 
+    def test_nan_posteriors_fail_the_episode_instead_of_raising(self, base):
+        # every subsystem's log-likelihood reaches -inf, so the posteriors turn
+        # NaN while W and eta are still finite; the control is then NaN
+        cfg = short(
+            base,
+            plant=ArxParams([-0.52, 1.91], [0.51]),
+            controller="ensemble",
+            steps=1500,
+            u_max=1e300,
+            trajectory=replace(base.trajectory, amplitude=1e200),
+        )
+        tr = run_episode(cfg)
+        assert (tr.failed, tr.fail_step) == (True, 423)
+        assert np.all(np.isnan(tr.u[tr.fail_step - 1 :]))
+        summary = monte_carlo(cfg, 1, (10, 1500))
+        assert summary.runs_failed == 1
+
     def test_programming_error_propagates(self, base, monkeypatch):
         import aldcontrol.harness as harness
 
@@ -145,6 +170,16 @@ class TestMetrics:
         assert summary.runs_failed == 2
         assert math.isnan(summary.j_bar_mean)
 
+    @pytest.mark.parametrize("token", ["pid", "single-ald:2"])
+    def test_compare_controllers_checks_every_token_before_any_episode(self, base, monkeypatch, token):
+        import aldcontrol.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_episode", lambda cfg: calls.append(cfg) or run_episode(cfg))
+        with pytest.raises(ConfigError, match="run.controller"):
+            compare_controllers(short(base, steps=20), ["ensemble", "rls", token], 2, (1, 20))
+        assert calls == []
+
     def test_compare_controllers_reuses_seeds(self, base):
         cfg = short(base, steps=60, seed=3)
         s1, s2 = compare_controllers(cfg, ["ensemble", "rls"], 3, (10, 60))
@@ -161,6 +196,26 @@ class TestMetrics:
         tokens = ["oracle", "ensemble", "single-ald:0", "rls"]
         means = [s.j_bar_mean for s in compare_controllers(cfg, tokens, 30, (10, 100))]
         assert means == sorted(means)
+
+
+# signed zeros, the smallest subnormal and normal, and the largest finite float
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def trace_of(y_r, y, z, u, posteriors, w_hat):
+    steps = y_r.size
+    return EpisodeTrace("ensemble", 0, np.arange(1, steps + 1), y_r, y, z, u, posteriors, w_hat, np.zeros(steps))
+
+
+@st.composite
+def extreme_traces(draw):
+    steps, n_sub, dim = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+    def column(*shape):
+        return draw(arrays(np.float64, shape, elements=values))
+
+    return trace_of(*(column(steps) for _ in range(4)), column(steps, n_sub), column(steps, n_sub, dim))
 
 
 class TestTraceCsv:
@@ -214,6 +269,18 @@ class TestTraceCsv:
         assert back["k"].size == 0
         assert back["posteriors"].shape == (0, 2)
         assert back["w_hat"].shape == (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extreme_traces())
+    @example(trace_of(*[np.array(EXTREMES)] * 4, np.array(EXTREMES)[:, None], np.array(EXTREMES)[:, None, None]))
+    def test_round_trip_is_exact_at_extreme_finite_values(self, tmp_path_factory, tr):
+        path = tmp_path_factory.mktemp("round_trip") / "trace.csv"
+        export_trace_csv(tr, path)
+        back = read_trace_csv(path)
+        assert np.array_equal(back["k"], tr.k)
+        for name in ("y_r", "y", "z", "u", "posteriors", "w_hat"):
+            assert back[name].shape == getattr(tr, name).shape
+            assert back[name].tobytes() == getattr(tr, name).tobytes()
 
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))
@@ -318,6 +385,92 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="broken.json"):
             load_config(path)
+
+
+def base_doc():
+    return json.loads(resources.files("aldcontrol").joinpath("presets", "base.json").read_text())
+
+
+# (key path into the base preset, new value, the start of the error message);
+# the message must name the source and the dotted key path of the bad key
+PRESET_EDITS = [
+    # wrong type
+    (("plant",), [], r"preset:base\.plant: expected a mapping"),
+    (("plant", "a"), [-1.41, "0.9"], r"preset:base\.plant\.a: expected a list of numbers"),
+    (("noise", "components"), {}, r"preset:base\.noise\.components: expected a list"),
+    (("noise", "components", 0, "tau"), "0.95", r"preset:base\.noise\.components\[0\]\.tau: expected a number"),
+    (("noise", "components", 1, "kind"), "cauchy", r"preset:base\.noise\.components\[1\]\.kind: expected 'ald'"),
+    (("hypotheses",), {}, r"preset:base\.hypotheses: expected a list"),
+    (("hypotheses", 1, "sigma"), [0.01], r"preset:base\.hypotheses\[1\]\.sigma: expected a number"),
+    (("trajectory", "kind"), 3, r"preset:base\.trajectory\.kind: expected a string"),
+    (("run", "steps"), 10.5, r"preset:base\.run\.steps: expected an integer"),
+    (("run", "seed"), True, r"preset:base\.run\.seed: expected an integer"),
+    (("run", "controller"), ["ensemble"], r"preset:base\.run\.controller: expected a string"),
+    (("estimator", "w0"), 0.1, r"preset:base\.estimator\.w0: expected a list of numbers"),
+    (("controller", "u_max"), "1000", r"preset:base\.controller\.u_max: expected a number"),
+    # out of range
+    (("plant", "b"), [0.0], r"preset:base\.plant: .*\bb\[0\]"),
+    (("noise", "components", 0, "weight"), -0.8, r"preset:base\.noise\.components\[0\]: .*\bweight\b"),
+    (("noise", "components", 1, "sigma"), 0.0, r"preset:base\.noise\.components\[1\]: .*\bsigma\b"),
+    (("hypotheses", 0, "tau"), 1.5, r"preset:base\.hypotheses\[0\]: .*\btau\b"),
+    (("trajectory", "kind"), "zigzag", r"preset:base\.trajectory: .*\bkind\b"),
+    (("trajectory", "frequency_hz"), -0.01, r"preset:base\.trajectory: .*\bfrequency_hz\b"),
+    (("run", "steps"), 1, r"preset:base: run\.steps\b"),
+    (("run", "seed"), -1, r"preset:base: run\.seed must be nonnegative"),
+    (("run", "controller"), "pid", r"preset:base: run\.controller\b"),
+    (("run", "controller"), "single-ald:2", r"preset:base: run\.controller\b"),
+    (("run", "feedback"), "open", r"preset:base: run\.feedback\b"),
+    (("estimator", "w0"), [0.1, 0.1], r"preset:base: estimator\.w0\b"),
+    (("estimator", "w0"), [0.1, math.nan, 0.1], r"preset:base: estimator\.w0 entries must be finite"),
+    (("estimator", "w0"), [0.1, 0.1, -math.inf], r"preset:base: estimator\.w0 entries must be finite"),
+    (("estimator", "p0_scale"), 0.0, r"preset:base: estimator\.p0_scale\b"),
+    (("controller", "eps_b"), -1e-6, r"preset:base: controller\.eps_b\b"),
+    (("controller", "u_max"), math.inf, r"preset:base: controller\.u_max\b"),
+    # unknown key
+    (("seed",), 0, r"preset:base\.seed: unknown key"),
+    (("plant", "c"), [1.0], r"preset:base\.plant\.c: unknown key"),
+    (("noise", "weights"), [1.0], r"preset:base\.noise\.weights: unknown key"),
+    (("noise", "components", 1, "taus"), 0.5, r"preset:base\.noise\.components\[1\]\.taus: unknown key"),
+    (("noise", "components", 0, "mean"), 0.0, r"preset:base\.noise\.components\[0\]\.mean: not valid for an ald"),
+    (("hypotheses", 0, "weight"), 0.5, r"preset:base\.hypotheses\[0\]\.weight: unknown key"),
+    (("trajectory", "phase"), 0.0, r"preset:base\.trajectory\.phase: unknown key"),
+    (("run", "runs"), 10, r"preset:base\.run\.runs: unknown key"),
+    (("estimator", "w_0"), [0.1, 0.1, 0.1], r"preset:base\.estimator\.w_0: unknown key"),
+    (("controller", "likelihood_sigma_scaling"), True, r"preset:base\.controller\.likelihood_sigma_scaling: unknown key"),
+]
+
+
+def edited_base_doc(keys, value=None):
+    """The base preset document with the key at path ``keys`` set to ``value``, or deleted for None."""
+    doc = base_doc()
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if value is None:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    PRESET_EDITS,
+    ids=[".".join(map(str, keys)) + f"={value!r}" for keys, value, _ in PRESET_EDITS],
+)
+def test_one_bad_key_is_reported_with_its_path(keys, value, message):
+    config_from_dict(base_doc(), "preset:base")
+    with pytest.raises(ConfigError, match="^" + message):
+        config_from_dict(edited_base_doc(keys, value), "preset:base")
+
+
+@pytest.mark.parametrize(
+    "keys", [("plant",), ("noise",), ("plant", "b"), ("noise", "components", 1, "sigma"), ("hypotheses", 0, "tau")]
+)
+def test_missing_key_is_reported_with_its_path(keys):
+    parent = "preset:base" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[:-1])
+    with pytest.raises(ConfigError, match=f"^{re.escape(parent)}\\.{keys[-1]}: missing required key"):
+        config_from_dict(edited_base_doc(keys), "preset:base")
 
 
 class TestPresets:
