@@ -21,6 +21,7 @@ from .controller import (
     POSTERIOR_FLOOR,
     ce_control,
     ensemble_control,
+    likelihood_table,
     posterior_update,
     subsystem_log_likelihood,
 )

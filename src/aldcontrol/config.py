@@ -158,6 +158,7 @@ _DISTRIBUTIONS = {
 _COMPONENT_KEYS = {"weight": float, "kind": str} | {
     key: float for _, keys, _ in _DISTRIBUTIONS.values() for key in keys
 }
+_ALD_KINDS = dict.fromkeys(_DISTRIBUTIONS["ald"][1], float)
 
 
 def _is_number(value) -> bool:
@@ -202,24 +203,24 @@ def _build(path: str, ctor, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _distribution(obj, path: str, kind: str = "ald", outer: dict | None = None):
-    """The distribution of a hypothesis (an ALD) or of a noise component of ``kind``.
-
-    A component also holds its ``outer`` keys; a key of another kind is
-    rejected as not valid for this one.
-    """
-    ctor, keys, name = _DISTRIBUTIONS[kind]
-    kinds = dict.fromkeys(keys, float) | (outer or {})
-    fields = _section(obj, path, kinds, keys, f"not valid for {name}" if outer else "unknown key")
-    return _build(path, ctor, *(fields[key] for key in keys))
+def _hypothesis(obj, path: str) -> AldParams:
+    return _build(path, AldParams, **_section(obj, path, _ALD_KINDS, _ALD_KINDS))
 
 
 def _component(obj, path: str) -> MixtureComponent:
-    head = _section(obj, path, _COMPONENT_KEYS, ("weight", "kind"))
-    if head["kind"] not in _DISTRIBUTIONS:
-        raise ConfigError(f"{path}.kind: expected 'ald' or 'gaussian', got {head['kind']!r}")
-    dist = _distribution(obj, path, head["kind"], {"weight": float, "kind": str})
-    return _build(path, MixtureComponent, head["weight"], dist)
+    """A noise component, read once; a key of the other kind is not valid for this one."""
+    fields = _section(obj, path, _COMPONENT_KEYS, ("weight", "kind"))
+    weight, kind = fields.pop("weight"), fields.pop("kind")
+    if kind not in _DISTRIBUTIONS:
+        raise ConfigError(f"{path}.kind: expected 'ald' or 'gaussian', got {kind!r}")
+    ctor, keys, name = _DISTRIBUTIONS[kind]
+    for key in fields:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: not valid for {name}")
+    for key in keys:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return _build(path, MixtureComponent, weight, _build(path, ctor, **fields))
 
 
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
@@ -235,7 +236,7 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
     noise = _build(path, NoiseModel, components)
 
     hypotheses = tuple(
-        _distribution(h, f"{source}.hypotheses[{i}]") for i, h in enumerate(doc.get("hypotheses", []))
+        _hypothesis(h, f"{source}.hypotheses[{i}]") for i, h in enumerate(doc.get("hypotheses", []))
     )
 
     path = f"{source}.trajectory"

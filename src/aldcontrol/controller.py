@@ -3,6 +3,8 @@
 Each noise hypothesis defines a subsystem with its own quantile-filter
 estimate and posterior probability.  The ensemble control signal is the
 posterior-weighted sum of the per-subsystem certainty-equivalence laws.
+Every function works over leading dimensions, with the subsystem axis S
+last, so one call serves a whole batch of runs.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ import math
 
 import numpy as np
 
-from .noise import AldParams, pinball_loss
+from .noise import AldParams, _check_loss
 
 __all__ = [
     "DEFAULT_EPS_B",
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
     "ce_control",
+    "likelihood_table",
     "subsystem_log_likelihood",
     "posterior_update",
     "ensemble_control",
@@ -36,35 +39,41 @@ def ce_control(
     y_r_next: float,
     eps_b: float = DEFAULT_EPS_B,
     u_max: float = DEFAULT_U_MAX,
-) -> float:
-    """Certainty-equivalence input (y_r_next - eta'alpha)/b1 for an estimate w = [b1, alpha...].
+):
+    """Certainty-equivalence input (y_r_next - eta'alpha)/b1 for estimates w = [b1, alpha...].
 
-    ``eta`` is the regressor without u(k).  Divisors smaller than ``eps_b`` in
-    magnitude are replaced by ``eps_b*sign(b1)`` with sign(0) = +1, and the
-    result is clamped to [-u_max, u_max].
+    ``w`` (..., d) and ``eta`` (..., d-1), the regressor without u(k),
+    broadcast.  Divisors smaller than ``eps_b`` in magnitude are replaced by
+    ``eps_b*sign(b1)`` with sign(0) = +1, and the result is clamped to
+    [-u_max, u_max].  Non-finite inputs give a non-finite or clamped result.
     """
-    w = np.asarray(w, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if not (math.isfinite(y_r_next) and np.isfinite(w).all() and np.isfinite(eta).all()):
-        raise ValueError("non-finite reference, estimate or control regressor")
-    b1 = float(w[0])
-    if abs(b1) < eps_b:
-        b1 = eps_b if b1 >= 0.0 else -eps_b
-    u = (y_r_next - float(eta @ w[1:])) / b1
-    return float(min(max(u, -u_max), u_max))
+    # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
+    b1 = np.copysign(np.maximum(np.abs(w[..., 0]), eps_b), w[..., 0] + 0.0)
+    u = (y_r_next - np.vecdot(eta, w[..., 1:])) / b1
+    return np.minimum(np.maximum(u, -u_max), u_max)
 
 
-def subsystem_log_likelihood(hyp: AldParams, residual: float) -> float:
-    """ALD log-density of a one-step prediction residual z - x'w_hat under one hypothesis.
+def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (log(tau*(1-tau)/sigma), tau, sigma) of the hypotheses, built once per bank."""
+    return (
+        np.array([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps]),
+        np.array([h.tau for h in hyps]),
+        np.array([h.sigma for h in hyps]),
+    )
 
-    Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of the
+
+def subsystem_log_likelihood(table, residual):
+    """ALD log-densities of prediction residuals z - x'w_hat (..., S) under the S hypotheses of ``table``.
+
+    Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of each
     residual.
     """
-    return math.log(hyp.tau * (1.0 - hyp.tau) / hyp.sigma) - pinball_loss(hyp.tau, residual) / hyp.sigma
+    log_peak, tau, sigma = table
+    return log_peak - _check_loss(tau, residual) / sigma
 
 
 def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
-    """Bayes update of the subsystem posteriors ``post`` (S,) by per-subsystem log-likelihoods.
+    """Bayes update of the subsystem posteriors ``post`` (..., S) by log-likelihoods along the last axis.
 
     Computed in the log domain with max-subtraction; the result is
     renormalized and floored at POSTERIOR_FLOOR so a temporarily discredited
@@ -72,10 +81,10 @@ def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
     posteriors; the caller diagnoses divergence.
     """
     log_lik = np.asarray(log_lik, dtype=float)
-    post = post * np.exp(log_lik - np.max(log_lik))
-    post /= post.sum()
+    post = post * np.exp(log_lik - log_lik.max(-1, keepdims=True))
+    post /= post.sum(-1, keepdims=True)
     post = np.maximum(post, POSTERIOR_FLOOR)
-    post /= post.sum()
+    post /= post.sum(-1, keepdims=True)
     # renormalization can push a floored entry a hair below the floor again
     return np.maximum(post, POSTERIOR_FLOOR)
 
@@ -87,9 +96,9 @@ def ensemble_control(
     y_r_next: float,
     eps_b: float = DEFAULT_EPS_B,
     u_max: float = DEFAULT_U_MAX,
-) -> float:
-    """Posterior-weighted sum of the certainty-equivalence laws of the estimates W (S, d)."""
-    u = 0.0
-    for p, w in zip(post, W):
-        u += p * ce_control(w, eta, y_r_next, eps_b, u_max)
-    return float(u)
+):
+    """Posterior-weighted sum of the certainty-equivalence laws of the estimates W (..., S, d).
+
+    ``post`` is (..., S) and ``eta`` (..., d-1), shared by the S subsystems.
+    """
+    return (post * ce_control(W, eta[..., None, :], y_r_next, eps_b, u_max)).sum(-1)

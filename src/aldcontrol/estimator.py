@@ -77,14 +77,19 @@ def _checked(x, z_next: float, state: EstimatorState):
     return x
 
 
-def _gain_update(w: np.ndarray, P: np.ndarray, x: np.ndarray, p: float, innovation: float) -> None:
-    """Weighted least-squares gain step, written into ``w`` and ``P`` in place."""
-    Px = P @ x
+def _gain_update(w: np.ndarray, P: np.ndarray, x: np.ndarray, p, innovation) -> None:
+    """Weighted least-squares gain step, written into ``w`` (..., d) and ``P`` (..., d, d) in place.
+
+    ``x`` (..., d), the weight ``p`` and the ``innovation`` broadcast over the
+    same leading dimensions; with none, this is one filter's scalar step.
+    """
+    p = np.asarray(p)[..., None]
+    Px = np.matvec(P, x)
     # denominator >= 1 because P is positive semidefinite and p > 0
-    gain = p * Px / (1.0 + p * (x @ Px))
-    w += gain * innovation
-    P -= np.outer(gain, x @ P)
-    P[...] = 0.5 * (P + P.T)
+    gain = p * Px / (1.0 + p * np.vecdot(x, Px)[..., None])
+    w += gain * np.asarray(innovation)[..., None]
+    P -= gain[..., :, None] * np.vecmat(x, P)[..., None, :]
+    P[...] = 0.5 * (P + P.mT)
 
 
 def iqf_step(state: EstimatorState, cfg: IqfConfig, x, z_next: float) -> EstimatorState:

@@ -1,34 +1,33 @@
 """Closed-loop episodes, Monte Carlo evaluation, metrics, and CSV export.
 
-Every controller runs on one stepping core over a bank of S subsystem
-estimates ``W`` (S, d) with covariances ``P`` (S, d, d) and posteriors
-``post`` (S,), updated in place.  Each step scores the newest measurement's
-prediction error to refresh the posteriors, assimilates it into every
-subsystem estimate, forms the posterior-weighted control for the next
-reference value, applies it to the plant and measures.  The controllers
-differ only in the bank set up before the loop: S, the sample-weight rule,
-and whether W learns and posteriors are scored.  The trace records steps
-k = 1..N; everything is deterministic given the seed.
+Every controller runs on one stepping core that steps R runs at once, each a
+bank of S subsystems: estimates ``W`` (R, S, d), covariances ``P``
+(R, S, d, d) and posteriors ``post`` (R, S), updated in place.  Each step
+applies the plant, scores the newest measurement's prediction error to
+refresh the posteriors, assimilates it into every estimate, and forms the
+posterior-weighted control for the next reference value.  The controllers
+differ only in the bank set up before the loop.  The measurement noise comes
+from a tape drawn from each seed's own stream, so a run does not depend on
+its batch, and :func:`run_episode` is the batch of one.
 
-An episode whose estimates, control, output or measurement become non-finite
-is diagnosed as failed (remaining rows are NaN) rather than aborting a batch;
-Monte Carlo summaries count failures and average the successes.  Any other
-error propagates.
+A run fails at step i + 1 when row i is the first whose output, measurement,
+control or estimates are not finite; from there on its rows are NaN.  Monte
+Carlo summaries count failures and average the successes.  Any error raised
+while stepping propagates.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import ensemble_control, posterior_update, subsystem_log_likelihood
+from .controller import ensemble_control, likelihood_table, posterior_update, subsystem_log_likelihood
 from .estimator import _gain_update
-from .noise import ald_mean, mixture_sample
+from .noise import NoiseModel, ald_mean, mixture_sample
 from .plant import parameter_vector, plant_step, reference_trajectory
 
 __all__ = [
@@ -45,7 +44,9 @@ __all__ = [
     "read_summary_csv",
 ]
 
-_FLOAT_FMT = "{:.17g}"
+_fmt = "{:.17g}".format  # 17 significant digits round-trip every float exactly
+# Monte Carlo runs stepped together at most; bounds the memory of any run count
+_BATCH_RUNS = 128
 
 
 @dataclass(frozen=True)
@@ -77,113 +78,103 @@ class EpisodeTrace:
 
 
 def _bank(cfg: RunConfig):
-    """Subsystem bank of one controller: (hypotheses, weight rules, W).
+    """Subsystem bank of one controller: (likelihood table, weight rule, W (S, d)).
 
-    A rule (p_neg, p_pos, shift) weights a sample by p_neg for a negative
-    prediction residual and p_pos otherwise, and shifts its innovation by
-    ``shift``.  Posteriors are scored only when there are hypotheses; a bank
-    without rules keeps W frozen.
+    The rule (p_neg, p_pos, shift) holds one entry per subsystem: a sample is
+    weighted p_neg for a negative prediction residual and p_pos otherwise,
+    and its innovation is shifted by ``shift``.  Posteriors are scored only
+    with a table; a bank without a rule keeps W frozen.
     """
     kind, index = parse_controller(cfg.controller)
     if kind == "oracle":
-        return (), (), parameter_vector(cfg.plant)[None, :]
+        return None, None, parameter_vector(cfg.plant)[None, :]
     if kind == "rls":
-        hyps, rules = (), ((1.0, 1.0, 0.0),)
+        table, rule = None, (np.ones(1), np.ones(1), np.zeros(1))
     else:
         hyps = cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1]
-        rules = tuple((1.0 - h.tau, h.tau, ald_mean(h)) for h in hyps)
-    return hyps, rules, np.tile(cfg.initial_w(), (len(rules), 1))
+        table = likelihood_table(hyps)
+        rule = tuple(np.array(v) for v in zip(*((1.0 - h.tau, h.tau, ald_mean(h)) for h in hyps)))
+    return table, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
+
+
+def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
+    """Measurement noise e(0)..e(steps) of each seed, one row per seed, from its scalar mixture stream."""
+    tape = np.empty((len(seeds), steps + 1))
+    for row, seed in zip(tape, seeds):
+        rng = np.random.default_rng(seed)
+        row[:] = [mixture_sample(noise, rng) for _ in range(steps + 1)]
+    return tape
+
+
+def _run_batch(cfg: RunConfig, seeds: list[int], tape: np.ndarray) -> list[EpisodeTrace]:
+    """Episodes of ``cfg`` for ``seeds``, stepped together on the noise ``tape`` (one row per seed)."""
+    plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
+    runs = len(seeds)
+    refs = reference_trajectory(cfg.trajectory, steps + 2)
+    table, rule, W = _bank(cfg)
+    n_sub = W.shape[0]
+    W = np.tile(W, (runs, 1, 1))
+    P = np.tile(cfg.initial_P(), (runs, n_sub, 1, 1))
+    post = np.full((runs, n_sub), 1.0 / n_sub)
+    feedback_z = cfg.feedback == "measurement"
+
+    y_arr, z_arr, u_arr = np.empty((runs, steps)), np.empty((runs, steps)), np.empty((runs, steps))
+    posteriors = np.empty((runs, steps, n_sub))
+    w_hats = np.empty((runs, steps, n_sub, plant.d))
+
+    # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
+    # the control law sees eta = x[1:] and the estimators the previous step's x.
+    # Every product with a row of W is a vecdot: it gives the same bits as the
+    # per-row dot product, which matvec on the sliced W[..., 1:] does not.
+    x = np.zeros((runs, plant.d))
+    x_s, eta, u_now = x[:, None, :], x[:, 1:], x[:, :m]
+    fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, R); empty when n = 0
+    y_hist = np.zeros((runs, plant.n))
+    y = np.zeros(runs)
+    z = y + tape[:, 0]
+
+    # a diverging run overflows; it is diagnosed after the loop
+    with np.errstate(all="ignore"):
+        for k in range(steps + 1):
+            if k:
+                y = plant_step(plant, u_now, y_hist)
+                z = y + tape[:, k]
+                if rule:
+                    r = z[:, None] - np.vecdot(W, x_s)
+                    if table:
+                        post = posterior_update(post, subsystem_log_likelihood(table, r))
+                    _gain_update(W, P, x_s, np.where(r < 0.0, rule[0], rule[1]), r - rule[2])
+            # shift both histories by one and put the newest fed-back value in front
+            x[:, 1:] = x[:, :-1]
+            fed[:] = z if feedback_z else y
+            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max)
+            x[:, 0] = u
+            if k:
+                y_arr[:, k - 1], z_arr[:, k - 1], u_arr[:, k - 1] = y, z, u
+                posteriors[:, k - 1], w_hats[:, k - 1] = post, W
+
+    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr) & np.isfinite(w_hats).all(axis=(2, 3))
+    failed = ~finite.all(axis=1)
+    first = np.where(failed, np.argmin(finite, axis=1), steps)
+    dead = np.arange(steps) >= first[:, None]
+    y_r = np.tile(refs[1 : steps + 1], (runs, 1))
+    noise = tape[:, 1:].copy()
+    for column in (y_r, y_arr, z_arr, u_arr, noise, posteriors, w_hats):
+        column[dead] = np.nan
+    ks = np.arange(1, steps + 1)
+    return [
+        EpisodeTrace(
+            controller=cfg.controller, seed=int(seed), k=ks, y_r=y_r[i], y=y_arr[i], z=z_arr[i], u=u_arr[i],
+            posteriors=posteriors[i], w_hat=w_hats[i], noise=noise[i],
+            failed=bool(failed[i]), fail_step=int(first[i]) + 1 if failed[i] else None,
+        )
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def run_episode(cfg: RunConfig) -> EpisodeTrace:
     """Simulate one closed-loop episode under ``cfg``; deterministic given the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
-    refs = reference_trajectory(cfg.trajectory, steps + 2)
-    hyps, rules, W = _bank(cfg)
-    n_sub = W.shape[0]
-    P = np.tile(cfg.initial_P(), (n_sub, 1, 1))
-    post = np.full(n_sub, 1.0 / n_sub)
-    feedback_z = cfg.feedback == "measurement"
-
-    y_r = np.full(steps, np.nan)
-    y_arr = np.full(steps, np.nan)
-    z_arr = np.full(steps, np.nan)
-    u_arr = np.full(steps, np.nan)
-    e_arr = np.full(steps, np.nan)
-    posteriors = np.full((steps, n_sub), np.nan)
-    w_hats = np.full((steps, n_sub, plant.d), np.nan)
-    failed = False
-    fail_step: int | None = None
-
-    # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
-    # the control law sees eta = x[1:] and the estimators the previous step's x
-    x = np.zeros(plant.d)
-    eta = x[1:]
-    y_hist = np.zeros(plant.n)
-    y = 0.0
-    e = mixture_sample(cfg.noise, rng)
-    z = y + e
-
-    # overflow inside a diverging loop is diagnosed as an episode failure,
-    # so the numpy warnings are suppressed for the duration of the run
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            if k >= 1 and rules:
-                residuals = [z - x @ w for w in W]
-                if hyps:
-                    post = posterior_update(
-                        post, [subsystem_log_likelihood(h, r) for h, r in zip(hyps, residuals)]
-                    )
-                for (p_neg, p_pos, shift), w, P_i, r in zip(rules, W, P, residuals):
-                    _gain_update(w, P_i, x, p_neg if r < 0.0 else p_pos, r - shift)
-
-            # shift both histories by one and put the newest fed-back value in front
-            x[1:] = x[:-1]
-            x[m : m + 1] = z if feedback_z else y
-            # non-finite estimates, regressor or posteriors give no finite control
-            finite = np.isfinite(W).all() and np.isfinite(eta).all()
-            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max) if finite else math.nan
-            if not math.isfinite(u):
-                failed = True
-                fail_step = max(k, 1)
-                break
-            x[0] = u
-
-            if k >= 1:
-                i = k - 1
-                y_r[i] = refs[k]
-                y_arr[i] = y
-                z_arr[i] = z
-                u_arr[i] = u
-                e_arr[i] = e
-                posteriors[i] = post
-                w_hats[i] = W
-            if k == steps:
-                break
-
-            y = plant_step(plant, x[:m], y_hist)
-            e = mixture_sample(cfg.noise, rng)
-            z = y + e
-            if not (math.isfinite(y) and math.isfinite(z)):
-                failed = True
-                fail_step = k + 1
-                break
-
-    return EpisodeTrace(
-        controller=cfg.controller,
-        seed=cfg.seed,
-        k=np.arange(1, steps + 1),
-        y_r=y_r,
-        y=y_arr,
-        z=z_arr,
-        u=u_arr,
-        posteriors=posteriors,
-        w_hat=w_hats,
-        noise=e_arr,
-        failed=failed,
-        fail_step=fail_step,
-    )
+    return _run_batch(cfg, [cfg.seed], _noise_tape(cfg.noise, [cfg.seed], cfg.steps))[0]
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
@@ -211,9 +202,7 @@ def max_tracking_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     """Largest |y - y_r| over the window; +inf for an episode that failed in or before it."""
     sel = _window_slice(trace.steps, window)
     err = np.abs(trace.y[sel] - trace.y_r[sel])
-    if np.any(~np.isfinite(err)):
-        return float("inf")
-    return float(np.max(err))
+    return float(np.max(err)) if np.all(np.isfinite(err)) else float("inf")
 
 
 @dataclass(frozen=True)
@@ -235,31 +224,7 @@ def monte_carlo(cfg: RunConfig, runs: int, window: tuple[int, int]) -> McSummary
 
     Failed episodes are excluded from the mean and counted in ``runs_failed``.
     """
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    _window_slice(cfg.steps, window)
-    j_runs = np.full(runs, np.nan)
-    seeds = cfg.seed + np.arange(runs)
-    failures = 0
-    for i in range(runs):
-        trace = run_episode(replace(cfg, seed=int(seeds[i])))
-        j = accumulated_error(trace, window)
-        if trace.failed or not np.isfinite(j):
-            failures += 1
-        else:
-            j_runs[i] = j
-    ok = runs - failures
-    mean = float(np.mean(j_runs[np.isfinite(j_runs)])) if ok else float("nan")
-    return McSummary(
-        controller=cfg.controller,
-        window=(int(window[0]), int(window[1])),
-        seed_base=cfg.seed,
-        seeds=seeds,
-        j_runs=j_runs,
-        runs_ok=ok,
-        runs_failed=failures,
-        j_bar_mean=mean,
-    )
+    return compare_controllers(cfg, [cfg.controller], runs, window)[0]
 
 
 def compare_controllers(
@@ -267,11 +232,36 @@ def compare_controllers(
 ) -> list[McSummary]:
     """Monte Carlo for several controllers under paired noise (same seeds per run).
 
-    Every controller's config is built before the first batch runs, so a bad
-    token fails before any episode.
+    Every controller's config, the run count and the window are checked
+    before the first batch.  The runs go in batches of at most
+    ``_BATCH_RUNS`` seeds; each batch's noise tape is drawn once and shared by
+    every controller, so run i sees the same noise under every controller.
     """
     cfgs = [replace(cfg, controller=token) for token in controllers]
-    return [monte_carlo(c, runs, window) for c in cfgs]
+    if runs < 1:
+        raise ValueError(f"need at least one run, got {runs}")
+    _window_slice(cfg.steps, window)
+    seeds = cfg.seed + np.arange(runs)
+    j_runs = [np.full(runs, np.nan) for _ in cfgs]
+    for lo in range(0, runs, _BATCH_RUNS):
+        batch = [int(s) for s in seeds[lo : lo + _BATCH_RUNS]]
+        tape = _noise_tape(cfg.noise, batch, cfg.steps)
+        for c, j in zip(cfgs, j_runs):
+            for i, trace in enumerate(_run_batch(c, batch, tape), lo):
+                if not trace.failed:
+                    j[i] = accumulated_error(trace, window)
+    summaries = []
+    for c, j in zip(cfgs, j_runs):
+        ok = np.isfinite(j)
+        j[~ok] = np.nan
+        summaries.append(
+            McSummary(
+                controller=c.controller, window=(int(window[0]), int(window[1])), seed_base=cfg.seed,
+                seeds=seeds, j_runs=j, runs_ok=int(ok.sum()), runs_failed=runs - int(ok.sum()),
+                j_bar_mean=float(np.mean(j[ok])) if ok.any() else float("nan"),
+            )
+        )
+    return summaries
 
 
 def _open_for_write(path, force: bool):
@@ -282,10 +272,6 @@ def _open_for_write(path, force: bool):
         return path.open("w", newline="")
     except OSError as exc:
         raise OSError(f"{path}: {exc}") from None
-
-
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(value)
 
 
 def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
@@ -301,16 +287,8 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in range(trace.steps):
-            values = [
-                str(int(trace.k[row])),
-                _fmt(trace.y_r[row]),
-                _fmt(trace.y[row]),
-                _fmt(trace.z[row]),
-                _fmt(trace.u[row]),
-            ]
-            values += [_fmt(v) for v in trace.posteriors[row]]
-            values += [_fmt(v) for v in trace.w_hat[row].ravel()]
-            writer.writerow(values)
+            values = (trace.y_r[row], trace.y[row], trace.z[row], trace.u[row], *trace.posteriors[row])
+            writer.writerow([str(int(trace.k[row])), *map(_fmt, values), *map(_fmt, trace.w_hat[row].ravel())])
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -358,27 +336,20 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["controller", "run", "seed", "j_bar_run"]:
+        raise ValueError(f"{path}: not a summary CSV (empty or missing the controller,run,seed,j_bar_run header)")
     per_run: list[dict] = []
     aggregate: list[dict] = []
-    section = None
-    for row in rows:
-        if row == ["controller", "run", "seed", "j_bar_run"]:
-            section = "runs"
-            continue
+    in_runs = True
+    for row in rows[1:]:
         if row == ["controller", "runs_ok", "runs_failed", "j_bar_mean"]:
-            section = "aggregate"
-            continue
-        if section == "runs":
+            in_runs = False
+        elif in_runs:
             per_run.append(
                 {"controller": row[0], "run": int(row[1]), "seed": int(row[2]), "j_bar_run": float(row[3])}
             )
-        elif section == "aggregate":
+        else:
             aggregate.append(
-                {
-                    "controller": row[0],
-                    "runs_ok": int(row[1]),
-                    "runs_failed": int(row[2]),
-                    "j_bar_mean": float(row[3]),
-                }
+                {"controller": row[0], "runs_ok": int(row[1]), "runs_failed": int(row[2]), "j_bar_mean": float(row[3])}
             )
     return per_run, aggregate

@@ -193,10 +193,14 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
     return out
 
 
+def _check_loss(tau, u):
+    """Check loss u*(tau - 1[u<0]) with no argument checks; ``tau`` and ``u`` broadcast."""
+    return u * np.where(u < 0.0, tau - 1.0, tau)
+
+
 def pinball_loss(tau: float, u):
     """Check loss u*(tau - 1[u<0]); nonnegative, convex, zero only at u = 0."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    u = np.asarray(u, dtype=float)
-    out = u * np.where(u < 0.0, tau - 1.0, tau)
+    out = _check_loss(tau, np.asarray(u, dtype=float))
     return float(out) if out.ndim == 0 else out

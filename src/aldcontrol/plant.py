@@ -5,8 +5,8 @@ The plant is
     y(k+1) = b_1 u(k) + ... + b_m u(k-m+1) + a_1 y(k) + ... + a_n y(k-n+1)
 
 with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
-by the caller; :func:`plant_step` shifts each new output into the output
-history in place.
+by the caller, with any leading (run) dimensions; :func:`plant_step` shifts
+each new output into the output history in place.
 """
 
 from __future__ import annotations
@@ -65,16 +65,14 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
-def plant_step(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray) -> float:
-    """Next output y(k+1) from inputs u(k)..u(k-m+1) and outputs y(k)..y(k-n+1).
+def plant_step(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
+    """Next outputs y(k+1) from inputs u(k)..u(k-m+1) (..., m) and outputs y(k)..y(k-n+1) (..., n).
 
-    The new output is shifted into ``y_hist`` in place, dropping the oldest.
+    The new outputs are shifted into ``y_hist`` in place, dropping the oldest.
     """
-    if not math.isfinite(u_now[0]):
-        raise ValueError(f"control input must be finite, got {u_now[0]!r}")
-    y_next = float(p.b @ u_now + p.a @ y_hist)
-    y_hist[1:] = y_hist[:-1]
-    y_hist[:1] = y_next
+    y_next = np.vecdot(u_now, p.b) + np.vecdot(y_hist, p.a)
+    y_hist[..., 1:] = y_hist[..., :-1]
+    y_hist[..., :1] = y_next[..., None]
     return y_next
 
 

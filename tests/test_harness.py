@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import aldcontrol.harness as harness
 from aldcontrol import (
+    FEEDBACK_KINDS,
+    PRESETS,
     AldParams,
     ArxParams,
     ConfigError,
@@ -104,8 +107,6 @@ class TestRunEpisode:
         assert summary.runs_failed == 1
 
     def test_programming_error_propagates(self, base, monkeypatch):
-        import aldcontrol.harness as harness
-
         def broken(*args, **kwargs):
             raise ValueError("bug")
 
@@ -113,6 +114,72 @@ class TestRunEpisode:
         for token in ("ensemble", "rls", "oracle"):
             with pytest.raises(ValueError, match="bug"):
                 run_episode(short(base, steps=20, controller=token))
+
+
+def assert_same_trace(a, b):
+    """Every field equal, arrays bit for bit."""
+    for f in fields(EpisodeTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def run_batch(cfg, seeds):
+    return harness._run_batch(cfg, seeds, harness._noise_tape(cfg.noise, seeds, cfg.steps))
+
+
+# a rare component whose draws reach 1e300 makes some runs diverge, at steps set by the noise
+RARE_HUGE = NoiseModel(
+    (MixtureComponent(0.998, AldParams(0.95, 0.0, 0.01)), MixtureComponent(0.002, AldParams(0.5, 0.0, 1e300)))
+)
+
+
+class TestBatchedCore:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        preset=st.sampled_from(PRESETS),
+        plant=st.sampled_from([None, ArxParams([0.5], [1.0, 0.3]), ArxParams([], [0.8]), ArxParams([0.3, -0.2, 0.1], [0.6])]),
+        feedback=st.sampled_from(FEEDBACK_KINDS),
+        token=st.sampled_from(["ensemble", "rls", "oracle", "single-ald:0", "single-ald:1"]),
+        steps=st.integers(2, 150),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_rows_equal_single_runs_and_follow_the_seeds(self, preset, plant, feedback, token, steps, seeds, data):
+        cfg = replace(preset_config(preset), steps=steps, feedback=feedback, controller=token)
+        if plant is not None:
+            cfg = replace(cfg, plant=plant, w0=None)
+        traces = run_batch(cfg, seeds)
+        for seed, trace in zip(seeds, traces):
+            assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
+        order = data.draw(st.permutations(range(len(seeds))))
+        for i, trace in zip(order, run_batch(cfg, [seeds[i] for i in order])):
+            assert_same_trace(trace, traces[i])
+
+    @pytest.mark.parametrize("token,fail_steps", [("rls", {53, 279}), ("ensemble", {118, 222})])
+    def test_rows_fail_at_their_own_steps_beside_healthy_rows(self, base, token, fail_steps):
+        cfg = short(base, noise=RARE_HUGE, steps=300, controller=token)
+        seeds = [0, 3, 5, 8, 10]
+        traces = run_batch(cfg, seeds)
+        assert {t.fail_step for t in traces} == fail_steps | {None}
+        for seed, trace in zip(seeds, traces):
+            assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
+            if trace.failed:
+                dead = slice(trace.fail_step - 1, None)
+                for name in ("y_r", "y", "z", "u", "noise", "posteriors", "w_hat"):
+                    assert np.all(np.isnan(getattr(trace, name)[dead])), name
+                assert np.all(np.isfinite(trace.y[: trace.fail_step - 1]))
+            else:
+                assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
+
+    def test_compare_controllers_draws_the_noise_once(self, base, monkeypatch):
+        calls = []
+        draw = harness.mixture_sample
+        monkeypatch.setattr(harness, "mixture_sample", lambda *args: calls.append(1) or draw(*args))
+        compare_controllers(short(base, steps=20), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 20))
+        assert len(calls) == 3 * 21
 
 
 class TestMetrics:
@@ -149,15 +216,9 @@ class TestMetrics:
         assert np.array_equal(summary.seeds, 11 + np.arange(7))
 
     def test_monte_carlo_checks_window_before_any_episode(self, base, monkeypatch):
-        import aldcontrol.harness as harness
-
         calls = []
-
-        def counting(cfg):
-            calls.append(cfg.seed)
-            return run_episode(cfg)
-
-        monkeypatch.setattr(harness, "run_episode", counting)
+        batch = harness._run_batch
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args) or batch(*args))
         with pytest.raises(ValueError, match="outside trace steps"):
             monte_carlo(short(base, steps=100), 50, (10, 2000))
         with pytest.raises(ValueError, match="empty window"):
@@ -172,10 +233,9 @@ class TestMetrics:
 
     @pytest.mark.parametrize("token", ["pid", "single-ald:2"])
     def test_compare_controllers_checks_every_token_before_any_episode(self, base, monkeypatch, token):
-        import aldcontrol.harness as harness
-
         calls = []
-        monkeypatch.setattr(harness, "run_episode", lambda cfg: calls.append(cfg) or run_episode(cfg))
+        batch = harness._run_batch
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args) or batch(*args))
         with pytest.raises(ConfigError, match="run.controller"):
             compare_controllers(short(base, steps=20), ["ensemble", "rls", token], 2, (1, 20))
         assert calls == []
@@ -304,6 +364,16 @@ class TestSummaryCsv:
             agg = next(r for r in aggregate if r["controller"] == s.controller)
             assert agg["j_bar_mean"] == s.j_bar_mean
             assert agg["runs_ok"] == s.runs_ok
+
+    def test_empty_or_trace_file_rejected_with_path(self, base, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="empty.csv: not a summary CSV"):
+            read_summary_csv(empty)
+        trace = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), trace)
+        with pytest.raises(ValueError, match="trace.csv: not a summary CSV"):
+            read_summary_csv(trace)
 
     def test_empty_rejected_before_write(self, tmp_path):
         path = tmp_path / "summary.csv"

@@ -50,10 +50,6 @@ class TestPlantStep:
         y = plant_step(PLANT, np.zeros(1), np.array([1.0, 0.0]))
         assert y == pytest.approx(-1.41)
 
-    def test_rejects_non_finite_input(self):
-        with pytest.raises(ValueError):
-            plant_step(PLANT, np.array([math.inf]), np.zeros(2))
-
     def test_superposition(self):
         rng = np.random.default_rng(5)
         u1, u2 = rng.normal(size=20), rng.normal(size=20)
