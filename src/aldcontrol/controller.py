@@ -53,11 +53,13 @@ def ce_control(
     return np.minimum(np.maximum(u, -u_max), u_max)
 
 
-def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (log(tau*(1-tau)/sigma), tau, sigma) of the hypotheses, built once per bank."""
+def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (log(tau*(1-tau)/sigma), tau - 1, tau, sigma) of the hypotheses, built once per bank."""
+    tau = np.array([h.tau for h in hyps])
     return (
         np.array([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps]),
-        np.array([h.tau for h in hyps]),
+        tau - 1.0,
+        tau,
         np.array([h.sigma for h in hyps]),
     )
 
@@ -68,25 +70,26 @@ def subsystem_log_likelihood(table, residual):
     Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of each
     residual.
     """
-    log_peak, tau, sigma = table
-    return log_peak - _check_loss(tau, residual) / sigma
+    log_peak, slope_neg, slope_pos, sigma = table
+    return log_peak - _check_loss(residual, slope_neg, slope_pos) / sigma
 
 
-def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
+def posterior_update(post: np.ndarray, log_lik, floor=POSTERIOR_FLOOR) -> np.ndarray:
     """Bayes update of the subsystem posteriors ``post`` (..., S) by log-likelihoods along the last axis.
 
     Computed in the log domain with max-subtraction; the result is
-    renormalized and floored at POSTERIOR_FLOOR so a temporarily discredited
-    subsystem can recover.  A non-finite log-likelihood gives non-finite
-    posteriors; the caller diagnoses divergence.
+    renormalized and floored at ``floor`` (a scalar or one entry per
+    posterior) so a temporarily discredited subsystem can recover.  A
+    non-finite log-likelihood gives non-finite posteriors; the caller
+    diagnoses divergence.
     """
     log_lik = np.asarray(log_lik, dtype=float)
     post = post * np.exp(log_lik - log_lik.max(-1, keepdims=True))
     post /= post.sum(-1, keepdims=True)
-    post = np.maximum(post, POSTERIOR_FLOOR)
+    post = np.maximum(post, floor)
     post /= post.sum(-1, keepdims=True)
     # renormalization can push a floored entry a hair below the floor again
-    return np.maximum(post, POSTERIOR_FLOOR)
+    return np.maximum(post, floor)
 
 
 def ensemble_control(

@@ -1,14 +1,15 @@
 """Closed-loop episodes, Monte Carlo evaluation, metrics, and CSV export.
 
-Every controller runs on one stepping core that steps R runs at once, each a
-bank of S subsystems: estimates ``W`` (R, S, d), covariances ``P``
-(R, S, d, d) and posteriors ``post`` (R, S), updated in place.  Each step
-applies the plant, scores the newest measurement's prediction error to
-refresh the posteriors, assimilates it into every estimate, and forms the
-posterior-weighted control for the next reference value.  The controllers
-differ only in the bank set up before the loop.  The measurement noise comes
-from a tape drawn from each seed's own stream, so a run does not depend on
-its batch, and :func:`run_episode` is the batch of one.
+Every controller runs on one stepping core that steps many runs at once.
+Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
+``W`` (rows, S, d), covariances ``P`` (rows, S, d, d) and posteriors ``post``
+(rows, S), updated in place.  Each step applies the plant, scores the newest
+measurement's prediction error to refresh the posteriors, assimilates it into
+every estimate, and forms the posterior-weighted control for the next
+reference value.  The controllers differ only in the bank set up before the
+loop.  The measurement noise comes from a tape drawn from each seed's own
+stream, so a run does not depend on its batch, and :func:`run_episode` is
+the batch of one controller and one seed.
 
 A run fails at step i + 1 when row i is the first whose output, measurement,
 control or estimates are not finite; from there on its rows are NaN.  Monte
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import ensemble_control, likelihood_table, posterior_update, subsystem_log_likelihood
+from .controller import POSTERIOR_FLOOR, ensemble_control, likelihood_table, posterior_update, subsystem_log_likelihood
 from .estimator import _gain_update
 from .noise import NoiseModel, ald_mean, mixture_sample
 from .plant import parameter_vector, plant_step, reference_trajectory
@@ -45,8 +46,8 @@ __all__ = [
 ]
 
 _fmt = "{:.17g}".format  # 17 significant digits round-trip every float exactly
-# Monte Carlo runs stepped together at most; bounds the memory of any run count
-_BATCH_RUNS = 128
+# (controller, seed) rows stepped together at most; bounds the memory of any run count
+_BATCH_RUNS = 512
 
 
 @dataclass(frozen=True)
@@ -106,32 +107,61 @@ def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
     return tape
 
 
-def _run_batch(cfg: RunConfig, seeds: list[int], tape: np.ndarray) -> list[EpisodeTrace]:
-    """Episodes of ``cfg`` for ``seeds``, stepped together on the noise ``tape`` (one row per seed)."""
+def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> list[list[EpisodeTrace]]:
+    """Episodes of every config in ``cfgs`` for every seed, stepped together on the noise ``tape`` (one row per seed).
+
+    The configs differ only in their controller.  There is one state row per
+    (controller, seed), and the traces come back per config in the order of
+    ``cfgs``, each list in the order of ``seeds``.
+    """
+    cfg = cfgs[0]
     plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
     runs = len(seeds)
     refs = reference_trajectory(cfg.trajectory, steps + 2)
-    table, rule, W = _bank(cfg)
-    n_sub = W.shape[0]
-    W = np.tile(W, (runs, 1, 1))
-    P = np.tile(cfg.initial_P(), (runs, n_sub, 1, 1))
-    post = np.full((runs, n_sub), 1.0 / n_sub)
+    # scored banks first, then learning-only ones, then frozen ones: the
+    # posterior step and the gain step each work on a prefix of the rows
+    banks = [_bank(c) for c in cfgs]
+    order = sorted(range(len(cfgs)), key=lambda c: (banks[c][0] is None, banks[c][1] is None))
+    tables, rules, Ws = zip(*(banks[c] for c in order))
+    n_scored = runs * sum(t is not None for t in tables)
+    n_learn = runs * sum(r is not None for r in rules)
+    n_subs = np.repeat([len(w) for w in Ws], runs)  # subsystems of each row's own bank
+    sub = np.arange(n_subs.max())
+    pads = [np.where(sub < len(w), sub, 0) for w in Ws]
+
+    def stack(per_bank):
+        """(S_c, ...) arrays, one per bank, padded to S with copies of entry 0 and repeated once per seed."""
+        return np.array([v[pad] for v, pad in zip(per_bank, pads)]).repeat(runs, axis=0)
+
+    # A padded subsystem copies subsystem 0 of its bank but has prior and
+    # floor 0: it tracks subsystem 0 bit for bit, its posterior stays 0, and
+    # its terms 0*exp(.) and 0*u leave every sum over subsystems unchanged.
+    table = tuple(map(stack, zip(*tables[: n_scored // runs])))
+    rule = tuple(map(stack, zip(*rules[: n_learn // runs])))
+    W = stack(Ws)
+    real = sub < n_subs[:, None]
+    post = np.where(real, 1.0 / n_subs[:, None], 0.0)
+    floor = np.where(real[:n_scored], POSTERIOR_FLOOR, 0.0)
+    rows, n_sub = W.shape[:2]
+    P = np.tile(cfg.initial_P(), (rows, n_sub, 1, 1))
+    tape = np.tile(tape, (len(cfgs), 1))
     feedback_z = cfg.feedback == "measurement"
 
-    y_arr, z_arr, u_arr = np.empty((runs, steps)), np.empty((runs, steps)), np.empty((runs, steps))
-    posteriors = np.empty((runs, steps, n_sub))
-    w_hats = np.empty((runs, steps, n_sub, plant.d))
+    y_arr, z_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps)), np.empty((rows, steps))
+    posteriors = np.empty((rows, steps, n_sub))
+    w_hats = np.empty((rows, steps, n_sub, plant.d))
 
     # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
     # the control law sees eta = x[1:] and the estimators the previous step's x.
     # Every product with a row of W is a vecdot: it gives the same bits as the
     # per-row dot product, which matvec on the sliced W[..., 1:] does not.
-    x = np.zeros((runs, plant.d))
+    x = np.zeros((rows, plant.d))
     x_s, eta, u_now = x[:, None, :], x[:, 1:], x[:, :m]
-    fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, R); empty when n = 0
-    y_hist = np.zeros((runs, plant.n))
-    y = np.zeros(runs)
+    fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, rows); empty when n = 0
+    y_hist = np.zeros((rows, plant.n))
+    y = np.zeros(rows)
     z = y + tape[:, 0]
+    W_learn, P_learn, x_learn, post_scored = W[:n_learn], P[:n_learn], x_s[:n_learn], post[:n_scored]
 
     # a diverging run overflows; it is diagnosed after the loop
     with np.errstate(all="ignore"):
@@ -139,11 +169,13 @@ def _run_batch(cfg: RunConfig, seeds: list[int], tape: np.ndarray) -> list[Episo
             if k:
                 y = plant_step(plant, u_now, y_hist)
                 z = y + tape[:, k]
-                if rule:
-                    r = z[:, None] - np.vecdot(W, x_s)
-                    if table:
-                        post = posterior_update(post, subsystem_log_likelihood(table, r))
-                    _gain_update(W, P, x_s, np.where(r < 0.0, rule[0], rule[1]), r - rule[2])
+                if n_learn:
+                    r = z[:n_learn, None] - np.vecdot(W_learn, x_learn)
+                    if n_scored:
+                        post_scored[...] = posterior_update(
+                            post_scored, subsystem_log_likelihood(table, r[:n_scored]), floor
+                        )
+                    _gain_update(W_learn, P_learn, x_learn, np.where(r < 0.0, rule[0], rule[1]), r - rule[2])
             # shift both histories by one and put the newest fed-back value in front
             x[:, 1:] = x[:, :-1]
             fed[:] = z if feedback_z else y
@@ -157,24 +189,28 @@ def _run_batch(cfg: RunConfig, seeds: list[int], tape: np.ndarray) -> list[Episo
     failed = ~finite.all(axis=1)
     first = np.where(failed, np.argmin(finite, axis=1), steps)
     dead = np.arange(steps) >= first[:, None]
-    y_r = np.tile(refs[1 : steps + 1], (runs, 1))
-    noise = tape[:, 1:].copy()
+    y_r = np.tile(refs[1 : steps + 1], (rows, 1))
+    noise = tape[:, 1:]
     for column in (y_r, y_arr, z_arr, u_arr, noise, posteriors, w_hats):
         column[dead] = np.nan
     ks = np.arange(1, steps + 1)
-    return [
-        EpisodeTrace(
-            controller=cfg.controller, seed=int(seed), k=ks, y_r=y_r[i], y=y_arr[i], z=z_arr[i], u=u_arr[i],
-            posteriors=posteriors[i], w_hat=w_hats[i], noise=noise[i],
-            failed=bool(failed[i]), fail_step=int(first[i]) + 1 if failed[i] else None,
-        )
-        for i, seed in enumerate(seeds)
-    ]
+    traces: list = [None] * len(cfgs)
+    for j, c in enumerate(order):
+        s_c = len(Ws[j])
+        traces[c] = [
+            EpisodeTrace(
+                controller=cfgs[c].controller, seed=int(seed), k=ks, y_r=y_r[row], y=y_arr[row], z=z_arr[row],
+                u=u_arr[row], posteriors=posteriors[row, :, :s_c], w_hat=w_hats[row, :, :s_c], noise=noise[row],
+                failed=bool(failed[row]), fail_step=int(first[row]) + 1 if failed[row] else None,
+            )
+            for row, seed in enumerate(seeds, j * runs)
+        ]
+    return traces
 
 
 def run_episode(cfg: RunConfig) -> EpisodeTrace:
     """Simulate one closed-loop episode under ``cfg``; deterministic given the seed."""
-    return _run_batch(cfg, [cfg.seed], _noise_tape(cfg.noise, [cfg.seed], cfg.steps))[0]
+    return _run_batch([cfg], [cfg.seed], _noise_tape(cfg.noise, [cfg.seed], cfg.steps))[0][0]
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
@@ -233,23 +269,27 @@ def compare_controllers(
     """Monte Carlo for several controllers under paired noise (same seeds per run).
 
     Every controller's config, the run count and the window are checked
-    before the first batch.  The runs go in batches of at most
-    ``_BATCH_RUNS`` seeds; each batch's noise tape is drawn once and shared by
-    every controller, so run i sees the same noise under every controller.
+    before the first batch.  The runs go in chunks of seeds, and each chunk
+    is one core call that steps every controller with every seed of the
+    chunk.  A chunk holds at most ``_BATCH_RUNS`` (controller, seed) rows, so
+    memory stays bounded for any run count.  Its noise tape is drawn once
+    and shared by every controller, so run i sees the same noise under every
+    controller.
     """
     cfgs = [replace(cfg, controller=token) for token in controllers]
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     _window_slice(cfg.steps, window)
     seeds = cfg.seed + np.arange(runs)
-    j_runs = [np.full(runs, np.nan) for _ in cfgs]
-    for lo in range(0, runs, _BATCH_RUNS):
-        batch = [int(s) for s in seeds[lo : lo + _BATCH_RUNS]]
-        tape = _noise_tape(cfg.noise, batch, cfg.steps)
-        for c, j in zip(cfgs, j_runs):
-            for i, trace in enumerate(_run_batch(c, batch, tape), lo):
-                if not trace.failed:
-                    j[i] = accumulated_error(trace, window)
+    j_runs = np.empty((len(cfgs), runs))
+    chunk = max(1, _BATCH_RUNS // len(cfgs))
+    for lo in range(0, runs, chunk):
+        batch = [int(s) for s in seeds[lo : lo + chunk]]
+        # one expression, so no trace of this chunk is still referenced while the next one runs
+        j_runs[:, lo : lo + chunk] = [
+            [np.nan if trace.failed else accumulated_error(trace, window) for trace in traces]
+            for traces in _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps))
+        ]
     summaries = []
     for c, j in zip(cfgs, j_runs):
         ok = np.isfinite(j)

@@ -182,6 +182,8 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
 
     sel = rng.random(size)
     edges = np.cumsum([c.weight for c in m.components])
+    # the last component also takes the draws above a total weight rounded below 1
+    edges[-1] = np.inf
     out = np.empty(size, dtype=float)
     lo = 0.0
     for c, hi in zip(m.components, edges):
@@ -189,18 +191,17 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
         mask = (sel >= lo) & (sel < hi)
         out[mask] = draws[mask]
         lo = hi
-    out[sel >= edges[-1]] = _component_sample(m.components[-1].dist, rng)
     return out
 
 
-def _check_loss(tau, u):
-    """Check loss u*(tau - 1[u<0]) with no argument checks; ``tau`` and ``u`` broadcast."""
-    return u * np.where(u < 0.0, tau - 1.0, tau)
+def _check_loss(u, slope_neg, slope_pos):
+    """Check loss u*(tau - 1[u<0]) from its slopes tau - 1 and tau, with no argument checks; all three broadcast."""
+    return u * np.where(u < 0.0, slope_neg, slope_pos)
 
 
 def pinball_loss(tau: float, u):
     """Check loss u*(tau - 1[u<0]); nonnegative, convex, zero only at u = 0."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    out = _check_loss(tau, np.asarray(u, dtype=float))
+    out = _check_loss(np.asarray(u, dtype=float), tau - 1.0, tau)
     return float(out) if out.ndim == 0 else out

@@ -126,8 +126,9 @@ def assert_same_trace(a, b):
             assert x == y, f.name
 
 
-def run_batch(cfg, seeds):
-    return harness._run_batch(cfg, seeds, harness._noise_tape(cfg.noise, seeds, cfg.steps))
+def run_batch(cfgs, seeds):
+    """Traces of every config for ``seeds`` from one core call, one list per config."""
+    return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
 
 
 # a rare component whose draws reach 1e300 makes some runs diverge, at steps set by the noise
@@ -136,43 +137,73 @@ RARE_HUGE = NoiseModel(
 )
 
 
+TOKENS = ["ensemble", "rls", "oracle", "single-ald:0", "single-ald:1"]
+PLANTS = [None, ArxParams([0.5], [1.0, 0.3]), ArxParams([], [0.8]), ArxParams([0.3, -0.2, 0.1], [0.6])]
+
+
+def with_plant(cfg, plant):
+    return cfg if plant is None else replace(cfg, plant=plant, w0=None)
+
+
 class TestBatchedCore:
     @settings(max_examples=40, deadline=None)
     @given(
         preset=st.sampled_from(PRESETS),
-        plant=st.sampled_from([None, ArxParams([0.5], [1.0, 0.3]), ArxParams([], [0.8]), ArxParams([0.3, -0.2, 0.1], [0.6])]),
+        plant=st.sampled_from(PLANTS),
         feedback=st.sampled_from(FEEDBACK_KINDS),
-        token=st.sampled_from(["ensemble", "rls", "oracle", "single-ald:0", "single-ald:1"]),
+        token=st.sampled_from(TOKENS),
         steps=st.integers(2, 150),
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
         data=st.data(),
     )
     def test_rows_equal_single_runs_and_follow_the_seeds(self, preset, plant, feedback, token, steps, seeds, data):
-        cfg = replace(preset_config(preset), steps=steps, feedback=feedback, controller=token)
-        if plant is not None:
-            cfg = replace(cfg, plant=plant, w0=None)
-        traces = run_batch(cfg, seeds)
+        cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback, controller=token), plant)
+        [traces] = run_batch([cfg], seeds)
         for seed, trace in zip(seeds, traces):
             assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
         order = data.draw(st.permutations(range(len(seeds))))
-        for i, trace in zip(order, run_batch(cfg, [seeds[i] for i in order])):
+        for i, trace in zip(order, run_batch([cfg], [seeds[i] for i in order])[0]):
             assert_same_trace(trace, traces[i])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        preset=st.sampled_from(PRESETS),
+        plant=st.sampled_from(PLANTS),
+        feedback=st.sampled_from(FEEDBACK_KINDS),
+        tokens=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5),
+        steps=st.integers(2, 150),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+    )
+    def test_every_controller_of_a_stack_equals_its_single_runs(self, preset, plant, feedback, tokens, steps, seeds):
+        # padded subsystems, rows sorted by controller kind and repeated tokens must not leak into any trace
+        cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback), plant)
+        cfgs = [replace(cfg, controller=token) for token in tokens]
+        stack = run_batch(cfgs, seeds)
+        assert len(stack) == len(cfgs)
+        for c, traces in zip(cfgs, stack):
+            assert len(traces) == len(seeds)
+            for seed, trace in zip(seeds, traces):
+                assert_same_trace(trace, run_episode(replace(c, seed=seed)))
 
     @pytest.mark.parametrize("token,fail_steps", [("rls", {53, 279}), ("ensemble", {118, 222})])
     def test_rows_fail_at_their_own_steps_beside_healthy_rows(self, base, token, fail_steps):
-        cfg = short(base, noise=RARE_HUGE, steps=300, controller=token)
+        cfg = short(base, noise=RARE_HUGE, steps=300)
         seeds = [0, 3, 5, 8, 10]
-        traces = run_batch(cfg, seeds)
-        assert {t.fail_step for t in traces} == fail_steps | {None}
-        for seed, trace in zip(seeds, traces):
-            assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
-            if trace.failed:
-                dead = slice(trace.fail_step - 1, None)
-                for name in ("y_r", "y", "z", "u", "noise", "posteriors", "w_hat"):
-                    assert np.all(np.isnan(getattr(trace, name)[dead])), name
-                assert np.all(np.isfinite(trace.y[: trace.fail_step - 1]))
-            else:
-                assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
+        # the token's rows lead one stack with the other learning controller's rows and an oracle's
+        cfgs = [replace(cfg, controller=t) for t in (token, "oracle", "ensemble" if token == "rls" else "rls")]
+        stack = run_batch(cfgs, seeds)
+        assert {t.fail_step for t in stack[0]} == fail_steps | {None}
+        assert not any(t.failed for t in stack[1])
+        for c, traces in zip(cfgs, stack):
+            for seed, trace in zip(seeds, traces):
+                assert_same_trace(trace, run_episode(replace(c, seed=seed)))
+                if trace.failed:
+                    dead = slice(trace.fail_step - 1, None)
+                    for name in ("y_r", "y", "z", "u", "noise", "posteriors", "w_hat"):
+                        assert np.all(np.isnan(getattr(trace, name)[dead])), name
+                    assert np.all(np.isfinite(trace.y[: trace.fail_step - 1]))
+                else:
+                    assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
 
     def test_compare_controllers_draws_the_noise_once(self, base, monkeypatch):
         calls = []
@@ -180,6 +211,21 @@ class TestBatchedCore:
         monkeypatch.setattr(harness, "mixture_sample", lambda *args: calls.append(1) or draw(*args))
         compare_controllers(short(base, steps=20), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 20))
         assert len(calls) == 3 * 21
+
+    @pytest.mark.parametrize("tokens", [["ensemble", "rls", "single-ald:0", "oracle"], ["oracle", "ensemble", "rls"]])
+    def test_compare_controllers_makes_one_core_call_per_chunk(self, base, monkeypatch, tokens):
+        rows = []
+        batch = harness._run_batch
+        monkeypatch.setattr(
+            harness, "_run_batch", lambda cfgs, seeds, tape: rows.append(len(cfgs) * len(seeds)) or batch(cfgs, seeds, tape)
+        )
+        per_chunk = harness._BATCH_RUNS // len(tokens)
+        cfg = short(base, steps=20)
+        for runs, chunks in ((1, 1), (per_chunk, 1), (per_chunk + 1, 2), (2 * per_chunk + 1, 3)):
+            rows.clear()
+            compare_controllers(cfg, tokens, runs, (1, 20))
+            assert len(rows) == chunks and sum(rows) == runs * len(tokens)
+            assert max(rows) <= harness._BATCH_RUNS
 
 
 class TestMetrics:

@@ -128,6 +128,21 @@ class TestAldSampling:
         assert [ald_sample(p, r1) for _ in range(50)] == [ald_sample(p, r2) for _ in range(50)]
 
 
+class TopOfUnitRng:
+    """Stub generator: every uniform is the largest float below 1, the exponentials count 1, 2, ...; records calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return np.full(size if size is not None else (), np.nextafter(1.0, 0.0))
+
+    def exponential(self, scale=1.0, size=None):
+        self.calls.append(("exponential", size))
+        return scale * (np.arange(1.0, size + 1.0) if size is not None else 1.0)
+
+
 class TestMixture:
     def test_single_component_pdf_equals_component(self):
         p = AldParams(0.85, 0.0, 0.5)
@@ -173,6 +188,16 @@ class TestMixture:
         gauss_tail = math.erfc(1.0 / math.sqrt(2.0 * 2.0))
         expected = 0.99 * ald_tail + 0.01 * gauss_tail
         assert np.mean(np.abs(draws) > 1.0) == pytest.approx(expected, abs=0.003)
+
+    def test_vectorized_draw_above_a_rounded_total_weight_uses_the_last_component(self):
+        # ten weights of 0.1 sum to 0.9999999999999999, so a uniform just below 1 lies above every edge
+        m = NoiseModel(tuple(MixtureComponent(0.1, AldParams(0.5, float(i), 1.0)) for i in range(10)))
+        assert np.cumsum([c.weight for c in m.components])[-1] < 1.0
+        rng = TopOfUnitRng()
+        out = mixture_sample(m, rng, 3)
+        # each entry is its own draw of the last component: mu + e*sigma/tau above the location
+        assert out.tolist() == [11.0, 13.0, 15.0]
+        assert all(size == 3 for _, size in rng.calls)
 
     def test_weight_validation(self):
         p = AldParams(0.5, 0.0, 1.0)
