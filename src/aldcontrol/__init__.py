@@ -25,15 +25,7 @@ from .controller import (
     posterior_update,
     subsystem_log_likelihood,
 )
-from .estimator import (
-    EstimatorState,
-    IqfConfig,
-    batch_weighted_ls,
-    initial_state,
-    iqf_step,
-    residual_weight,
-    rls_step,
-)
+from .estimator import RLS_RULE, batch_weighted_ls, filter_step, quantile_rule
 from .harness import (
     EpisodeTrace,
     McSummary,

@@ -3,13 +3,13 @@
 Every controller runs on one stepping core that steps many runs at once.
 Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
 ``W`` (rows, S, d), covariances ``P`` (rows, S, d, d) and posteriors ``post``
-(rows, S), updated in place.  Each step applies the plant, scores the newest
-measurement's prediction error to refresh the posteriors, assimilates it into
-every estimate, and forms the posterior-weighted control for the next
-reference value.  The controllers differ only in the bank set up before the
-loop.  The measurement noise comes from a tape drawn from each seed's own
-stream, so a run does not depend on its batch, and :func:`run_episode` is
-the batch of one controller and one seed.
+(rows, S), updated in place.  Each step applies the plant, assimilates the
+newest measurement into every estimate, scores its prediction error to
+refresh the posteriors, and forms the posterior-weighted control for the
+next reference value.  The controllers differ only in the bank set up
+before the loop.  The measurement noise comes from a tape drawn from each
+seed's own stream, so a run does not depend on its batch, and
+:func:`run_episode` is the batch of one controller and one seed.
 
 A run fails at step i + 1 when row i is the first whose output, measurement,
 control or estimates are not finite; from there on its rows are NaN.  Monte
@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import RunConfig, parse_controller
 from .controller import POSTERIOR_FLOOR, ensemble_control, likelihood_table, posterior_update, subsystem_log_likelihood
-from .estimator import _gain_update
-from .noise import NoiseModel, ald_mean, mixture_sample
+from .estimator import RLS_RULE, filter_step, quantile_rule
+from .noise import NoiseModel, mixture_sample
 from .plant import parameter_vector, plant_step, reference_trajectory
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 _fmt = "{:.17g}".format  # 17 significant digits round-trip every float exactly
 # (controller, seed) rows stepped together at most; bounds the memory of any run count
 _BATCH_RUNS = 512
+_RUN_HEADER = ["controller", "run", "seed", "j_bar_run"]
+_AGGREGATE_HEADER = ["controller", "runs_ok", "runs_failed", "j_bar_mean"]
 
 
 @dataclass(frozen=True)
@@ -81,20 +83,18 @@ class EpisodeTrace:
 def _bank(cfg: RunConfig):
     """Subsystem bank of one controller: (likelihood table, weight rule, W (S, d)).
 
-    The rule (p_neg, p_pos, shift) holds one entry per subsystem: a sample is
-    weighted p_neg for a negative prediction residual and p_pos otherwise,
-    and its innovation is shifted by ``shift``.  Posteriors are scored only
-    with a table; a bank without a rule keeps W frozen.
+    The rule is :func:`~aldcontrol.estimator.filter_step`'s, one entry per
+    subsystem.  Posteriors are scored only with a table; a bank without a
+    rule keeps W frozen.
     """
     kind, index = parse_controller(cfg.controller)
     if kind == "oracle":
         return None, None, parameter_vector(cfg.plant)[None, :]
     if kind == "rls":
-        table, rule = None, (np.ones(1), np.ones(1), np.zeros(1))
+        table, rule = None, RLS_RULE
     else:
         hyps = cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1]
-        table = likelihood_table(hyps)
-        rule = tuple(np.array(v) for v in zip(*((1.0 - h.tau, h.tau, ald_mean(h)) for h in hyps)))
+        table, rule = likelihood_table(hyps), quantile_rule(hyps)
     return table, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
 
 
@@ -170,12 +170,11 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
                 y = plant_step(plant, u_now, y_hist)
                 z = y + tape[:, k]
                 if n_learn:
-                    r = z[:n_learn, None] - np.vecdot(W_learn, x_learn)
+                    r = filter_step(W_learn, P_learn, x_learn, z[:n_learn, None], rule)
                     if n_scored:
                         post_scored[...] = posterior_update(
                             post_scored, subsystem_log_likelihood(table, r[:n_scored]), floor
                         )
-                    _gain_update(W_learn, P_learn, x_learn, np.where(r < 0.0, rule[0], rule[1]), r - rule[2])
             # shift both histories by one and put the newest fed-back value in front
             x[:, 1:] = x[:, :-1]
             fed[:] = z if feedback_z else y
@@ -331,17 +330,33 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
             writer.writerow([str(int(trace.k[row])), *map(_fmt, values), *map(_fmt, trace.w_hat[row].ravel())])
 
 
+def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of the CSV file at ``path`` ([] if empty) and the (line number, fields) of each later row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        return header, [(reader.line_num, row) for row in reader]
+
+
+def _parse_row(path, line: int, row: list[str], types) -> list:
+    """The fields of one data row converted by ``types``; a ValueError names the path and line."""
+    if len(row) != len(types):
+        raise ValueError(f"{path}: line {line}: expected {len(types)} fields, got {len(row)}")
+    try:
+        return [convert(v) for convert, v in zip(types, row)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Parse a trace CSV back into arrays keyed k, y_r, y, z, u, posteriors, w_hat."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:5] != ["k", "y_r", "y", "z", "u"]:
-        raise ValueError(f"{path}: not a trace CSV (empty or missing the k,y_r,y,z,u header)")
-    header, data = rows[0], rows[1:]
+    header, data = _read_rows(path)
     n_sub = sum(1 for name in header if name.startswith("pi_"))
     dim = sum(1 for name in header if name.startswith("w_hat_")) // max(n_sub, 1)
-    table = np.array([[float(v) for v in row] for row in data]).reshape(len(data), len(header))
+    if header[:5] != ["k", "y_r", "y", "z", "u"] or len(header) != 5 + n_sub * (1 + dim):
+        raise ValueError(f"{path}: not a trace CSV (empty, or its header is not k,y_r,y,z,u, pi_ and w_hat_ columns)")
+    types = [float] * len(header)
+    table = np.array([_parse_row(path, line, row, types) for line, row in data]).reshape(len(data), len(header))
     return {
         "k": table[:, 0].astype(int),
         "y_r": table[:, 1],
@@ -362,34 +377,27 @@ def export_summary_csv(summaries: list[McSummary], path, force: bool = False) ->
             raise ValueError(f"summary for {s.controller!r} has no runs")
     with _open_for_write(path, force) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["controller", "run", "seed", "j_bar_run"])
+        writer.writerow(_RUN_HEADER)
         for s in summaries:
             for i in range(s.j_runs.size):
                 writer.writerow([s.controller, str(i + 1), str(int(s.seeds[i])), _fmt(s.j_runs[i])])
-        writer.writerow(["controller", "runs_ok", "runs_failed", "j_bar_mean"])
+        writer.writerow(_AGGREGATE_HEADER)
         for s in summaries:
             writer.writerow([s.controller, str(s.runs_ok), str(s.runs_failed), _fmt(s.j_bar_mean)])
 
 
 def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     """Parse a summary CSV into (per-run rows, aggregate rows) as dict lists."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["controller", "run", "seed", "j_bar_run"]:
+    header, data = _read_rows(path)
+    if header != _RUN_HEADER:
         raise ValueError(f"{path}: not a summary CSV (empty or missing the controller,run,seed,j_bar_run header)")
     per_run: list[dict] = []
     aggregate: list[dict] = []
-    in_runs = True
-    for row in rows[1:]:
-        if row == ["controller", "runs_ok", "runs_failed", "j_bar_mean"]:
-            in_runs = False
-        elif in_runs:
-            per_run.append(
-                {"controller": row[0], "run": int(row[1]), "seed": int(row[2]), "j_bar_run": float(row[3])}
-            )
+    # both blocks have the fields (controller, count, count, value), keyed by their header
+    keys, block = _RUN_HEADER, per_run
+    for line, row in data:
+        if row == _AGGREGATE_HEADER:
+            keys, block = _AGGREGATE_HEADER, aggregate
         else:
-            aggregate.append(
-                {"controller": row[0], "runs_ok": int(row[1]), "runs_failed": int(row[2]), "j_bar_mean": float(row[3])}
-            )
+            block.append(dict(zip(keys, _parse_row(path, line, row, (str, int, int, float)))))
     return per_run, aggregate

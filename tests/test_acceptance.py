@@ -79,24 +79,21 @@ def test_criterion_2_estimator_oracle_equivalence():
         w0 = rng.normal(size=d)
         root = rng.normal(size=(d, d))
         P0 = root @ root.T + np.eye(d)
-        cfg = ac.IqfConfig(hyp, w0, P0)
-        st = ac.initial_state(cfg)
         xs = rng.normal(size=(n, d))
         zs = rng.normal(size=n, scale=2.0)
-        weights = []
+        # one bank: the filter under test, the tau = 1/2 filter at P0 and RLS at P0/2
+        W = np.tile(w0, (3, 1))
+        P = np.tile(P0, (3, 1, 1))
+        P[2] /= 2.0
+        half = ac.AldParams(0.5, 0.0, 1.0)
+        rule = [np.concatenate(parts) for parts in zip(ac.quantile_rule([hyp, half]), ac.RLS_RULE)]
+        residuals = []
         for x, z in zip(xs, zs):
-            weights.append(ac.residual_weight(hyp.tau, float(z - x @ st.w)))
-            st = ac.iqf_step(st, cfg, x, float(z))
-        batch = ac.batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), np.array(weights), w0, P0)
-        worst_batch = max(worst_batch, float(np.max(np.abs(batch - st.w))))
-
-        cfg_half = ac.IqfConfig(ac.AldParams(0.5, 0.0, 1.0), w0, P0)
-        st_i = ac.initial_state(cfg_half)
-        st_r = ac.EstimatorState(w0.copy(), P0 / 2.0)
-        for x, z in zip(xs, zs):
-            st_i = ac.iqf_step(st_i, cfg_half, x, float(z))
-            st_r = ac.rls_step(st_r, x, float(z))
-            worst_reduction = max(worst_reduction, float(np.max(np.abs(st_i.w - st_r.w))))
+            residuals.append(ac.filter_step(W, P, x, z, rule)[0])
+            worst_reduction = max(worst_reduction, float(np.max(np.abs(W[1] - W[2]))))
+        weights = np.where(np.array(residuals) < 0.0, 1.0 - hyp.tau, hyp.tau)
+        batch = ac.batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), weights, w0, P0)
+        worst_batch = max(worst_batch, float(np.max(np.abs(batch - W[0]))))
     cl.check(f"recursive equals batch oracle within 1e-8 (worst {worst_batch:.2e})", worst_batch <= 1e-8)
     cl.check(
         f"tau=0.5 filter equals RLS at half covariance within 1e-10 (worst {worst_reduction:.2e})",

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from aldcontrol import (
     POSTERIOR_FLOOR,
     AldParams,
-    IqfConfig,
     ald_pdf,
     ald_sample,
     ce_control,
     ensemble_control,
-    initial_state,
-    iqf_step,
+    filter_step,
     likelihood_table,
     parameter_vector,
     posterior_update,
     preset_config,
+    quantile_rule,
     run_episode,
     subsystem_log_likelihood,
 )
@@ -193,20 +192,24 @@ class TestOracleControl:
 
 class TestEnsembleCollapse:
     def test_matching_hypothesis_wins_posterior(self):
-        # s = 2 well separated hypotheses; the true noise equals the first one
+        # s = 2 well separated hypotheses; the true noise equals the first one.
+        # The 50 seeds step as one (50, 2) bank.
         truth = AldParams(0.95, 0.0, 0.01)
-        other = AldParams(0.85, 0.0, 0.1)
+        hyps = (truth, AldParams(0.85, 0.0, 0.1))
         w_true = np.array([0.5, -1.41, 0.9])
-        finals = []
-        for seed in range(50):
+        seeds, steps = 50, 500
+        xs, zs = np.empty((steps, seeds, 3)), np.empty((steps, seeds))
+        for seed in range(seeds):
             rng = np.random.default_rng(seed)
-            cfgs = [IqfConfig(h, np.zeros(3), 100.0 * np.eye(3)) for h in (truth, other)]
-            states = [initial_state(c) for c in cfgs]
-            post = np.full(2, 0.5)
-            for _ in range(500):
+            for k in range(steps):
                 x = rng.normal(size=3)
-                z = float(x @ w_true + ald_sample(truth, rng))
-                post = posterior_update(post, log_likelihoods((truth, other), [s.w for s in states], x, z))
-                states = [iqf_step(s, c, x, z) for s, c in zip(states, cfgs)]
-            finals.append(post[0])
-        assert np.median(finals) > 0.9
+                xs[k, seed] = x
+                zs[k, seed] = float(x @ w_true + ald_sample(truth, rng))
+        W = np.zeros((seeds, 2, 3))
+        P = np.tile(100.0 * np.eye(3), (seeds, 2, 1, 1))
+        post = np.full((seeds, 2), 0.5)
+        rule, table = quantile_rule(hyps), likelihood_table(hyps)
+        for x, z in zip(xs, zs):
+            r = filter_step(W, P, x[:, None, :], z[:, None], rule)
+            post = posterior_update(post, subsystem_log_likelihood(table, r))
+        assert np.median(post[:, 0]) > 0.9

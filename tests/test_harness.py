@@ -366,6 +366,12 @@ class TestTraceCsv:
         headerless.write_text("\n".join((tmp_path / "trace.csv").read_text().splitlines()[1:]))
         with pytest.raises(ValueError, match="headerless.csv"):
             read_trace_csv(headerless)
+        # two pi_ columns but five w_hat_ columns
+        ragged = tmp_path / "ragged.csv"
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        ragged.write_text("\n".join(text.rsplit(",", 1)[0] for text in lines))
+        with pytest.raises(ValueError, match="ragged.csv: not a trace CSV"):
+            read_trace_csv(ragged)
 
     def test_header_only_file_reads_as_no_rows(self, base, tmp_path):
         path = tmp_path / "trace.csv"
@@ -387,6 +393,23 @@ class TestTraceCsv:
         for name in ("y_r", "y", "z", "u", "posteriors", "w_hat"):
             assert back[name].shape == getattr(tr, name).shape
             assert back[name].tobytes() == getattr(tr, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], 4, "expected 13 fields, got 12"),
+            (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], 3, "expected 13 fields, got 14"),
+            (lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:], 6, "could not convert"),
+            (lambda lines: lines + [""], 12, "expected 13 fields, got 0"),
+        ],
+        ids=["short row", "long row", "non-number", "trailing blank line"],
+    )
+    def test_malformed_row_rejected_with_path_and_line(self, base, tmp_path, edit, line, message):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=f"trace.csv: line {line}: {message}"):
+            read_trace_csv(path)
 
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))
@@ -420,6 +443,33 @@ class TestSummaryCsv:
         export_trace_csv(run_episode(short(base, steps=10)), trace)
         with pytest.raises(ValueError, match="trace.csv: not a summary CSV"):
             read_summary_csv(trace)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("controller,run,seed,j_bar_run\nensemble,1,0\n", 2, "expected 4 fields, got 3"),
+            ("controller,run,seed,j_bar_run\nensemble,1,0,0.5\n\n", 3, "expected 4 fields, got 0"),
+            ("controller,run,seed,j_bar_run\nensemble,1,x,0.5\n", 2, "invalid literal"),
+            (
+                "controller,run,seed,j_bar_run\nensemble,1,0,0.5\ncontroller,runs_ok,runs_failed,j_bar_mean\n"
+                "ensemble,1,0,0.5,7\n",
+                4,
+                "expected 4 fields, got 5",
+            ),
+            (
+                "controller,run,seed,j_bar_run\nensemble,1,0,0.5\ncontroller,runs_ok,runs_failed,j_bar_mean\n"
+                "ensemble,1,0,half\n",
+                4,
+                "could not convert",
+            ),
+        ],
+        ids=["short row", "trailing blank line", "non-number", "long aggregate row", "non-number aggregate"],
+    )
+    def test_malformed_row_rejected_with_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "summary.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"summary.csv: line {line}: {message}"):
+            read_summary_csv(path)
 
     def test_empty_rejected_before_write(self, tmp_path):
         path = tmp_path / "summary.csv"
