@@ -322,12 +322,14 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
         + [f"pi_{i + 1}" for i in range(n_sub)]
         + [f"w_hat_{i + 1}_{j + 1}" for i in range(n_sub) for j in range(dim)]
     )
+    # %.17g is _fmt's conversion and \r\n the csv module's line end: the same text as export_summary_csv
+    template = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
+    table = np.column_stack(
+        (trace.y_r, trace.y, trace.z, trace.u, trace.posteriors, trace.w_hat.reshape(trace.steps, n_sub * dim))
+    )
     with _open_for_write(path, force) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in range(trace.steps):
-            values = (trace.y_r[row], trace.y[row], trace.z[row], trace.u[row], *trace.posteriors[row])
-            writer.writerow([str(int(trace.k[row])), *map(_fmt, values), *map(_fmt, trace.w_hat[row].ravel())])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(template % (k, *row.tolist()) for k, row in zip(trace.k.tolist(), table))
 
 
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:

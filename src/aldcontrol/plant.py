@@ -117,8 +117,10 @@ def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:
         return spec.amplitude * tri
     square = np.where(phase < 0.5, spec.amplitude, -spec.amplitude)
     decay = math.exp(-spec.sample_period_s)
-    out = np.zeros(count)
-    for i in range(count - 1):
-        out[i + 1] = decay * out[i] + (1.0 - decay) * square[i]
-    return out
+    gain = 1.0 - decay
+    # the recursion on Python floats: the same IEEE operations as on numpy scalars, without their overhead
+    out = [0.0]
+    for q in square[: count - 1].tolist():
+        out.append(decay * out[-1] + gain * q)
+    return np.array(out[:count])
 

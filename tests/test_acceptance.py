@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 import aldcontrol as ac
+import aldcontrol.harness as harness
 
 
 class Checklist:
@@ -38,6 +39,14 @@ class Checklist:
         for label, ok in self.rows:
             print(f"    {'ok  ' if ok else 'FAIL'} {label}")
         assert not failed, f"criterion {self.number}: {len(failed)} checks failed: {failed}"
+
+
+def run_batch(cfgs, seeds):
+    """Traces of every config for ``seeds`` from one core call on one noise tape, one list per config.
+
+    Row (config, seed) is bit for bit the ``run_episode`` trace of that config with that seed.
+    """
+    return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
 
 
 def split_quad(f, point):
@@ -196,10 +205,8 @@ def test_criterion_6_outlier_robustness():
         cfg = ac.preset_config(preset)
         wins = 0
         clean = 0
-        for i in range(runs):
-            paired = replace(cfg, seed=i)
-            tr_en = ac.run_episode(replace(paired, controller="ensemble"))
-            tr_rls = ac.run_episode(replace(paired, controller="rls"))
+        traces = run_batch([replace(cfg, controller=c) for c in ("ensemble", "rls")], list(range(runs)))
+        for tr_en, tr_rls in zip(*traces):
             m_en = ac.max_tracking_error(tr_en, (100, 1000))
             m_rls = ac.max_tracking_error(tr_rls, (100, 1000))
             wins += m_en < m_rls
@@ -220,8 +227,7 @@ def test_criterion_7_posterior_behavior():
     finals = []
     simplex_ok = True
     floor_ok = True
-    for seed in range(50):
-        tr = ac.run_episode(replace(cfg, seed=seed))
+    for tr in run_batch([cfg], list(range(50)))[0]:
         finals.append(tr.posteriors[-1, 0])
         simplex_ok &= bool(np.all(np.abs(tr.posteriors.sum(axis=1) - 1.0) <= 1e-9))
         floor_ok &= bool(np.all(tr.posteriors >= 1e-12))

@@ -394,6 +394,20 @@ class TestTraceCsv:
             assert back[name].shape == getattr(tr, name).shape
             assert back[name].tobytes() == getattr(tr, name).tobytes()
 
+    def test_exported_text_is_pinned(self, tmp_path):
+        row = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0])
+        table = np.array([row, row[::-1]])
+        path = tmp_path / "trace.csv"
+        export_trace_csv(trace_of(*table[:, :4].T, table[:, 4:5], table[:, None, 5:]), path)
+        assert path.read_bytes() == (
+            b"k,y_r,y,z,u,pi_1,w_hat_1_1,w_hat_1_2,w_hat_1_3\r\n"
+            b"1,nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308,1\r\n"
+            b"2,1,-1.7976931348623157e+308,1.7976931348623157e+308,4.9406564584124654e-324,-0,-inf,inf,nan\r\n"
+        )
+        empty = np.empty(0)
+        export_trace_csv(trace_of(empty, empty, empty, empty, np.empty((0, 2)), np.empty((0, 2, 1))), path, force=True)
+        assert path.read_bytes() == b"k,y_r,y,z,u,pi_1,pi_2,w_hat_1_1,w_hat_2_1\r\n"
+
     @pytest.mark.parametrize(
         "edit, line, message",
         [

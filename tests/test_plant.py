@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from aldcontrol import (
@@ -142,6 +144,25 @@ class TestReference:
         period = round(1.0 / (spec.frequency_hz * spec.sample_period_s))
         r = reference_trajectory(spec, 3 * period)
         assert np.allclose(r[:period], r[period : 2 * period], atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frequency=st.floats(1e-4, 1.0),
+        amplitude=st.floats(-1e3, 1e3),
+        period=st.floats(1e-3, 10.0),
+        count=st.integers(0, 400),
+    )
+    def test_filtered_square_equals_the_numpy_scalar_recursion(self, frequency, amplitude, period, count):
+        spec = TrajectorySpec("filtered_square", frequency, amplitude, period)
+        k = np.arange(count, dtype=float)
+        square = np.where(np.mod(k * period * frequency, 1.0) < 0.5, amplitude, -amplitude)
+        decay = math.exp(-period)
+        expected = np.zeros(count)
+        for i in range(count - 1):
+            expected[i + 1] = decay * expected[i] + (1.0 - decay) * square[i]
+        got = reference_trajectory(spec, count)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_filtered_square_reaches_periodic_steady_state(self):
         spec = TrajectorySpec("filtered_square", 0.01, 1.0, 1.0)
