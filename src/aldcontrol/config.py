@@ -14,11 +14,13 @@ The reader checks only the structure: every section is a mapping, every value
 has the right JSON type, and unknown or missing keys are rejected with their
 path.  Whether a value is valid is decided once, by the dataclass it builds;
 a dataclass error comes back as a :class:`ConfigError` carrying the key path.
-Presets ``base`` and ``noise1``..``noise4`` ship with the package.
+Presets ``base`` and ``noise1``..``noise4`` ship with the package; each is
+read once per process and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -267,8 +269,17 @@ def load_config(path) -> RunConfig:
 
 
 def preset_config(name: str) -> RunConfig:
-    """Load one of the shipped presets (``base``, ``noise1`` .. ``noise4``)."""
+    """One of the shipped presets (``base``, ``noise1`` .. ``noise4``).
+
+    Each preset is parsed once per process and the same read-only config is
+    returned on every call; derive variants with :func:`dataclasses.replace`.
+    """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    return _load_preset(name)
+
+
+@functools.cache
+def _load_preset(name: str) -> RunConfig:
     text = resources.files("aldcontrol").joinpath("presets", f"{name}.json").read_text()
     return config_from_dict(json.loads(text), f"preset:{name}")

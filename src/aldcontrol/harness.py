@@ -19,6 +19,7 @@ while stepping propagates.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -357,8 +358,16 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     dim = sum(1 for name in header if name.startswith("w_hat_")) // max(n_sub, 1)
     if header[:5] != ["k", "y_r", "y", "z", "u"] or len(header) != 5 + n_sub * (1 + dim):
         raise ValueError(f"{path}: not a trace CSV (empty, or its header is not k,y_r,y,z,u, pi_ and w_hat_ columns)")
-    types = [float] * len(header)
-    table = np.array([_parse_row(path, line, row, types) for line, row in data]).reshape(len(data), len(header))
+    width = len(header)
+    values = None
+    if all(len(row) == width for _, row in data):
+        with contextlib.suppress(ValueError):
+            values = [float(v) for _, row in data for v in row]
+    if values is None:
+        # row by row in file order, so the error names the first bad line
+        types = [float] * width
+        values = [v for line, row in data for v in _parse_row(path, line, row, types)]
+    table = np.array(values).reshape(len(data), width)
     return {
         "k": table[:, 0].astype(int),
         "y_r": table[:, 1],

@@ -28,16 +28,21 @@ __all__ = [
 TRAJECTORY_KINDS = ("filtered_square", "triangle", "sine")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArxParams:
-    """Output coefficients ``a`` (length n >= 0) and input coefficients ``b`` (length m >= 1)."""
+    """Output coefficients ``a`` (length n >= 0) and input coefficients ``b`` (length m >= 1).
+
+    Both are stored as read-only copies, so a plant never changes after it is
+    built, and plants compare and hash by their coefficient values.
+    """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        a = np.array(self.a, dtype=float, ndmin=1)
+        b = np.array(self.b, dtype=float, ndmin=1)
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -46,6 +51,14 @@ class ArxParams:
             raise ValueError("need at least one input coefficient")
         if b[0] == 0.0:
             raise ValueError("leading input coefficient b[0] must be nonzero")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArxParams):
+            return NotImplemented
+        return np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.a.tolist()), tuple(self.b.tolist())))
 
     @property
     def n(self) -> int:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import aldcontrol.cli as cli
 from aldcontrol import read_summary_csv, read_trace_csv
-from aldcontrol.cli import main
+from aldcontrol.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -128,3 +129,36 @@ class TestMonteCarlo:
         )
         assert code == 2
         assert "bad window" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_build_parser_is_fresh_and_main_reuses_one(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_usage_error_then_valid_run_in_one_process(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--preset", "base", "--steps", "10")
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--preset", "base", "--steps", "10", "--out", str(out)) == 0
+        assert read_trace_csv(out)["k"].size == 10
+
+    def test_calls_in_one_process_match_fresh_parsers(self, tmp_path, monkeypatch):
+        # the later simulate omits the options the first one set, so a value
+        # left over from an earlier call would change its bytes
+        calls = [
+            ("a.csv", "simulate", "--preset", "noise1", "--trajectory", "triangle", "--controller", "rls",
+             "--feedback", "measurement", "--steps", "30", "--seed", "5"),
+            ("b.csv", "montecarlo", "--preset", "base", "--steps", "30", "--runs", "2", "--window", "5:30",
+             "--controllers", "ensemble,oracle"),
+            ("c.csv", "simulate", "--preset", "noise1", "--steps", "30"),
+        ]
+        for name, *args in calls:
+            assert run_cli(*args, "--out", str(tmp_path / name)) == 0
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        for name, *args in calls:
+            assert run_cli(*args, "--out", str(tmp_path / f"fresh_{name}")) == 0
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()

@@ -425,6 +425,38 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=f"trace.csv: line {line}: {message}"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("short_line, bad_line", [(4, 6), (6, 4)])
+    def test_first_malformed_row_in_file_order_is_named(self, base, tmp_path, short_line, bad_line):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        lines = path.read_text().splitlines()
+        lines[short_line - 1] = lines[short_line - 1].rsplit(",", 1)[0]
+        lines[bad_line - 1] = lines[bad_line - 1].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        first = min(short_line, bad_line)
+        message = "expected 13 fields, got 12" if first == short_line else "could not convert"
+        with pytest.raises(ValueError, match=f"trace.csv: line {first}: {message}"):
+            read_trace_csv(path)
+
+    def test_lf_line_ends_and_quoted_fields_read_back_the_same(self, base, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        crlf = path.read_bytes()
+        assert crlf.count(b"\r\n") == 11
+        lines = crlf.decode().split("\r\n")[:-1]
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(crlf.replace(b"\r\n", b"\n"))
+        quoted = tmp_path / "quoted.csv"
+        fields = lines[3].split(",")
+        fields[2] = f'"{fields[2]}"'
+        quoted.write_text("\r\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\r\n", newline="")
+        expected = read_trace_csv(path)
+        for copy in (lf, quoted):
+            back = read_trace_csv(copy)
+            assert back.keys() == expected.keys()
+            for name, values in expected.items():
+                assert back[name].tobytes() == values.tobytes()
+
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))
         missing = tmp_path / "no_such_dir" / "trace.csv"
@@ -560,6 +592,13 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.steps == 77 and cfg.seed == 4
 
+    def test_independent_loads_compare_by_value(self):
+        first, second = config_from_dict(minimal_doc()), config_from_dict(minimal_doc())
+        assert first.plant is not second.plant
+        assert first == second and hash(first) == hash(second)
+        assert config_from_dict(minimal_doc(plant={"a": [-1.41, 0.91], "b": [0.5]})) != first
+        assert config_from_dict(minimal_doc(plant={"a": [-1.41, 0.9], "b": [0.6]})) != first
+
     def test_load_config_reports_path_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -680,3 +719,29 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("noise9")
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset_config(["base"])
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_each_preset_is_parsed_once_and_shared(self, name):
+        assert preset_config(name) is preset_config(name)
+        assert preset_config(name) == config_from_dict(
+            json.loads(resources.files("aldcontrol").joinpath("presets", f"{name}.json").read_text())
+        )
+
+    def test_shared_preset_is_read_only(self):
+        cfg = preset_config("base")
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.plant.a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.plant.b[0] = 1.0
+        assert cfg.plant.a.tolist() == [-1.41, 0.9]
+        variant = replace(cfg, steps=50)
+        assert variant.steps == 50 and preset_config("base").steps == 1000
+
+    def test_load_config_rereads_its_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(minimal_doc(run={"steps": 77})))
+        assert load_config(path).steps == 77
+        path.write_text(json.dumps(minimal_doc(run={"steps": 78})))
+        assert load_config(path).steps == 78

@@ -37,6 +37,25 @@ class TestArxParams:
         with pytest.raises(ValueError):
             ArxParams(a=np.array([0.1]), b=np.array([]))
 
+    def test_coefficients_are_read_only_copies(self):
+        a, b = np.array([-1.41, 0.9]), np.array([0.5])
+        p = ArxParams(a=a, b=b)
+        a[0] = 5.0
+        b[0] = 2.0
+        assert p.a.tolist() == [-1.41, 0.9] and p.b.tolist() == [0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            p.a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.b[0] = 1.0
+
+    def test_value_equality_and_hash(self):
+        twin = ArxParams(a=[-1.41, 0.9], b=(0.5,))
+        assert twin == PLANT and hash(twin) == hash(PLANT)
+        assert ArxParams(a=[-1.41, 0.8], b=[0.5]) != PLANT
+        assert ArxParams(a=[-1.41], b=[0.5, 0.9]) != PLANT
+        assert PLANT != (PLANT.a, PLANT.b)
+        assert len({PLANT, twin}) == 1
+
 
 class TestPlantStep:
     def test_zero_state_zero_input(self):
