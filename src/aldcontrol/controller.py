@@ -33,6 +33,27 @@ DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
 
 
+def _ce_law(w, eta, eps_b: float, u_max: float):
+    """:func:`ce_control` bound to the estimates ``w`` and regressors ``eta``: a function of ``y_r_next``.
+
+    ``w`` and ``eta`` may change in place between calls; the views into them
+    and the numpy callables are taken here once.
+    """
+    absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
+    maximum, minimum, vecdot = np.maximum, np.minimum, np.vecdot
+    b1_hat, alpha = w[..., 0], w[..., 1:]
+    # 0-d arrays, which numpy takes faster than Python floats
+    zero, eps_b, u_min, u_max = np.array(0.0), np.array(eps_b, dtype=float), np.array(-u_max), np.array(u_max)
+
+    def law(y_r_next):
+        # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
+        b1 = copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
+        u = divide(subtract(y_r_next, vecdot(eta, alpha)), b1)
+        return minimum(maximum(u, u_min), u_max)
+
+    return law
+
+
 def ce_control(
     w,
     eta,
@@ -47,10 +68,7 @@ def ce_control(
     ``eps_b*sign(b1)`` with sign(0) = +1, and the result is clamped to
     [-u_max, u_max].  Non-finite inputs give a non-finite or clamped result.
     """
-    # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
-    b1 = np.copysign(np.maximum(np.abs(w[..., 0]), eps_b), w[..., 0] + 0.0)
-    u = (y_r_next - np.vecdot(eta, w[..., 1:])) / b1
-    return np.minimum(np.maximum(u, -u_max), u_max)
+    return _ce_law(w, eta, eps_b, u_max)(y_r_next)
 
 
 def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -64,14 +82,39 @@ def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def _log_likelihood(table, residual, neg):
+    """:func:`subsystem_log_likelihood` of residuals whose signs ``neg`` (``residual < 0``) are already known."""
+    log_peak, slope_neg, slope_pos, sigma = table
+    return np.subtract(log_peak, np.divide(_check_loss(residual, neg, slope_neg, slope_pos), sigma))
+
+
 def subsystem_log_likelihood(table, residual):
     """ALD log-densities of prediction residuals z - x'w_hat (..., S) under the S hypotheses of ``table``.
 
     Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of each
     residual.
     """
-    log_peak, slope_neg, slope_pos, sigma = table
-    return log_peak - _check_loss(residual, slope_neg, slope_pos) / sigma
+    return _log_likelihood(table, residual, residual < 0.0)
+
+
+def _bayes(post: np.ndarray, floor):
+    """:func:`posterior_update` bound to the posteriors ``post``: a function of the log-likelihoods.
+
+    Each call updates ``post`` in place.
+    """
+    exp, subtract, multiply, divide, maximum = np.exp, np.subtract, np.multiply, np.divide, np.maximum
+    peak, total = np.maximum.reduce, np.add.reduce
+    floor = np.asarray(floor, dtype=float)
+
+    def update(log_lik) -> None:
+        multiply(post, exp(subtract(log_lik, peak(log_lik, -1)[..., None])), post)
+        divide(post, total(post, -1)[..., None], post)
+        maximum(post, floor, out=post)
+        divide(post, total(post, -1)[..., None], post)
+        # renormalization can push a floored entry a hair below the floor again
+        maximum(post, floor, out=post)
+
+    return update
 
 
 def posterior_update(post: np.ndarray, log_lik, floor=POSTERIOR_FLOOR) -> np.ndarray:
@@ -81,15 +124,23 @@ def posterior_update(post: np.ndarray, log_lik, floor=POSTERIOR_FLOOR) -> np.nda
     renormalized and floored at ``floor`` (a scalar or one entry per
     posterior) so a temporarily discredited subsystem can recover.  A
     non-finite log-likelihood gives non-finite posteriors; the caller
-    diagnoses divergence.
+    diagnoses divergence.  Returns the new posteriors; ``post`` is unchanged.
     """
     log_lik = np.asarray(log_lik, dtype=float)
-    post = post * np.exp(log_lik - log_lik.max(-1, keepdims=True))
-    post /= post.sum(-1, keepdims=True)
-    post = np.maximum(post, floor)
-    post /= post.sum(-1, keepdims=True)
-    # renormalization can push a floored entry a hair below the floor again
-    return np.maximum(post, floor)
+    post = np.array(np.broadcast_to(post, np.broadcast_shapes(np.shape(post), log_lik.shape)), dtype=float)
+    _bayes(post, floor)(log_lik)
+    return post
+
+
+def _ensemble_law(post, W, eta, eps_b: float, u_max: float):
+    """:func:`ensemble_control` bound to its arrays: a function of ``y_r_next``."""
+    multiply, total = np.multiply, np.add.reduce
+    laws = _ce_law(W, eta[..., None, :], eps_b, u_max)
+
+    def law(y_r_next):
+        return total(multiply(post, laws(y_r_next)), -1)
+
+    return law
 
 
 def ensemble_control(
@@ -104,4 +155,4 @@ def ensemble_control(
 
     ``post`` is (..., S) and ``eta`` (..., d-1), shared by the S subsystems.
     """
-    return (post * ce_control(W, eta[..., None, :], y_r_next, eps_b, u_max)).sum(-1)
+    return _ensemble_law(post, W, eta, eps_b, u_max)(y_r_next)

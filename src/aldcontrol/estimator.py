@@ -33,6 +33,36 @@ def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, 
     return 1.0 - tau, tau, np.array([ald_mean(h) for h in hyps])
 
 
+def _filter(W: np.ndarray, P: np.ndarray, x, rule):
+    """:func:`filter_step` bound to its arrays: a function of ``z`` that returns ``(r, neg)``.
+
+    ``neg`` is ``r < 0``, the sign that picked each sample weight.  Every
+    invariant view, constant and numpy callable is taken here once, so a
+    loop that steps the same arrays pays for the arithmetic alone.
+    """
+    add, subtract, multiply, divide, less, where = np.add, np.subtract, np.multiply, np.divide, np.less, np.where
+    vecdot, matvec, vecmat = np.vecdot, np.matvec, np.vecmat
+    p_neg, p_pos, shift = rule
+    P_T = P.mT
+    # 0-d arrays, which numpy takes faster than Python floats
+    zero, one, half = np.array(0.0), np.array(1.0), np.array(0.5)
+
+    def step(z):
+        r = subtract(z, vecdot(W, x))
+        neg = less(r, zero)
+        p = where(neg, p_neg, p_pos)
+        Px = matvec(P, x)
+        # denominator >= 1 because P is positive semidefinite and p > 0
+        gain = divide(multiply(p[..., None], Px), add(one, multiply(p, vecdot(x, Px)))[..., None])
+        # in place: W += gain*(r - shift), P -= gain x'P, then P = (P + P')/2
+        add(W, multiply(gain, subtract(r, shift)[..., None]), W)
+        subtract(P, multiply(gain[..., :, None], vecmat(x, P)[..., None, :]), P)
+        multiply(half, add(P, P_T), P)
+        return r, neg
+
+    return step
+
+
 def filter_step(W: np.ndarray, P: np.ndarray, x, z, rule) -> np.ndarray:
     """Assimilate the sample (x, z) into the estimates ``W`` (..., d) and covariances ``P`` (..., d, d) in place.
 
@@ -41,16 +71,7 @@ def filter_step(W: np.ndarray, P: np.ndarray, x, z, rule) -> np.ndarray:
     ``z - x'w`` (...) taken before the update.  ``P`` is re-symmetrized after
     the update to suppress floating-point drift.
     """
-    p_neg, p_pos, shift = rule
-    r = z - np.vecdot(W, x)
-    p = np.where(r < 0.0, p_neg, p_pos)[..., None]
-    Px = np.matvec(P, x)
-    # denominator >= 1 because P is positive semidefinite and p > 0
-    gain = p * Px / (1.0 + p * np.vecdot(x, Px)[..., None])
-    W += gain * (r - shift)[..., None]
-    P -= gain[..., :, None] * np.vecmat(x, P)[..., None, :]
-    P[...] = 0.5 * (P + P.mT)
-    return r
+    return _filter(W, P, x, rule)(z)[0]
 
 
 def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:

@@ -6,31 +6,33 @@ Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
 (rows, S), updated in place.  Each step applies the plant, assimilates the
 newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
-next reference value.  The controllers differ only in the bank set up
+next reference value; each phase is a step function bound to the state
+arrays once per batch.  The controllers differ only in the bank set up
 before the loop.  The measurement noise comes from a tape drawn from each
 seed's own stream, so a run does not depend on its batch, and
 :func:`run_episode` is the batch of one controller and one seed.
 
 A run fails at step i + 1 when row i is the first whose output, measurement,
-control or estimates are not finite; from there on its rows are NaN.  Monte
-Carlo summaries count failures and average the successes.  Any error raised
-while stepping propagates.
+control, posteriors or estimates are not finite; from there on its rows are
+NaN.  Monte Carlo summaries count failures and average the successes.  Any
+error raised while stepping propagates.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import POSTERIOR_FLOOR, ensemble_control, likelihood_table, posterior_update, subsystem_log_likelihood
-from .estimator import RLS_RULE, filter_step, quantile_rule
+from .controller import POSTERIOR_FLOOR, _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
+from .estimator import RLS_RULE, _filter, quantile_rule
 from .noise import NoiseModel, mixture_sample
-from .plant import parameter_vector, plant_step, reference_trajectory
+from .plant import _plant, parameter_vector, reference_trajectory
 
 __all__ = [
     "EpisodeTrace",
@@ -148,7 +150,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     tape = np.tile(tape, (len(cfgs), 1))
     feedback_z = cfg.feedback == "measurement"
 
-    y_arr, z_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps)), np.empty((rows, steps))
+    y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
     posteriors = np.empty((rows, steps, n_sub))
     w_hats = np.empty((rows, steps, n_sub, plant.d))
 
@@ -157,40 +159,64 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     # Every product with a row of W is a vecdot: it gives the same bits as the
     # per-row dot product, which matvec on the sliced W[..., 1:] does not.
     x = np.zeros((rows, plant.d))
-    x_s, eta, u_now = x[:, None, :], x[:, 1:], x[:, :m]
+    eta, u_now, u_new, older, newer = x[:, 1:], x[:, :m], x[:, 0], x[:, 1:], x[:, :-1]
     fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, rows); empty when n = 0
     y_hist = np.zeros((rows, plant.n))
     y = np.zeros(rows)
     z = y + tape[:, 0]
-    W_learn, P_learn, x_learn, post_scored = W[:n_learn], P[:n_learn], x_s[:n_learn], post[:n_scored]
+    z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
+    step_plant = _plant(plant, u_now, y_hist)
+    step_filter = _filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
+    update_post = _bayes(post[:n_scored], floor)
+    cut = n_scored < n_learn  # the learning rows extend past the scored ones
+    # An S = 1 bank's posterior is exactly 1.0 while it is finite, and 1.0*u
+    # is u: its control is subsystem 0's law itself.  A non-finite posterior
+    # fails the run at that step (it is in the scan after the loop) whichever
+    # law ran, so no trace changes.
+    control = (
+        _ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max)
+        if n_sub == 1
+        else _ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
+    )
+    add = np.add
+    # per step: the noise, the next reference as a 0-d array (which numpy
+    # takes faster than a float) and the step's column of each record
+    records = zip(
+        tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T,
+        posteriors.transpose(1, 0, 2), w_hats.transpose(1, 0, 2, 3),
+    )
 
     # a diverging run overflows; it is diagnosed after the loop
     with np.errstate(all="ignore"):
-        for k in range(steps + 1):
-            if k:
-                y = plant_step(plant, u_now, y_hist)
-                z = y + tape[:, k]
-                if n_learn:
-                    r = filter_step(W_learn, P_learn, x_learn, z[:n_learn, None], rule)
-                    if n_scored:
-                        post_scored[...] = posterior_update(
-                            post_scored, subsystem_log_likelihood(table, r[:n_scored]), floor
-                        )
+        # step 0 only feeds back z(0) (shifting the zero histories changes nothing) and forms u(0)
+        fed[...] = z if feedback_z else y
+        u_new[...] = control(np.array(refs[1]))
+        for e, y_r_next, y_k, u_k, post_k, W_k in records:
+            y = step_plant()
+            add(y, e, z)
+            if n_learn:
+                r, neg = step_filter(z_learn)
+                if n_scored:
+                    if cut:
+                        r, neg = r[:n_scored], neg[:n_scored]
+                    update_post(_log_likelihood(table, r, neg))
             # shift both histories by one and put the newest fed-back value in front
-            x[:, 1:] = x[:, :-1]
-            fed[:] = z if feedback_z else y
-            u = ensemble_control(post, W, eta, refs[k + 1], cfg.eps_b, cfg.u_max)
-            x[:, 0] = u
-            if k:
-                y_arr[:, k - 1], z_arr[:, k - 1], u_arr[:, k - 1] = y, z, u
-                posteriors[:, k - 1], w_hats[:, k - 1] = post, W
+            older[...] = newer
+            fed[...] = z if feedback_z else y
+            u_new[...] = u = control(y_r_next)
+            y_k[...], u_k[...], post_k[...], W_k[...] = y, u, post, W
 
-    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr) & np.isfinite(w_hats).all(axis=(2, 3))
+    noise = tape[:, 1:]
+    z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
+
+    finite = (
+        np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr)
+        & np.isfinite(posteriors).all(axis=2) & np.isfinite(w_hats).all(axis=(2, 3))
+    )
     failed = ~finite.all(axis=1)
     first = np.where(failed, np.argmin(finite, axis=1), steps)
     dead = np.arange(steps) >= first[:, None]
     y_r = np.tile(refs[1 : steps + 1], (rows, 1))
-    noise = tape[:, 1:]
     for column in (y_r, y_arr, z_arr, u_arr, noise, posteriors, w_hats):
         column[dead] = np.nan
     ks = np.arange(1, steps + 1)
@@ -214,7 +240,11 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
-    lo, hi = int(window[0]), int(window[1])
+    """Trace rows of the inclusive window (k_lo, k_hi); its bounds are integers, numpy ones included."""
+    try:
+        lo, hi = map(operator.index, window)
+    except TypeError:
+        raise ValueError(f"window {window!r} bounds must be integers") from None
     if lo > hi:
         raise ValueError(f"empty window {window!r}")
     if lo < 1 or hi > steps:
@@ -268,14 +298,16 @@ def compare_controllers(
 ) -> list[McSummary]:
     """Monte Carlo for several controllers under paired noise (same seeds per run).
 
-    Every controller's config, the run count and the window are checked
-    before the first batch.  The runs go in chunks of seeds, and each chunk
-    is one core call that steps every controller with every seed of the
-    chunk.  A chunk holds at most ``_BATCH_RUNS`` (controller, seed) rows, so
-    memory stays bounded for any run count.  Its noise tape is drawn once
-    and shared by every controller, so run i sees the same noise under every
-    controller.
+    The controller list (which must not be empty), every controller's
+    config, the run count and the window are checked before the first
+    batch.  The runs go in chunks of seeds, and each chunk is one core call
+    that steps every controller with every seed of the chunk.  A chunk
+    holds at most ``_BATCH_RUNS`` (controller, seed) rows, so memory stays
+    bounded for any run count.  Its noise tape is drawn once and shared by
+    every controller, so run i sees the same noise under every controller.
     """
+    if not controllers:
+        raise ValueError("no controllers given")
     cfgs = [replace(cfg, controller=token) for token in controllers]
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")

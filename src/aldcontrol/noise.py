@@ -194,14 +194,15 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
     return out
 
 
-def _check_loss(u, slope_neg, slope_pos):
-    """Check loss u*(tau - 1[u<0]) from its slopes tau - 1 and tau, with no argument checks; all three broadcast."""
-    return u * np.where(u < 0.0, slope_neg, slope_pos)
+def _check_loss(u, neg, slope_neg, slope_pos):
+    """Check loss u*(tau - 1[u<0]) from the signs ``neg`` = u < 0 and the slopes tau - 1 and tau; no argument checks."""
+    return np.multiply(u, np.where(neg, slope_neg, slope_pos))
 
 
 def pinball_loss(tau: float, u):
     """Check loss u*(tau - 1[u<0]); nonnegative, convex, zero only at u = 0."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    out = _check_loss(np.asarray(u, dtype=float), tau - 1.0, tau)
+    u = np.asarray(u, dtype=float)
+    out = _check_loss(u, u < 0.0, tau - 1.0, tau)
     return float(out) if out.ndim == 0 else out

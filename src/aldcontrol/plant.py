@@ -78,15 +78,31 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
+def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
+    """:func:`plant_step` bound to its history arrays: a function of no arguments that returns y(k+1).
+
+    ``u_now`` may change in place between calls; the views into ``y_hist``
+    and the numpy callables are taken here once.
+    """
+    add, vecdot = np.add, np.vecdot
+    b, a = p.b, p.a
+    older, newer, newest = y_hist[..., 1:], y_hist[..., :-1], y_hist[..., :1]
+
+    def step():
+        y_next = add(vecdot(u_now, b), vecdot(y_hist, a))
+        older[...] = newer
+        newest[...] = y_next[..., None]
+        return y_next
+
+    return step
+
+
 def plant_step(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
     """Next outputs y(k+1) from inputs u(k)..u(k-m+1) (..., m) and outputs y(k)..y(k-n+1) (..., n).
 
     The new outputs are shifted into ``y_hist`` in place, dropping the oldest.
     """
-    y_next = np.vecdot(u_now, p.b) + np.vecdot(y_hist, p.a)
-    y_hist[..., 1:] = y_hist[..., :-1]
-    y_hist[..., :1] = y_next[..., None]
-    return y_next
+    return _plant(p, u_now, y_hist)()
 
 
 @dataclass(frozen=True)

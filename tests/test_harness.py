@@ -107,10 +107,21 @@ class TestRunEpisode:
         assert summary.runs_failed == 1
 
     def test_programming_error_propagates(self, base, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("bug")
+        # every controller's loop steps the plant: a bug raised there at step 5 must surface, not fail the episode
+        bound = harness._plant
 
-        monkeypatch.setattr(harness, "ensemble_control", broken)
+        def broken(*args):
+            step, calls = bound(*args), []
+
+            def plant():
+                calls.append(None)
+                if len(calls) == 5:
+                    raise ValueError("bug")
+                return step()
+
+            return plant
+
+        monkeypatch.setattr(harness, "_plant", broken)
         for token in ("ensemble", "rls", "oracle"):
             with pytest.raises(ValueError, match="bug"):
                 run_episode(short(base, steps=20, controller=token))
@@ -205,6 +216,34 @@ class TestBatchedCore:
                 else:
                     assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
 
+    def test_single_subsystem_law_fails_where_the_weighted_law_does(self, base):
+        # An S = 1 batch forms the control from subsystem 0's law without the
+        # product with its posterior.  A posterior that turns NaN (here: an
+        # outlier scored by a hypothesis so narrow that its log-likelihood
+        # overflows while the residual stays finite) must still fail the run
+        # at the step where the posterior-weighted law of a padded row does.
+        narrow = (AldParams(0.95, 0.0, 1e-12), *base.hypotheses[1:])
+        cfg = short(base, noise=RARE_HUGE, hypotheses=narrow, controller="single-ald:0", steps=300)
+        seeds = [0, 3, 5, 8, 10]
+        alone = run_batch([cfg], seeds)[0]
+        padded = run_batch([cfg, replace(cfg, controller="ensemble")], seeds)[0]
+        assert any(trace.failed for trace in alone)
+        for a, b in zip(alone, padded):
+            assert_same_trace(a, b)
+
+    def test_returned_trace_keeps_its_bytes_after_later_runs(self, base):
+        # no array of a returned trace may be a work array that a later call reuses
+        cfg = short(base, steps=60)
+        trace = run_episode(cfg)
+        arrays = {f.name: getattr(trace, f.name) for f in fields(EpisodeTrace)}
+        saved = {name: a.tobytes() for name, a in arrays.items() if isinstance(a, np.ndarray)}
+        run_episode(replace(cfg, seed=7))
+        run_episode(replace(cfg, controller="rls", seed=3))
+        compare_controllers(replace(cfg, seed=5), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 60))
+        for name, data in saved.items():
+            assert arrays[name].tobytes() == data, name
+        assert_same_trace(trace, run_episode(cfg))
+
     def test_compare_controllers_draws_the_noise_once(self, base, monkeypatch):
         calls = []
         draw = harness.mixture_sample
@@ -247,6 +286,25 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accumulated_error(tr, (1, 41))
 
+    @pytest.mark.parametrize("window", [(1.5, 20), (1, 20.5)])
+    def test_non_integral_window_rejected(self, base, window):
+        cfg = short(base, steps=40)
+        tr = run_episode(cfg)
+        for call in (accumulated_error, max_tracking_error):
+            with pytest.raises(ValueError, match=re.escape(repr(window))):
+                call(tr, window)
+        with pytest.raises(ValueError, match=re.escape(repr(window))):
+            compare_controllers(cfg, ["rls"], 1, window)
+
+    def test_numpy_integer_window_accepted(self, base):
+        cfg = short(base, steps=40, controller="rls")
+        window = (np.int64(5), np.int32(40))
+        [summary] = compare_controllers(cfg, ["rls"], 2, window)
+        assert summary.window == (5, 40) and all(type(v) is int for v in summary.window)
+        tr = run_episode(cfg)
+        assert accumulated_error(tr, window) == accumulated_error(tr, (5, 40)) == summary.j_runs[0]
+        assert max_tracking_error(tr, window) == max_tracking_error(tr, (5, 40))
+
     def test_monte_carlo_single_run(self, base):
         cfg = short(base, steps=80)
         summary = monte_carlo(cfg, 1, (10, 80))
@@ -284,6 +342,14 @@ class TestMetrics:
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args) or batch(*args))
         with pytest.raises(ConfigError, match="run.controller"):
             compare_controllers(short(base, steps=20), ["ensemble", "rls", token], 2, (1, 20))
+        assert calls == []
+
+    def test_compare_controllers_rejects_an_empty_controller_list(self, base, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="no controllers"):
+            compare_controllers(short(base, steps=20), [], 3, (1, 20))
         assert calls == []
 
     def test_compare_controllers_reuses_seeds(self, base):
