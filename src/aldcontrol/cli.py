@@ -92,8 +92,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.out}: controller={cfg.controller} steps={cfg.steps} seed={cfg.seed} ({status})")
         else:
             tokens = [t.strip() for t in args.controllers.split(",") if t.strip()]
-            if not tokens:
-                raise ConfigError("no controllers given")
             window = _parse_window(args.window)
             summaries = compare_controllers(cfg, tokens, args.runs, window)
             export_summary_csv(summaries, args.out, force=args.force)
@@ -104,10 +102,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote {args.out}")
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

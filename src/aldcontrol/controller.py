@@ -97,14 +97,14 @@ def subsystem_log_likelihood(table, residual):
     return _log_likelihood(table, residual, residual < 0.0)
 
 
-def _bayes(post: np.ndarray, floor):
+def _bayes(post: np.ndarray):
     """:func:`posterior_update` bound to the posteriors ``post``: a function of the log-likelihoods.
 
     Each call updates ``post`` in place.
     """
     exp, subtract, multiply, divide, maximum = np.exp, np.subtract, np.multiply, np.divide, np.maximum
     peak, total = np.maximum.reduce, np.add.reduce
-    floor = np.asarray(floor, dtype=float)
+    floor = np.array(POSTERIOR_FLOOR)  # 0-d, which numpy takes faster than a Python float
 
     def update(log_lik) -> None:
         multiply(post, exp(subtract(log_lik, peak(log_lik, -1)[..., None])), post)
@@ -117,18 +117,19 @@ def _bayes(post: np.ndarray, floor):
     return update
 
 
-def posterior_update(post: np.ndarray, log_lik, floor=POSTERIOR_FLOOR) -> np.ndarray:
+def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
     """Bayes update of the subsystem posteriors ``post`` (..., S) by log-likelihoods along the last axis.
 
     Computed in the log domain with max-subtraction; the result is
-    renormalized and floored at ``floor`` (a scalar or one entry per
-    posterior) so a temporarily discredited subsystem can recover.  A
-    non-finite log-likelihood gives non-finite posteriors; the caller
-    diagnoses divergence.  Returns the new posteriors; ``post`` is unchanged.
+    renormalized and floored at :data:`POSTERIOR_FLOOR` so a temporarily
+    discredited subsystem can recover.  A non-finite log-likelihood gives
+    non-finite posteriors and so a non-finite weighted control, which the
+    episode loop (it scores banks of two or more subsystems) diagnoses as
+    divergence.  Returns the new posteriors; ``post`` is unchanged.
     """
     log_lik = np.asarray(log_lik, dtype=float)
     post = np.array(np.broadcast_to(post, np.broadcast_shapes(np.shape(post), log_lik.shape)), dtype=float)
-    _bayes(post, floor)(log_lik)
+    _bayes(post)(log_lik)
     return post
 
 

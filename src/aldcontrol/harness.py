@@ -12,10 +12,12 @@ before the loop.  The measurement noise comes from a tape drawn from each
 seed's own stream, so a run does not depend on its batch, and
 :func:`run_episode` is the batch of one controller and one seed.
 
-A run fails at step i + 1 when row i is the first whose output, measurement,
-control, posteriors or estimates are not finite; from there on its rows are
-NaN.  Monte Carlo summaries count failures and average the successes.  Any
-error raised while stepping propagates.
+Only banks of two or more subsystems are scored; a one-subsystem posterior
+is the constant 1.0.  A run fails at step i + 1 when row i is the first whose
+output, measurement, control or estimates are not finite (a NaN posterior
+makes the weighted control NaN at its step); from there on its rows are NaN.
+Monte Carlo summaries count failures and average the successes.  Any error
+raised while stepping propagates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import POSTERIOR_FLOOR, _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
+from .controller import _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
 from .estimator import RLS_RULE, _filter, quantile_rule
 from .noise import NoiseModel, mixture_sample
 from .plant import _plant, parameter_vector, reference_trajectory
@@ -87,8 +89,8 @@ def _bank(cfg: RunConfig):
     """Subsystem bank of one controller: (likelihood table, weight rule, W (S, d)).
 
     The rule is :func:`~aldcontrol.estimator.filter_step`'s, one entry per
-    subsystem.  Posteriors are scored only with a table; a bank without a
-    rule keeps W frozen.
+    subsystem.  Only a bank of two or more subsystems has a table, and only
+    its posteriors are scored; a bank without a rule keeps W frozen.
     """
     kind, index = parse_controller(cfg.controller)
     if kind == "oracle":
@@ -97,7 +99,7 @@ def _bank(cfg: RunConfig):
         table, rule = None, RLS_RULE
     else:
         hyps = cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1]
-        table, rule = likelihood_table(hyps), quantile_rule(hyps)
+        table, rule = (likelihood_table(hyps) if len(hyps) > 1 else None), quantile_rule(hyps)
     return table, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
 
 
@@ -136,15 +138,13 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
         """(S_c, ...) arrays, one per bank, padded to S with copies of entry 0 and repeated once per seed."""
         return np.array([v[pad] for v, pad in zip(per_bank, pads)]).repeat(runs, axis=0)
 
-    # A padded subsystem copies subsystem 0 of its bank but has prior and
-    # floor 0: it tracks subsystem 0 bit for bit, its posterior stays 0, and
-    # its terms 0*exp(.) and 0*u leave every sum over subsystems unchanged.
+    # Only unscored banks are padded: a scored bank is an ensemble, whose S is
+    # the batch's.  A padded subsystem copies subsystem 0 with prior 0: it
+    # tracks subsystem 0 bit for bit, and its 0*u leaves the control's sum unchanged.
     table = tuple(map(stack, zip(*tables[: n_scored // runs])))
     rule = tuple(map(stack, zip(*rules[: n_learn // runs])))
     W = stack(Ws)
-    real = sub < n_subs[:, None]
-    post = np.where(real, 1.0 / n_subs[:, None], 0.0)
-    floor = np.where(real[:n_scored], POSTERIOR_FLOOR, 0.0)
+    post = np.where(sub < n_subs[:, None], 1.0 / n_subs[:, None], 0.0)
     rows, n_sub = W.shape[:2]
     P = np.tile(cfg.initial_P(), (rows, n_sub, 1, 1))
     tape = np.tile(tape, (len(cfgs), 1))
@@ -167,12 +167,10 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
     step_plant = _plant(plant, u_now, y_hist)
     step_filter = _filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
-    update_post = _bayes(post[:n_scored], floor)
+    update_post = _bayes(post[:n_scored])
     cut = n_scored < n_learn  # the learning rows extend past the scored ones
-    # An S = 1 bank's posterior is exactly 1.0 while it is finite, and 1.0*u
-    # is u: its control is subsystem 0's law itself.  A non-finite posterior
-    # fails the run at that step (it is in the scan after the loop) whichever
-    # law ran, so no trace changes.
+    # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
+    # 1.0*u is u: its control is subsystem 0's law itself
     control = (
         _ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max)
         if n_sub == 1
@@ -209,10 +207,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     noise = tape[:, 1:]
     z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
 
-    finite = (
-        np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr)
-        & np.isfinite(posteriors).all(axis=2) & np.isfinite(w_hats).all(axis=(2, 3))
-    )
+    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr) & np.isfinite(w_hats).all(axis=(2, 3))
     failed = ~finite.all(axis=1)
     first = np.where(failed, np.argmin(finite, axis=1), steps)
     dead = np.arange(steps) >= first[:, None]
@@ -288,7 +283,8 @@ class McSummary:
 def monte_carlo(cfg: RunConfig, runs: int, window: tuple[int, int]) -> McSummary:
     """Run ``runs`` episodes with seeds cfg.seed + i and average the windowed errors.
 
-    Failed episodes are excluded from the mean and counted in ``runs_failed``.
+    Failed episodes, even those that fail after the window, are excluded from
+    the mean and counted in ``runs_failed``.
     """
     return compare_controllers(cfg, [cfg.controller], runs, window)[0]
 
@@ -305,6 +301,8 @@ def compare_controllers(
     holds at most ``_BATCH_RUNS`` (controller, seed) rows, so memory stays
     bounded for any run count.  Its noise tape is drawn once and shared by
     every controller, so run i sees the same noise under every controller.
+    A run that fails after the window still counts as failed (j = NaN), though
+    :func:`accumulated_error` alone gives it a finite value.
     """
     if not controllers:
         raise ValueError("no controllers given")
@@ -346,15 +344,19 @@ def _open_for_write(path, force: bool):
         raise OSError(f"{path}: {exc}") from None
 
 
-def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
-    """Write the trace with columns k, y_r, y, z, u, pi_1.., w_hat_1_1.. (17 significant digits)."""
-    n_sub = trace.posteriors.shape[1]
-    dim = trace.w_hat.shape[2]
-    header = (
+def _trace_header(n_sub: int, dim: int) -> list[str]:
+    """Trace CSV columns k, y_r, y, z, u, pi_1..pi_S, w_hat_1_1..w_hat_S_d for S = ``n_sub``, d = ``dim``."""
+    return (
         ["k", "y_r", "y", "z", "u"]
         + [f"pi_{i + 1}" for i in range(n_sub)]
         + [f"w_hat_{i + 1}_{j + 1}" for i in range(n_sub) for j in range(dim)]
     )
+
+
+def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
+    """Write the trace with columns k, y_r, y, z, u, pi_1.., w_hat_1_1.. (17 significant digits)."""
+    n_sub, dim = trace.w_hat.shape[1:]
+    header = _trace_header(n_sub, dim)
     # %.17g is _fmt's conversion and \r\n the csv module's line end: the same text as export_summary_csv
     template = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
     table = np.column_stack(
@@ -387,9 +389,9 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Parse a trace CSV back into arrays keyed k, y_r, y, z, u, posteriors, w_hat."""
     header, data = _read_rows(path)
     n_sub = sum(1 for name in header if name.startswith("pi_"))
-    dim = sum(1 for name in header if name.startswith("w_hat_")) // max(n_sub, 1)
-    if header[:5] != ["k", "y_r", "y", "z", "u"] or len(header) != 5 + n_sub * (1 + dim):
-        raise ValueError(f"{path}: not a trace CSV (empty, or its header is not k,y_r,y,z,u, pi_ and w_hat_ columns)")
+    dim = (len(header) - 5 - n_sub) // max(n_sub, 1)
+    if n_sub < 1 or header != _trace_header(n_sub, dim):
+        raise ValueError(f"{path}: not a trace CSV (header is not k,y_r,y,z,u,pi_1..pi_S,w_hat_1_1..w_hat_S_d, S >= 1)")
     width = len(header)
     values = None
     if all(len(row) == width for _, row in data):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aldcontrol
 import aldcontrol.cli as cli
 from aldcontrol import read_summary_csv, read_trace_csv
 from aldcontrol.cli import build_parser, main
@@ -117,6 +122,13 @@ class TestMonteCarlo:
         assert calls == []
         assert not out.exists()
 
+    def test_empty_controller_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        code = run_cli("montecarlo", "--preset", "base", "--controllers", ",", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: no controllers given\n"
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = run_cli("montecarlo", "--preset", "base", "--seed", "-3", "--out", str(tmp_path / "s.csv"))
         assert code == 2
@@ -162,3 +174,16 @@ class TestParser:
             assert run_cli(*args, "--out", str(tmp_path / f"fresh_{name}")) == 0
             assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()
+
+
+def test_module_entry_point_runs_a_simulation(tmp_path):
+    out = tmp_path / "trace.csv"
+    src = str(Path(aldcontrol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "aldcontrol", "simulate", "--preset", "base", "--steps", "20", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"wrote {out}: controller=ensemble steps=20 seed=0 (ok)")
+    assert read_trace_csv(out)["k"].size == 20

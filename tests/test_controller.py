@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aldcontrol import (
-    POSTERIOR_FLOOR,
     AldParams,
     ald_pdf,
     ald_sample,
@@ -115,16 +114,6 @@ class TestPosteriorUpdate:
         out = posterior_update(np.array([0.5, 0.5]), log_likelihoods([hyp, hyp], [[0.0], [1e6]], np.array([1.0]), 0.0))
         assert out[1] >= 1e-12
         assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_prior_entry_with_zero_floor_changes_no_bit(self):
-        # a copy of entry 0 with prior 0 and floor 0, as the batched core pads a small bank
-        rng = np.random.default_rng(5)
-        floor = np.array([POSTERIOR_FLOOR, POSTERIOR_FLOOR, 0.0])
-        for _ in range(200):
-            post, log_lik = rng.dirichlet(np.ones(2)), rng.normal(scale=30.0, size=2)
-            padded = posterior_update(np.append(post, 0.0), np.append(log_lik, log_lik[0]), floor)
-            assert padded[2] == 0.0
-            assert padded[:2].tobytes() == posterior_update(post, log_lik).tobytes()
 
     def test_posterior_rows_stay_on_simplex(self):
         rng = np.random.default_rng(31)

@@ -142,6 +142,18 @@ def run_batch(cfgs, seeds):
     return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
 
 
+def assert_prefix(part, whole):
+    """``part``, the same run cut short, is ``whole``'s first rows bit for bit and fails only where ``whole`` does."""
+    steps = part.steps
+    for f in fields(EpisodeTrace):
+        x, y = getattr(part, f.name), getattr(whole, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y[:steps].shape and x.tobytes() == y[:steps].tobytes(), f.name
+    fail_step = whole.fail_step if whole.failed and whole.fail_step <= steps else None
+    assert (part.controller, part.seed) == (whole.controller, whole.seed)
+    assert (part.failed, part.fail_step) == (fail_step is not None, fail_step)
+
+
 # a rare component whose draws reach 1e300 makes some runs diverge, at steps set by the noise
 RARE_HUGE = NoiseModel(
     (MixtureComponent(0.998, AldParams(0.95, 0.0, 0.01)), MixtureComponent(0.002, AldParams(0.5, 0.0, 1e300)))
@@ -175,6 +187,9 @@ class TestBatchedCore:
         order = data.draw(st.permutations(range(len(seeds))))
         for i, trace in zip(order, run_batch([cfg], [seeds[i] for i in order])[0]):
             assert_same_trace(trace, traces[i])
+        cut = data.draw(st.integers(2, steps))
+        for trace, whole in zip(run_batch([replace(cfg, steps=cut)], seeds)[0], traces):
+            assert_prefix(trace, whole)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -216,20 +231,40 @@ class TestBatchedCore:
                 else:
                     assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
 
-    def test_single_subsystem_law_fails_where_the_weighted_law_does(self, base):
-        # An S = 1 batch forms the control from subsystem 0's law without the
-        # product with its posterior.  A posterior that turns NaN (here: an
-        # outlier scored by a hypothesis so narrow that its log-likelihood
-        # overflows while the residual stays finite) must still fail the run
-        # at the step where the posterior-weighted law of a padded row does.
+    def test_one_subsystem_bank_is_not_scored(self, base):
+        # A one-subsystem bank has nothing to weigh: its posterior is the
+        # constant 1.0 even where scoring it would overflow (an outlier under
+        # a hypothesis so narrow that its log-likelihood is -inf while the
+        # residual stays finite), so such an outlier fails no run by itself.
         narrow = (AldParams(0.95, 0.0, 1e-12), *base.hypotheses[1:])
         cfg = short(base, noise=RARE_HUGE, hypotheses=narrow, controller="single-ald:0", steps=300)
-        seeds = [0, 3, 5, 8, 10]
+        seeds = [0, 3, 5, 8, 9, 10]
         alone = run_batch([cfg], seeds)[0]
         padded = run_batch([cfg, replace(cfg, controller="ensemble")], seeds)[0]
-        assert any(trace.failed for trace in alone)
-        for a, b in zip(alone, padded):
+        # an ensemble of one hypothesis is the same bank
+        one = run_batch([replace(cfg, controller="ensemble", hypotheses=narrow[:1])], seeds)[0]
+        for a, b, c in zip(alone, padded, one):
             assert_same_trace(a, b)
+            assert_same_trace(a, replace(c, controller=a.controller))
+            assert np.all(a.posteriors[: a.fail_step - 1 if a.failed else None] == 1.0)
+        nine = alone[seeds.index(9)]
+        assert not nine.failed and np.all(nine.posteriors == 1.0)
+        assert np.all(np.isfinite(nine.y)) and np.all(np.isfinite(nine.w_hat))
+
+    def test_a_run_does_not_depend_on_its_length(self, base):
+        # a fail step is caused by that step's state: a shorter run is the
+        # longer one's first rows, failing at the same step if it reaches it
+        narrow = (AldParams(0.95, 0.0, 1e-12), *base.hypotheses[1:])
+        cfg = short(base, noise=RARE_HUGE, hypotheses=narrow, steps=300)
+        cfgs = [replace(cfg, controller=token) for token in TOKENS]
+        seeds = [3, 5, 8, 9, 10]
+        whole = run_batch(cfgs, seeds)
+        fail_steps = sorted(trace.fail_step for traces in whole for trace in traces if trace.failed)
+        assert fail_steps[0] <= 57 and fail_steps[-1] > 150  # runs that fail before a cut and after it
+        for steps in (2, 57, 150, 299):
+            for c, traces in zip(cfgs, whole):
+                for seed, trace in zip(seeds, traces):
+                    assert_prefix(run_episode(replace(c, steps=steps, seed=seed)), trace)
 
     def test_returned_trace_keeps_its_bytes_after_later_runs(self, base):
         # no array of a returned trace may be a work array that a later call reuses
@@ -352,6 +387,14 @@ class TestMetrics:
             compare_controllers(short(base, steps=20), [], 3, (1, 20))
         assert calls == []
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_compare_controllers_rejects_no_runs_before_any_episode(self, base, monkeypatch, runs):
+        calls = []
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"need at least one run, got {runs}"):
+            monte_carlo(short(base, steps=20), runs, (1, 20))
+        assert calls == []
+
     def test_compare_controllers_reuses_seeds(self, base):
         cfg = short(base, steps=60, seed=3)
         s1, s2 = compare_controllers(cfg, ["ensemble", "rls"], 3, (10, 60))
@@ -438,6 +481,22 @@ class TestTraceCsv:
         ragged.write_text("\n".join(text.rsplit(",", 1)[0] for text in lines))
         with pytest.raises(ValueError, match="ragged.csv: not a trace CSV"):
             read_trace_csv(ragged)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "k,y_r,y,z,u",
+            "k,y_r,y,z,u,w_hat_1_1,pi_1",
+            "k,y_r,y,z,u,pi_2,w_hat_2_1",
+            "k,y_r,y,z,u,pi_1,w_hat_1_2",
+            "k,y,y_r,z,u,pi_1,w_hat_1_1",
+        ],
+    )
+    def test_header_the_writer_never_writes_is_rejected(self, tmp_path, header):
+        path = tmp_path / "odd.csv"
+        path.write_text(header + "\n" + ",".join(["1"] + ["0.5"] * header.count(",")) + "\n")
+        with pytest.raises(ValueError, match="odd.csv: not a trace CSV"):
+            read_trace_csv(path)
 
     def test_header_only_file_reads_as_no_rows(self, base, tmp_path):
         path = tmp_path / "trace.csv"
@@ -583,10 +642,15 @@ class TestSummaryCsv:
         with pytest.raises(ValueError, match=f"summary.csv: line {line}: {message}"):
             read_summary_csv(path)
 
-    def test_empty_rejected_before_write(self, tmp_path):
+    def test_empty_rejected_before_write(self, base, tmp_path):
         path = tmp_path / "summary.csv"
         with pytest.raises(ValueError):
             export_summary_csv([], path)
+        assert not path.exists()
+        [summary] = compare_controllers(short(base, steps=20), ["rls"], 2, (1, 20))
+        empty = replace(summary, controller="oracle", seeds=summary.seeds[:0], j_runs=summary.j_runs[:0])
+        with pytest.raises(ValueError, match="summary for 'oracle' has no runs"):
+            export_summary_csv([summary, empty], path)
         assert not path.exists()
 
 
@@ -665,6 +729,10 @@ class TestConfig:
         assert config_from_dict(minimal_doc(plant={"a": [-1.41, 0.91], "b": [0.5]})) != first
         assert config_from_dict(minimal_doc(plant={"a": [-1.41, 0.9], "b": [0.6]})) != first
 
+    def test_load_config_reports_path_on_missing_file(self, tmp_path):
+        with pytest.raises(OSError, match="missing.json"):
+            load_config(tmp_path / "missing.json")
+
     def test_load_config_reports_path_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -693,17 +761,29 @@ PRESET_EDITS = [
     (("run", "controller"), ["ensemble"], r"preset:base\.run\.controller: expected a string"),
     (("estimator", "w0"), 0.1, r"preset:base\.estimator\.w0: expected a list of numbers"),
     (("controller", "u_max"), "1000", r"preset:base\.controller\.u_max: expected a number"),
+    (("noise", "components", 0), 0.8, r"preset:base\.noise\.components\[0\]: expected a mapping"),
     # out of range
     (("plant", "b"), [0.0], r"preset:base\.plant: .*\bb\[0\]"),
+    (("plant", "a"), [-1.41, math.inf], r"preset:base\.plant: .*\bfinite\b"),
+    (
+        ("noise", "components", 1),
+        {"weight": 0.2, "kind": "gaussian", "mean": 0.0, "variance": 0.0},
+        r"preset:base\.noise\.components\[1\]: .*\bvariance\b",
+    ),
+    (("hypotheses",), [], r"preset:base: run\.controller 'ensemble' requires at least one hypothesis"),
     (("noise", "components", 0, "weight"), -0.8, r"preset:base\.noise\.components\[0\]: .*\bweight\b"),
     (("noise", "components", 1, "sigma"), 0.0, r"preset:base\.noise\.components\[1\]: .*\bsigma\b"),
     (("hypotheses", 0, "tau"), 1.5, r"preset:base\.hypotheses\[0\]: .*\btau\b"),
     (("trajectory", "kind"), "zigzag", r"preset:base\.trajectory: .*\bkind\b"),
     (("trajectory", "frequency_hz"), -0.01, r"preset:base\.trajectory: .*\bfrequency_hz\b"),
+    (("trajectory", "sample_period_s"), 0.0, r"preset:base\.trajectory: .*\bsample_period_s\b"),
+    (("trajectory", "amplitude"), math.nan, r"preset:base\.trajectory: .*\bamplitude\b"),
     (("run", "steps"), 1, r"preset:base: run\.steps\b"),
     (("run", "seed"), -1, r"preset:base: run\.seed must be nonnegative"),
     (("run", "controller"), "pid", r"preset:base: run\.controller\b"),
     (("run", "controller"), "single-ald:2", r"preset:base: run\.controller\b"),
+    (("run", "controller"), "single-ald:x", r"preset:base: run\.controller: bad single-ald index"),
+    (("run", "controller"), "single-ald:-1", r"preset:base: run\.controller: single-ald index must be nonnegative"),
     (("run", "feedback"), "open", r"preset:base: run\.feedback\b"),
     (("estimator", "w0"), [0.1, 0.1], r"preset:base: estimator\.w0\b"),
     (("estimator", "w0"), [0.1, math.nan, 0.1], r"preset:base: estimator\.w0 entries must be finite"),
