@@ -56,6 +56,11 @@ class ConfigError(ValueError):
     """Configuration schema violation, tagged with the field path."""
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or anything else is not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def parse_controller(token: str) -> tuple[str, int]:
     """Split a controller token into (kind, subsystem index).
 
@@ -64,13 +69,11 @@ def parse_controller(token: str) -> tuple[str, int]:
     if token in ("ensemble", "rls", "oracle"):
         return token, 0
     if token.startswith("single-ald:"):
-        try:
-            index = int(token.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"run.controller: bad single-ald index in {token!r}") from None
-        if index < 0:
-            raise ConfigError(f"run.controller: single-ald index must be nonnegative, got {index}")
-        return "single_ald", index
+        digits = token[len("single-ald:") :]
+        # int() would also take a sign, spaces, underscores and other scripts' digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ConfigError(f"run.controller: bad single-ald index in {token!r}; expected ASCII digits")
+        return "single_ald", int(digits)
     raise ConfigError(
         f"run.controller: unknown controller {token!r}; expected ensemble, rls, oracle, or single-ald:<i>"
     )
@@ -94,8 +97,12 @@ class RunConfig:
     u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.steps):
+            raise ConfigError(f"run.steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ConfigError(f"run.steps must be at least 2, got {self.steps}")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"run.seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
         if self.feedback not in FEEDBACK_KINDS:

@@ -4,7 +4,8 @@ Each noise hypothesis defines a subsystem with its own quantile-filter
 estimate and posterior probability.  The ensemble control signal is the
 posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 Every function works over leading dimensions, with the subsystem axis S
-last, so one call serves a whole batch of runs.
+last, so one call serves a whole batch of runs.  A law bound to estimates
+that never change (a frozen bank) forms its safeguarded divisor once.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
 
 
-def _ce_law(w, eta, eps_b: float, u_max: float):
+def _ce_law(w, eta, eps_b: float, u_max: float, frozen: bool = False):
     """:func:`ce_control` bound to the estimates ``w`` and regressors ``eta``: a function of ``y_r_next``.
 
-    ``w`` and ``eta`` may change in place between calls; the views into them
-    and the numpy callables are taken here once.
+    ``eta`` may change in place between calls, and so may ``w`` unless it is
+    ``frozen``; then the safeguarded divisor is formed here once instead of
+    at every call.  The views into them and the numpy callables are taken
+    here once.
     """
     absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
     maximum, minimum, vecdot = np.maximum, np.minimum, np.vecdot
@@ -45,10 +48,14 @@ def _ce_law(w, eta, eps_b: float, u_max: float):
     # 0-d arrays, which numpy takes faster than Python floats
     zero, eps_b, u_min, u_max = np.array(0.0), np.array(eps_b, dtype=float), np.array(-u_max), np.array(u_max)
 
-    def law(y_r_next):
+    def divisor():
         # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
-        b1 = copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
-        u = divide(subtract(y_r_next, vecdot(eta, alpha)), b1)
+        return copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
+
+    b1 = divisor() if frozen else None
+
+    def law(y_r_next):
+        u = divide(subtract(y_r_next, vecdot(eta, alpha)), divisor() if b1 is None else b1)
         return minimum(maximum(u, u_min), u_max)
 
     return law

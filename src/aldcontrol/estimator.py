@@ -7,7 +7,9 @@ otherwise, and its innovation is the residual minus ``shift``.  The
 iterative quantile filter of an asymmetric Laplace hypothesis has the rule
 ``(1 - tau, tau, ald_mean)`` (:func:`quantile_rule`); classic RLS has
 ``(1, 1, 0)`` (:data:`RLS_RULE`).  With tau = 1/2 and a zero-mean hypothesis
-the quantile filter reduces to RLS at half the initial covariance.
+the quantile filter reduces to RLS at half the initial covariance.  A bank
+whose every entry has the unit rule skips the sign, the weight and the
+shift, which are exact no-ops there.
 """
 
 from __future__ import annotations
@@ -36,26 +38,35 @@ def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, 
 def _filter(W: np.ndarray, P: np.ndarray, x, rule):
     """:func:`filter_step` bound to its arrays: a function of ``z`` that returns ``(r, neg)``.
 
-    ``neg`` is ``r < 0``, the sign that picked each sample weight.  Every
-    invariant view, constant and numpy callable is taken here once, so a
-    loop that steps the same arrays pays for the arithmetic alone.
+    ``neg`` is ``r < 0``, the sign that picked each sample weight, or None
+    under a unit rule (1, 1, +0.0): there ``p*v`` is ``v`` and ``r - 0.0`` is
+    ``r`` bit for bit, so the step skips the sign, the weight and the shift.
+    Every invariant view, constant and numpy callable is taken here once, so
+    a loop that steps the same arrays pays for the arithmetic alone.
     """
     add, subtract, multiply, divide, less, where = np.add, np.subtract, np.multiply, np.divide, np.less, np.where
     vecdot, matvec, vecmat = np.vecdot, np.matvec, np.vecmat
     p_neg, p_pos, shift = rule
+    # -0.0 is not a unit shift: r - (-0.0) turns r = -0.0 into +0.0
+    unit = bool(np.all(p_neg == 1.0) and np.all(p_pos == 1.0) and np.all((shift == 0.0) & ~np.signbit(shift)))
     P_T = P.mT
     # 0-d arrays, which numpy takes faster than Python floats
     zero, one, half = np.array(0.0), np.array(1.0), np.array(0.5)
 
     def step(z):
         r = subtract(z, vecdot(W, x))
-        neg = less(r, zero)
-        p = where(neg, p_neg, p_pos)
         Px = matvec(P, x)
+        xPx = vecdot(x, Px)
+        if unit:
+            neg, innovation = None, r
+        else:
+            neg = less(r, zero)
+            p = where(neg, p_neg, p_pos)
+            Px, xPx, innovation = multiply(p[..., None], Px), multiply(p, xPx), subtract(r, shift)
         # denominator >= 1 because P is positive semidefinite and p > 0
-        gain = divide(multiply(p[..., None], Px), add(one, multiply(p, vecdot(x, Px)))[..., None])
+        gain = divide(Px, add(one, xPx)[..., None])
         # in place: W += gain*(r - shift), P -= gain x'P, then P = (P + P')/2
-        add(W, multiply(gain, subtract(r, shift)[..., None]), W)
+        add(W, multiply(gain, innovation[..., None]), W)
         subtract(P, multiply(gain[..., :, None], vecmat(x, P)[..., None, :]), P)
         multiply(half, add(P, P_T), P)
         return r, neg

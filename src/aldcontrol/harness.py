@@ -8,7 +8,11 @@ newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
 next reference value; each phase is a step function bound to the state
 arrays once per batch.  The controllers differ only in the bank set up
-before the loop.  The measurement noise comes from a tape drawn from each
+before the loop, and each binding skips the exact no-ops its batch allows:
+an all-``rls`` batch skips the sign and weight, an ``oracle``-only batch
+forms the control's divisor once, the plant reads the regressor under
+output feedback, and records that never change are written once after the
+loop.  The measurement noise comes from a tape drawn from each
 seed's own stream, so a run does not depend on its batch, and
 :func:`run_episode` is the batch of one controller and one seed.
 
@@ -26,11 +30,12 @@ import contextlib
 import csv
 import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_controller
+from .config import RunConfig, _is_integer, parse_controller
 from .controller import _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
 from .estimator import RLS_RULE, _filter, quantile_rule
 from .noise import NoiseModel, mixture_sample
@@ -51,7 +56,8 @@ __all__ = [
 ]
 
 _fmt = "{:.17g}".format  # 17 significant digits round-trip every float exactly
-# (controller, seed) rows stepped together at most; bounds the memory of any run count
+# (controller, seed) rows stepped together at most, or one seed of every controller
+# when there are more controllers; bounds the memory of any run count
 _BATCH_RUNS = 512
 _RUN_HEADER = ["controller", "run", "seed", "j_bar_run"]
 _AGGREGATE_HEADER = ["controller", "runs_ok", "runs_failed", "j_bar_mean"]
@@ -161,27 +167,35 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     x = np.zeros((rows, plant.d))
     eta, u_now, u_new, older, newer = x[:, 1:], x[:, :m], x[:, 0], x[:, 1:], x[:, :-1]
     fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, rows); empty when n = 0
-    y_hist = np.zeros((rows, plant.n))
     y = np.zeros(rows)
     z = y + tape[:, 0]
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
-    step_plant = _plant(plant, u_now, y_hist)
+    # Under output feedback x[:, m:] holds y(k)..y(k-n+1) at every plant
+    # step, so the plant reads it and shifts no history of its own.
+    if feedback_z:
+        step_plant = _plant(plant, u_now, np.zeros((rows, plant.n)))
+    else:
+        step_plant = _plant(plant, u_now, x[:, m:], shift=False)
     step_filter = _filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
     update_post = _bayes(post[:n_scored])
     cut = n_scored < n_learn  # the learning rows extend past the scored ones
     # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
-    # 1.0*u is u: its control is subsystem 0's law itself
+    # 1.0*u is u: its control is subsystem 0's law itself; with no row
+    # learning W is frozen, and the law forms its divisor once
     control = (
-        _ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max)
+        _ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max, frozen=not n_learn)
         if n_sub == 1
         else _ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
     )
     add = np.add
     # per step: the noise, the next reference as a 0-d array (which numpy
-    # takes faster than a float) and the step's column of each record
+    # takes faster than a float) and the step's column of each record; the
+    # posteriors of an unscored batch and the estimates of a frozen one never
+    # change and are written once after the loop
     records = zip(
         tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T,
-        posteriors.transpose(1, 0, 2), w_hats.transpose(1, 0, 2, 3),
+        posteriors.transpose(1, 0, 2) if n_scored else repeat(None),
+        w_hats.transpose(1, 0, 2, 3) if n_learn else repeat(None),
     )
 
     # a diverging run overflows; it is diagnosed after the loop
@@ -202,7 +216,15 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
             older[...] = newer
             fed[...] = z if feedback_z else y
             u_new[...] = u = control(y_r_next)
-            y_k[...], u_k[...], post_k[...], W_k[...] = y, u, post, W
+            y_k[...], u_k[...] = y, u
+            if n_scored:
+                post_k[...] = post
+            if n_learn:
+                W_k[...] = W
+    if not n_scored:
+        posteriors[...] = post[:, None]
+    if not n_learn:
+        w_hats[...] = W[:, None]
 
     noise = tape[:, 1:]
     z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
@@ -298,15 +320,19 @@ def compare_controllers(
     config, the run count and the window are checked before the first
     batch.  The runs go in chunks of seeds, and each chunk is one core call
     that steps every controller with every seed of the chunk.  A chunk
-    holds at most ``_BATCH_RUNS`` (controller, seed) rows, so memory stays
-    bounded for any run count.  Its noise tape is drawn once and shared by
-    every controller, so run i sees the same noise under every controller.
+    holds at most max(``_BATCH_RUNS``, C) (controller, seed) rows for C
+    controllers, one seed per chunk when C exceeds ``_BATCH_RUNS``, so
+    memory stays bounded for any run count.  Its noise tape is drawn once
+    and shared by every controller, so run i sees the same noise under every
+    controller.
     A run that fails after the window still counts as failed (j = NaN), though
     :func:`accumulated_error` alone gives it a finite value.
     """
     if not controllers:
         raise ValueError("no controllers given")
     cfgs = [replace(cfg, controller=token) for token in controllers]
+    if not _is_integer(runs):
+        raise ValueError(f"runs must be an integer, got {runs!r}")
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     _window_slice(cfg.steps, window)

@@ -6,7 +6,9 @@ The plant is
 
 with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
 by the caller, with any leading (run) dimensions; :func:`plant_step` shifts
-each new output into the output history in place.
+each new output into the output history in place.  The episode loop's plant
+under output feedback reads the regressor's output entries instead, which
+the loop shifts itself.
 """
 
 from __future__ import annotations
@@ -78,11 +80,12 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
-def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
+def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = True):
     """:func:`plant_step` bound to its history arrays: a function of no arguments that returns y(k+1).
 
-    ``u_now`` may change in place between calls; the views into ``y_hist``
-    and the numpy callables are taken here once.
+    ``u_now`` and ``y_hist`` may change in place between calls; without
+    ``shift`` the caller shifts each new output into ``y_hist`` itself.  The
+    views into ``y_hist`` and the numpy callables are taken here once.
     """
     add, vecdot = np.add, np.vecdot
     b, a = p.b, p.a
@@ -90,8 +93,9 @@ def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
 
     def step():
         y_next = add(vecdot(u_now, b), vecdot(y_hist, a))
-        older[...] = newer
-        newest[...] = y_next[..., None]
+        if shift:
+            older[...] = newer
+            newest[...] = y_next[..., None]
         return y_next
 
     return step

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aldcontrol import (
     AldParams,
@@ -21,6 +22,7 @@ from aldcontrol import (
     run_episode,
     subsystem_log_likelihood,
 )
+from aldcontrol.controller import _ce_law
 
 
 class TestCeControl:
@@ -49,6 +51,29 @@ class TestCeControl:
             y_next = 0.5 * u - 1.41 * y[-1] + 0.9 * y[-2]
             assert y_next == pytest.approx(target, abs=1e-12)
             y.append(y_next)
+
+
+# estimates and regressors with both zeros, divisors near and below eps_b, and non-finite entries
+LAW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e-6, -1e-6, math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestFrozenLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 4), d=st.integers(1, 4), data=st.data())
+    def test_frozen_law_equals_the_moving_law_bit_for_bit(self, rows, d, data):
+        # a frozen bank's divisor is formed once; the moving law forms it at every call
+        w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
+        eta = np.zeros((rows, d - 1))
+        frozen, moving = _ce_law(w, eta, 1e-6, 1e3, frozen=True), _ce_law(w, eta, 1e-6, 1e3)
+        for _ in range(data.draw(st.integers(1, 5))):
+            eta[...] = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
+            y_r_next = np.array(data.draw(LAW_VALUES))
+            with np.errstate(all="ignore"):
+                u, u_moving = frozen(y_r_next), moving(y_r_next)
+                assert u.tobytes() == u_moving.tobytes() == ce_control(w, eta, y_r_next).tobytes()
 
 
 def log_lik(hyp, residual):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aldcontrol import (
     RLS_RULE,
@@ -12,6 +15,7 @@ from aldcontrol import (
     filter_step,
     quantile_rule,
 )
+from aldcontrol.estimator import _filter
 
 
 def bank(w0, P0, *lead):
@@ -134,6 +138,44 @@ class TestRlsStep:
             z = float(rng.normal(scale=2.0))
             filter_step(W, P, x, z, rule)
             assert np.max(np.abs(W[0] - W[1])) < 1e-10
+
+
+# regressor entries and measurements with both zeros, so residuals of either zero sign occur
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
+
+
+class TestUnitRule:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_unit_rule_step_equals_the_weighted_step_bit_for_bit(self, d, data):
+        # RLS's rule (1, 1, 0) skips the sign, the weight and the shift; as
+        # entry 0 of a stacked rule with a quantile entry it takes them all.
+        # Both banks have two entries, because the sign of a NaN that numpy
+        # propagates can depend on the length of the arrays.
+        steps = data.draw(st.integers(1, 12))
+        xs = data.draw(arrays(float, (steps, d), elements=SAMPLE_VALUES))
+        zs = data.draw(arrays(float, steps, elements=st.one_of(SAMPLE_VALUES, NON_FINITE)))
+        x, w0 = np.zeros(d), data.draw(arrays(float, d, elements=SAMPLE_VALUES))
+        W, P = bank(w0, 10.0 * np.eye(d), 2)
+        W2, P2 = bank(w0, 10.0 * np.eye(d), 2)
+        unit = _filter(W, P, x, concat(RLS_RULE, RLS_RULE))
+        weighted = _filter(W2, P2, x, concat(RLS_RULE, quantile_rule([AldParams(0.8, 0.1, 0.5)])))
+        for x_k, z in zip(xs, zs):
+            x[...] = x_k
+            with np.errstate(all="ignore"):
+                (r, neg), (r2, neg2) = unit(z), weighted(z)
+            assert neg is None and neg2.shape == (2,)
+            assert r[0].tobytes() == r2[0].tobytes()
+            assert W[0].tobytes() == W2[0].tobytes() and P[0].tobytes() == P2[0].tobytes()
+
+    @pytest.mark.parametrize("shift,unit", [(0.0, True), (-0.0, False), (1e-300, False)])
+    def test_unit_rule_is_told_by_value(self, shift, unit):
+        # r - (-0.0) turns a -0.0 residual into +0.0, so a -0.0 shift is not skipped
+        W, P = bank([0.0], [[1.0]], 3)
+        rule = (np.ones(3), np.ones(3), np.array([0.0, shift, 0.0]))
+        _, neg = _filter(W, P, np.ones(1), rule)(1.0)
+        assert (neg is None) == unit
 
 
 class TestBatchWeightedLs:

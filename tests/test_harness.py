@@ -27,6 +27,7 @@ from aldcontrol import (
     load_config,
     max_tracking_error,
     monte_carlo,
+    parse_controller,
     compare_controllers,
     preset_config,
     read_summary_csv,
@@ -110,8 +111,8 @@ class TestRunEpisode:
         # every controller's loop steps the plant: a bug raised there at step 5 must surface, not fail the episode
         bound = harness._plant
 
-        def broken(*args):
-            step, calls = bound(*args), []
+        def broken(*args, **kwargs):
+            step, calls = bound(*args, **kwargs), []
 
             def plant():
                 calls.append(None)
@@ -159,6 +160,10 @@ RARE_HUGE = NoiseModel(
     (MixtureComponent(0.998, AldParams(0.95, 0.0, 0.01)), MixtureComponent(0.002, AldParams(0.5, 0.0, 1e300)))
 )
 
+# the same with outliers ten times as often: most runs of 150 steps fail
+OFTEN_HUGE = NoiseModel(
+    (MixtureComponent(0.98, AldParams(0.95, 0.0, 0.01)), MixtureComponent(0.02, AldParams(0.5, 0.0, 1e300)))
+)
 
 TOKENS = ["ensemble", "rls", "oracle", "single-ald:0", "single-ald:1"]
 PLANTS = [None, ArxParams([0.5], [1.0, 0.3]), ArxParams([], [0.8]), ArxParams([0.3, -0.2, 0.1], [0.6])]
@@ -231,6 +236,33 @@ class TestBatchedCore:
                 else:
                     assert np.all(np.isfinite(trace.y)) and np.all(np.isfinite(trace.w_hat))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        preset=st.sampled_from(PRESETS),
+        # every run on this plant overflows within a few steps, the oracle's too
+        plant=st.sampled_from([*PLANTS, ArxParams([1e100], [1.0])]),
+        feedback=st.sampled_from(FEEDBACK_KINDS),
+        noise=st.sampled_from([None, OFTEN_HUGE, ZERO_NOISE]),
+        tokens=st.lists(st.sampled_from(["rls", "oracle", "single-ald:0"]), min_size=1, max_size=3, unique=True),
+        steps=st.integers(2, 150),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+    )
+    def test_batch_shortcuts_equal_the_rows_of_a_stacked_batch(self, preset, plant, feedback, noise, tokens, steps, seeds):
+        # Without an ensemble a batch is unscored, and its posteriors are
+        # written once after the loop; an rls batch alone has the unit rule,
+        # and an oracle batch alone is frozen, its W written once after the
+        # loop and its divisor formed once.  Beside an ensemble every row
+        # takes the general path: a stacked weight rule, a moving law and
+        # records copied every step.  OFTEN_HUGE's 1e300 draws make runs fail.
+        cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback), plant)
+        cfg = cfg if noise is None else replace(cfg, noise=noise)
+        cfgs = [replace(cfg, controller=token) for token in tokens]
+        stacked = run_batch([replace(cfg, controller="ensemble"), *cfgs], seeds)[1:]
+        for c, general, unscored in zip(cfgs, stacked, run_batch(cfgs, seeds)):
+            for trace, other, alone in zip(general, unscored, run_batch([c], seeds)[0]):
+                assert_same_trace(other, trace)
+                assert_same_trace(alone, trace)
+
     def test_one_subsystem_bank_is_not_scored(self, base):
         # A one-subsystem bank has nothing to weigh: its posterior is the
         # constant 1.0 even where scoring it would overflow (an outlier under
@@ -300,6 +332,21 @@ class TestBatchedCore:
             compare_controllers(cfg, tokens, runs, (1, 20))
             assert len(rows) == chunks and sum(rows) == runs * len(tokens)
             assert max(rows) <= harness._BATCH_RUNS
+
+    def test_a_chunk_holds_one_seed_of_every_controller_beyond_the_row_bound(self, base, monkeypatch):
+        # with more controllers C than _BATCH_RUNS rows, a chunk is one seed of C rows
+        cfg, tokens = short(base, steps=20), ["ensemble", "rls", "oracle"]
+        expected = compare_controllers(cfg, tokens, 3, (1, 20))
+        rows = []
+        batch = harness._run_batch
+        monkeypatch.setattr(harness, "_BATCH_RUNS", 2)
+        monkeypatch.setattr(
+            harness, "_run_batch", lambda cfgs, seeds, tape: rows.append(len(cfgs) * len(seeds)) or batch(cfgs, seeds, tape)
+        )
+        summaries = compare_controllers(cfg, tokens, 3, (1, 20))
+        assert rows == [3, 3, 3]
+        for s, e in zip(summaries, expected):
+            assert s.j_runs.tobytes() == e.j_runs.tobytes()
 
 
 class TestMetrics:
@@ -394,6 +441,20 @@ class TestMetrics:
         with pytest.raises(ValueError, match=f"need at least one run, got {runs}"):
             monte_carlo(short(base, steps=20), runs, (1, 20))
         assert calls == []
+
+    @pytest.mark.parametrize("runs", [2.0, True, np.float64(2), "2"], ids=["float", "bool", "numpy-float", "str"])
+    def test_compare_controllers_rejects_a_run_count_that_is_not_an_integer(self, base, monkeypatch, runs):
+        calls = []
+        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            compare_controllers(short(base, steps=20), ["ensemble", "rls"], runs, (1, 20))
+        assert calls == []
+
+    def test_compare_controllers_accepts_a_numpy_run_count(self, base):
+        cfg = short(base, steps=20)
+        a = monte_carlo(cfg, np.int64(2), (1, 20))
+        assert a.j_runs.tobytes() == monte_carlo(cfg, 2, (1, 20)).j_runs.tobytes()
 
     def test_compare_controllers_reuses_seeds(self, base):
         cfg = short(base, steps=60, seed=3)
@@ -710,6 +771,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="w0"):
             config_from_dict(minimal_doc(estimator={"w0": [0.1, 0.1]}))
 
+    @pytest.mark.parametrize("field", ["steps", "seed"])
+    @pytest.mark.parametrize(
+        "value", [100.0, 3.0, True, np.float64(100.0), "100"], ids=["float", "float-3", "bool", "numpy-float", "str"]
+    )
+    def test_non_integer_steps_or_seed_rejected(self, base, field, value):
+        with pytest.raises(ConfigError, match=rf"run\.{field} must be an integer"):
+            replace(base, **{field: value})
+
+    def test_numpy_integer_steps_and_seed_accepted(self, base):
+        cfg = replace(base, steps=np.int64(20), seed=np.int32(3))
+        assert_same_trace(run_episode(cfg), run_episode(replace(base, steps=20, seed=3)))
+
+    @pytest.mark.parametrize(
+        "token", ["single-ald:+1", "single-ald: 1", "single-ald:0_1", "single-ald:1 ", "single-ald:\u0661",
+                  "single-ald:\u00b9", "single-ald:-1", "single-ald:", "single-ald:1.0", "single-ald:0x1"]
+    )
+    def test_single_ald_index_is_ascii_digits_only(self, token):
+        with pytest.raises(ConfigError, match="bad single-ald index"):
+            parse_controller(token)
+
+    @pytest.mark.parametrize("token,index", [("single-ald:0", 0), ("single-ald:12", 12), ("single-ald:01", 1)])
+    def test_single_ald_index_parsed(self, token, index):
+        assert parse_controller(token) == ("single_ald", index)
+
     def test_bad_controller_token(self):
         with pytest.raises(ConfigError, match="unknown controller"):
             config_from_dict(minimal_doc(run={"controller": "pid"}))
@@ -783,7 +868,7 @@ PRESET_EDITS = [
     (("run", "controller"), "pid", r"preset:base: run\.controller\b"),
     (("run", "controller"), "single-ald:2", r"preset:base: run\.controller\b"),
     (("run", "controller"), "single-ald:x", r"preset:base: run\.controller: bad single-ald index"),
-    (("run", "controller"), "single-ald:-1", r"preset:base: run\.controller: single-ald index must be nonnegative"),
+    (("run", "controller"), "single-ald:-1", r"preset:base: run\.controller: bad single-ald index"),
     (("run", "feedback"), "open", r"preset:base: run\.feedback\b"),
     (("estimator", "w0"), [0.1, 0.1], r"preset:base: estimator\.w0\b"),
     (("estimator", "w0"), [0.1, math.nan, 0.1], r"preset:base: estimator\.w0 entries must be finite"),

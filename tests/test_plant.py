@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from aldcontrol import (
@@ -22,6 +23,7 @@ from aldcontrol import (
     reference_trajectory,
     run_episode,
 )
+from aldcontrol.plant import _plant
 
 PLANT = ArxParams(a=np.array([-1.41, 0.9]), b=np.array([0.5]))
 
@@ -89,6 +91,28 @@ class TestPlantStep:
         w = parameter_vector(cfg.plant)
         for i in range(1, cfg.steps - 1):
             assert tr.u[i] == ce_control(w, np.array([tr.z[i], tr.z[i - 1]]), tr.y_r[i + 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 3), m=st.integers(1, 3), rows=st.integers(1, 3), data=st.data())
+    def test_plant_reading_the_regressor_equals_its_own_history_bit_for_bit(self, n, m, rows, data):
+        # under output feedback the episode loop's regressor x = [u(k)..u(k-m+1), y(k)..y(k-n+1)]
+        # is the plant's history: the plant reads x[:, m:] and the loop's shift of x moves it
+        values = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats(-1e3, 1e3))
+        a = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+        b = data.draw(arrays(float, m, elements=st.floats(0.1, 2.0)))
+        p = ArxParams(a, b)
+        x = data.draw(arrays(float, (rows, m + n), elements=values))
+        y_hist = x[:, m:].copy()
+        shared, own = _plant(p, x[:, :m], x[:, m:], shift=False), _plant(p, x[:, :m], y_hist)
+        for _ in range(data.draw(st.integers(1, 6))):
+            with np.errstate(all="ignore"):
+                y, y_own = shared(), own()
+            assert y.tobytes() == y_own.tobytes()
+            x[:, 1:] = x[:, :-1].copy()
+            if n:
+                x[:, m] = y
+            x[:, 0] = data.draw(arrays(float, rows, elements=values))
+            assert x[:, m:].tobytes() == y_hist.tobytes()
 
     def test_open_loop_is_unstable(self):
         companion = np.array([[PLANT.a[0], PLANT.a[1]], [1.0, 0.0]])
