@@ -14,21 +14,23 @@ forms the control's divisor once, the plant reads the regressor under
 output feedback, and records that never change are written once after the
 loop.  The measurement noise comes from a tape drawn from each
 seed's own stream, so a run does not depend on its batch, and
-:func:`run_episode` is the batch of one controller and one seed.
+:func:`run_episode` is the batch of one controller and one seed.  The core
+records what its caller reads: full traces for :func:`run_episode`, and for
+Monte Carlo only y and u per step, from which it returns windowed errors.
 
 Only banks of two or more subsystems are scored; a one-subsystem posterior
 is the constant 1.0.  A run fails at step i + 1 when row i is the first whose
 output, measurement, control or estimates are not finite (a NaN posterior
 makes the weighted control NaN at its step); from there on its rows are NaN.
-Monte Carlo summaries count failures and average the successes.  Any error
-raised while stepping propagates.
+Monte Carlo summaries count failures and average the successes; their runs
+fail by the same rule, read from the final estimates (see ``_run_batch``).
+Any error raised while stepping propagates.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import operator
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -38,7 +40,7 @@ import numpy as np
 from .config import RunConfig, _is_integer, parse_controller
 from .controller import _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
 from .estimator import RLS_RULE, _filter, quantile_rule
-from .noise import NoiseModel, mixture_sample
+from .noise import NoiseModel, _sampler
 from .plant import _plant, parameter_vector, reference_trajectory
 
 __all__ = [
@@ -113,17 +115,26 @@ def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
     """Measurement noise e(0)..e(steps) of each seed, one row per seed, from its scalar mixture stream."""
     tape = np.empty((len(seeds), steps + 1))
     for row, seed in zip(tape, seeds):
-        rng = np.random.default_rng(seed)
-        row[:] = [mixture_sample(noise, rng) for _ in range(steps + 1)]
+        draw = _sampler(noise, np.random.default_rng(seed))
+        row[:] = [draw() for _ in range(steps + 1)]
     return tape
 
 
-def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> list[list[EpisodeTrace]]:
+def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window: slice | None = None):
     """Episodes of every config in ``cfgs`` for every seed, stepped together on the noise ``tape`` (one row per seed).
 
     The configs differ only in their controller.  There is one state row per
     (controller, seed), and the traces come back per config in the order of
     ``cfgs``, each list in the order of ``seeds``.
+
+    Given the trace rows of a ``window``, the loop records only y and u and
+    returns the (configs, seeds) array of each run's :func:`accumulated_error`
+    over them, NaN for a failed run.  Failure needs no history of W: W
+    changes only by the in-place ``W += gain*innovation``, where inf + finite
+    is inf and inf - inf and NaN + x are NaN, so a non-finite entry stays
+    non-finite; a frozen W is the validated config's, and a padded subsystem
+    copies subsystem 0 bit for bit.  So W was non-finite at some step exactly
+    when it is at the end.
     """
     cfg = cfgs[0]
     plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
@@ -157,8 +168,11 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     feedback_z = cfg.feedback == "measurement"
 
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
-    posteriors = np.empty((rows, steps, n_sub))
-    w_hats = np.empty((rows, steps, n_sub, plant.d))
+    full = window is None
+    keep_post, keep_W = full and n_scored, full and n_learn  # records copied every step
+    if full:
+        posteriors = np.empty((rows, steps, n_sub))
+        w_hats = np.empty((rows, steps, n_sub, plant.d))
 
     # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
     # the control law sees eta = x[1:] and the estimators the previous step's x.
@@ -194,8 +208,8 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
     # change and are written once after the loop
     records = zip(
         tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T,
-        posteriors.transpose(1, 0, 2) if n_scored else repeat(None),
-        w_hats.transpose(1, 0, 2, 3) if n_learn else repeat(None),
+        posteriors.transpose(1, 0, 2) if keep_post else repeat(None),
+        w_hats.transpose(1, 0, 2, 3) if keep_W else repeat(None),
     )
 
     # a diverging run overflows; it is diagnosed after the loop
@@ -217,19 +231,25 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray) -> lis
             fed[...] = z if feedback_z else y
             u_new[...] = u = control(y_r_next)
             y_k[...], u_k[...] = y, u
-            if n_scored:
+            if keep_post:
                 post_k[...] = post
-            if n_learn:
+            if keep_W:
                 W_k[...] = W
+
+    noise = tape[:, 1:]
+    z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
+    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr)
+    if not full:
+        failed = ~finite.all(axis=1) | ~np.isfinite(W).all(axis=(1, 2))
+        err = y_arr[:, window] - refs[1 : steps + 1][window]
+        with np.errstate(over="ignore"):
+            j = np.array([np.nan if f else np.mean(e**2) for f, e in zip(failed, err)])
+        return j.reshape(len(cfgs), runs)[np.argsort(order)]
     if not n_scored:
         posteriors[...] = post[:, None]
     if not n_learn:
         w_hats[...] = W[:, None]
-
-    noise = tape[:, 1:]
-    z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
-
-    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr) & np.isfinite(w_hats).all(axis=(2, 3))
+    finite &= np.isfinite(w_hats).all(axis=(2, 3))
     failed = ~finite.all(axis=1)
     first = np.where(failed, np.argmin(finite, axis=1), steps)
     dead = np.arange(steps) >= first[:, None]
@@ -257,9 +277,11 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
-    """Trace rows of the inclusive window (k_lo, k_hi); its bounds are integers, numpy ones included."""
+    """Trace rows of the inclusive window (k_lo, k_hi); its bounds are integers, numpy ones included, bools not."""
     try:
-        lo, hi = map(operator.index, window)
+        if not all(map(_is_integer, window)):
+            raise TypeError
+        lo, hi = map(int, window)
     except TypeError:
         raise ValueError(f"window {window!r} bounds must be integers") from None
     if lo > hi:
@@ -324,7 +346,8 @@ def compare_controllers(
     controllers, one seed per chunk when C exceeds ``_BATCH_RUNS``, so
     memory stays bounded for any run count.  Its noise tape is drawn once
     and shared by every controller, so run i sees the same noise under every
-    controller.
+    controller.  A chunk keeps y and u per step and no trace, and gets each
+    run's :func:`accumulated_error` back from the core.
     A run that fails after the window still counts as failed (j = NaN), though
     :func:`accumulated_error` alone gives it a finite value.
     """
@@ -335,17 +358,13 @@ def compare_controllers(
         raise ValueError(f"runs must be an integer, got {runs!r}")
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    _window_slice(cfg.steps, window)
+    sel = _window_slice(cfg.steps, window)
     seeds = cfg.seed + np.arange(runs)
     j_runs = np.empty((len(cfgs), runs))
     chunk = max(1, _BATCH_RUNS // len(cfgs))
     for lo in range(0, runs, chunk):
         batch = [int(s) for s in seeds[lo : lo + chunk]]
-        # one expression, so no trace of this chunk is still referenced while the next one runs
-        j_runs[:, lo : lo + chunk] = [
-            [np.nan if trace.failed else accumulated_error(trace, window) for trace in traces]
-            for traces in _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps))
-        ]
+        j_runs[:, lo : lo + chunk] = _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps), sel)
     summaries = []
     for c, j in zip(cfgs, j_runs):
         ok = np.isfinite(j)

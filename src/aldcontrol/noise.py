@@ -11,13 +11,17 @@ below mu decays with scale sigma/(1-tau), the side above with scale sigma/tau.
 The mean is ``mu + sigma*(1-2*tau)/(tau*(1-tau))``.
 
 Measurement noise is modelled as a finite mixture of ALD and Gaussian
-components with strictly positive weights summing to one.
+components with strictly positive weights summing to one.  Its scalar draw
+(one uniform to pick the component, then the component's draws) is the
+stream episodes are simulated on; a loop of such draws binds it to the
+generator once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -124,12 +128,10 @@ def ald_sample(p: AldParams, rng: np.random.Generator, size: int | None = None):
     Each sample consumes one uniform and one standard-exponential draw, so the
     sequence is fully determined by the generator state.
     """
+    if size is None:
+        return _draw(p, rng)()
     u = rng.random(size)
     e = rng.exponential(1.0, size)
-    if size is None:
-        if u < p.tau:
-            return p.mu - e * p.sigma / (1.0 - p.tau)
-        return p.mu + e * p.sigma / p.tau
     return np.where(u < p.tau, p.mu - e * p.sigma / (1.0 - p.tau), p.mu + e * p.sigma / p.tau)
 
 
@@ -140,13 +142,54 @@ def gaussian_pdf(g: GaussianParams, x):
 
 
 def gaussian_sample(g: GaussianParams, rng: np.random.Generator, size: int | None = None):
-    return g.mean + math.sqrt(g.variance) * rng.standard_normal(size)
+    return _draw(g, rng)(size)
 
 
 def _component_pdf(dist: AldParams | GaussianParams, x):
     if isinstance(dist, AldParams):
         return ald_pdf(dist, x)
     return gaussian_pdf(dist, x)
+
+
+def _draw(dist: AldParams | GaussianParams, rng: np.random.Generator):
+    """One draw from the component ``dist``, bound to ``rng`` once: a function of no arguments.
+
+    An ALD draw is ``rng.random()`` then ``rng.standard_exponential()``, the
+    double that ``rng.exponential(1.0)`` multiplies by 1.0.  A Gaussian draw's
+    function also takes a size.
+    """
+    if isinstance(dist, GaussianParams):
+        mean, scale, normal = dist.mean, math.sqrt(dist.variance), rng.standard_normal
+        return lambda size=None: mean + scale * normal(size)
+    uniform, exponential = rng.random, rng.standard_exponential
+    tau, mu, sigma, rest = dist.tau, dist.mu, dist.sigma, 1.0 - dist.tau
+
+    def draw():
+        if uniform() < tau:
+            return mu - exponential() * sigma / rest
+        return mu + exponential() * sigma / tau
+
+    return draw
+
+
+def _sampler(m: NoiseModel, rng: np.random.Generator):
+    """:func:`mixture_sample`'s scalar draw bound to ``rng`` once: a function of no arguments.
+
+    The weights are summed left to right and each component's constants and
+    generator methods are taken here, so a draw pays for its arithmetic alone.
+    """
+    uniform = rng.random
+    *picks, (_, last) = zip(accumulate(c.weight for c in m.components), [_draw(c.dist, rng) for c in m.components])
+
+    def sample():
+        # the last component also takes the draws above a total weight rounded below 1
+        v = uniform()
+        for edge, draw in picks:
+            if v < edge:
+                return draw()
+        return last()
+
+    return sample
 
 
 def _component_sample(dist: AldParams | GaussianParams, rng: np.random.Generator, size=None):
@@ -165,20 +208,15 @@ def mixture_pdf(m: NoiseModel, x):
 def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = None):
     """Draw from the mixture: pick a component by weight, then draw from it.
 
-    The scalar path consumes one uniform plus the chosen component's draws and
-    is the path used by episode simulation; the vectorized path draws every
-    component in blocks and selects, so it consumes the stream differently.
+    The scalar path consumes one uniform plus the chosen component's draws:
+    the component is the first whose cumulative weight exceeds the uniform,
+    or the last.  Episode simulation draws its noise through this path bound
+    to a seed's generator once (``_sampler``).  The vectorized path draws
+    every component in blocks and selects, so it consumes the stream
+    differently.
     """
     if size is None:
-        v = rng.random()
-        acc = 0.0
-        comp = m.components[-1]
-        for c in m.components:
-            acc += c.weight
-            if v < acc:
-                comp = c
-                break
-        return _component_sample(comp.dist, rng)
+        return _sampler(m, rng)()
 
     sel = rng.random(size)
     edges = np.cumsum([c.weight for c in m.components])

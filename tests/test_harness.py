@@ -143,6 +143,19 @@ def run_batch(cfgs, seeds):
     return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
 
 
+def count_core_rows(monkeypatch) -> list[int]:
+    """Spy on the core: the (controller, seed) row count of every later ``_run_batch`` call, in call order."""
+    rows, batch = [], harness._run_batch
+
+    def spy(*args, **kwargs):
+        cfgs, seeds = args[:2]
+        rows.append(len(cfgs) * len(seeds))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_batch", spy)
+    return rows
+
+
 def assert_prefix(part, whole):
     """``part``, the same run cut short, is ``whole``'s first rows bit for bit and fails only where ``whole`` does."""
     steps = part.steps
@@ -313,18 +326,19 @@ class TestBatchedCore:
 
     def test_compare_controllers_draws_the_noise_once(self, base, monkeypatch):
         calls = []
-        draw = harness.mixture_sample
-        monkeypatch.setattr(harness, "mixture_sample", lambda *args: calls.append(1) or draw(*args))
+        bind = harness._sampler
+
+        def counting(*args):
+            draw = bind(*args)
+            return lambda: calls.append(1) or draw()
+
+        monkeypatch.setattr(harness, "_sampler", counting)
         compare_controllers(short(base, steps=20), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 20))
         assert len(calls) == 3 * 21
 
     @pytest.mark.parametrize("tokens", [["ensemble", "rls", "single-ald:0", "oracle"], ["oracle", "ensemble", "rls"]])
     def test_compare_controllers_makes_one_core_call_per_chunk(self, base, monkeypatch, tokens):
-        rows = []
-        batch = harness._run_batch
-        monkeypatch.setattr(
-            harness, "_run_batch", lambda cfgs, seeds, tape: rows.append(len(cfgs) * len(seeds)) or batch(cfgs, seeds, tape)
-        )
+        rows = count_core_rows(monkeypatch)
         per_chunk = harness._BATCH_RUNS // len(tokens)
         cfg = short(base, steps=20)
         for runs, chunks in ((1, 1), (per_chunk, 1), (per_chunk + 1, 2), (2 * per_chunk + 1, 3)):
@@ -337,16 +351,126 @@ class TestBatchedCore:
         # with more controllers C than _BATCH_RUNS rows, a chunk is one seed of C rows
         cfg, tokens = short(base, steps=20), ["ensemble", "rls", "oracle"]
         expected = compare_controllers(cfg, tokens, 3, (1, 20))
-        rows = []
-        batch = harness._run_batch
         monkeypatch.setattr(harness, "_BATCH_RUNS", 2)
-        monkeypatch.setattr(
-            harness, "_run_batch", lambda cfgs, seeds, tape: rows.append(len(cfgs) * len(seeds)) or batch(cfgs, seeds, tape)
-        )
+        rows = count_core_rows(monkeypatch)
         summaries = compare_controllers(cfg, tokens, 3, (1, 20))
         assert rows == [3, 3, 3]
         for s, e in zip(summaries, expected):
             assert s.j_runs.tobytes() == e.j_runs.tobytes()
+
+
+def recording(factory, outputs: list):
+    """``factory`` whose bound step also appends a copy of each result to ``outputs``."""
+
+    def bind(*args, **kwargs):
+        step = factory(*args, **kwargs)
+
+        def recorded(*a):
+            out = step(*a)
+            outputs.append(np.array(out))
+            return out
+
+        return recorded
+
+    return bind
+
+
+def traced_j_runs(cfg, token, runs, window):
+    """compare_controllers' j_runs from full traces: each run's accumulated_error, NaN if it failed or is not finite."""
+    traces = [run_episode(replace(cfg, controller=token, seed=cfg.seed + i)) for i in range(runs)]
+    j = np.array([np.nan if t.failed else accumulated_error(t, window) for t in traces])
+    j[~np.isfinite(j)] = np.nan
+    return j
+
+
+class TestSummaryConsumer:
+    """compare_controllers keeps y and u per step and no trace; its errors and failures are the full traces'."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        preset=st.sampled_from(PRESETS),
+        # every run on the last plant overflows within a few steps, the oracle's too
+        plant=st.sampled_from([*PLANTS, ArxParams([1e100], [1.0])]),
+        feedback=st.sampled_from(FEEDBACK_KINDS),
+        noise=st.sampled_from([None, OFTEN_HUGE, ZERO_NOISE]),
+        # a hypothesis so narrow that an outlier's log-likelihood is -inf: the ensemble's posterior turns NaN
+        narrow=st.booleans(),
+        u_max=st.sampled_from([None, 1e-12]),
+        tokens=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
+        steps=st.integers(2, 120),
+        seed=st.integers(0, 1000),
+        runs=st.integers(1, 4),
+        batch_runs=st.integers(1, 6),
+        bounds=st.tuples(st.integers(1, 1400), st.integers(1, 1400)),
+    )
+    # rls under u_max = 1e-12 drifts off and fails at step 1160
+    @example("base", None, "output", None, False, 1e-12, ["rls", "ensemble"], 1400, 0, 2, 512, (100, 1400))
+    def test_errors_and_failures_equal_the_full_traces(
+        self, preset, plant, feedback, noise, narrow, u_max, tokens, steps, seed, runs, batch_runs, bounds
+    ):
+        cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback, seed=seed), plant)
+        if noise is not None:
+            cfg = replace(cfg, noise=noise)
+        if narrow:
+            cfg = replace(cfg, hypotheses=(AldParams(0.95, 0.0, 1e-12), *cfg.hypotheses[1:]))
+        if u_max is not None:
+            cfg = replace(cfg, u_max=u_max)
+        window = tuple(sorted(min(b, steps) for b in bounds))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BATCH_RUNS", batch_runs)
+            summaries = compare_controllers(cfg, tokens, runs, window)
+        for token, s in zip(tokens, summaries):
+            j = traced_j_runs(cfg, token, runs, window)
+            assert s.j_runs.tobytes() == j.tobytes(), token
+            assert s.runs_failed == int(np.isnan(j).sum()), token
+
+    @pytest.mark.parametrize("token", ["rls", "ensemble"])
+    @pytest.mark.parametrize("k", [17, 40])
+    def test_estimate_alone_turning_non_finite_fails_the_run_in_both_paths(self, base, monkeypatch, token, k):
+        # At step k the filter step sets run 0's b1 estimates to inf.  The
+        # law's divisor is then inf, so u(k) = 0: y, z and u stay finite at
+        # step k, and at the last step (k = 40) only W says the run failed.
+        cfg = short(base, steps=40, controller=token)
+        clean = compare_controllers(cfg, [token], 2, (1, 40))[0]
+        assert clean.runs_failed == 0
+        noise = run_episode(cfg).noise
+        bind = harness._filter
+
+        def injecting(W, *args):
+            step, calls = bind(W, *args), []
+
+            def filter_k(z):
+                out = step(z)
+                calls.append(None)
+                if len(calls) == k:
+                    W[0, :, 0] = np.inf
+                return out
+
+            return filter_k
+
+        ys, us = [], []
+        monkeypatch.setattr(harness, "_filter", injecting)
+        monkeypatch.setattr(harness, "_plant", recording(harness._plant, ys))
+        for name in ("_ce_law", "_ensemble_law"):
+            monkeypatch.setattr(harness, name, recording(getattr(harness, name), us))
+        trace = run_episode(cfg)
+        assert (trace.failed, trace.fail_step) == (True, k)
+        # ys[k - 1] is y(k) and us[k] is u(k), after u(0)
+        assert np.isfinite(ys[k - 1] + noise[k - 1]).all() and np.isfinite(us[k]).all()
+        [summary] = compare_controllers(cfg, [token], 2, (1, 40))
+        assert np.isnan(summary.j_runs[0]) and summary.runs_failed == 1
+        assert summary.j_runs[1] == clean.j_runs[1]
+
+    def test_monte_carlo_builds_no_trace(self, base, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a Monte Carlo summary built an EpisodeTrace")
+
+        cfg = short(base, steps=30)
+        expected = [traced_j_runs(cfg, token, 3, (5, 30)) for token in TOKENS]
+        monkeypatch.setattr(harness, "EpisodeTrace", no_trace)
+        assert monte_carlo(cfg, 3, (5, 30)).j_runs.tobytes() == expected[0].tobytes()
+        for s, j in zip(compare_controllers(cfg, TOKENS, 3, (5, 30)), expected):
+            assert s.j_runs.tobytes() == j.tobytes()
 
 
 class TestMetrics:
@@ -368,7 +492,8 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accumulated_error(tr, (1, 41))
 
-    @pytest.mark.parametrize("window", [(1.5, 20), (1, 20.5)])
+    # a bool is not a step number, though Python reads True as 1
+    @pytest.mark.parametrize("window", [(1.5, 20), (1, 20.5), (True, 20), (1, np.True_)])
     def test_non_integral_window_rejected(self, base, window):
         cfg = short(base, steps=40)
         tr = run_episode(cfg)

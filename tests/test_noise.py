@@ -12,10 +12,12 @@ from aldcontrol import (
     ald_mean,
     ald_pdf,
     ald_sample,
+    gaussian_sample,
     mixture_pdf,
     mixture_sample,
     pinball_loss,
 )
+from aldcontrol.noise import _sampler
 
 BASE_MIXTURE = NoiseModel(
     (
@@ -258,3 +260,91 @@ class TestPinballLoss:
             pinball_loss(0.0, 1.0)
         with pytest.raises(ValueError):
             pinball_loss(1.0, 1.0)
+
+
+def reference_draw(m: NoiseModel, rng) -> float:
+    """One scalar mixture draw as a plain loop: a uniform picks the first
+    component whose running weight sum exceeds it (else the last), then that
+    component draws a uniform and an exponential (ALD) or a normal."""
+    v = rng.random()
+    acc = 0.0
+    comp = m.components[-1]
+    for c in m.components:
+        acc += c.weight
+        if v < acc:
+            comp = c
+            break
+    d = comp.dist
+    if isinstance(d, GaussianParams):
+        return d.mean + math.sqrt(d.variance) * rng.standard_normal()
+    u = rng.random()
+    e = rng.exponential(1.0)
+    if u < d.tau:
+        return d.mu - e * d.sigma / (1.0 - d.tau)
+    return d.mu + e * d.sigma / d.tau
+
+
+SCALAR_MIXTURES = {
+    "ald": NoiseModel((MixtureComponent(1.0, AldParams(0.85, 0.3, 0.5)),)),
+    "gaussian": NoiseModel((MixtureComponent(1.0, GaussianParams(-1.0, 2.0)),)),
+    "three": NoiseModel(
+        (
+            MixtureComponent(0.6, AldParams(0.95, 0.0, 0.01)),
+            MixtureComponent(0.3, GaussianParams(2.0, 0.01)),
+            MixtureComponent(0.1, AldParams(0.5, -1.0, 2.0)),
+        )
+    ),
+    # the weights sum to 1 - 1e-13: the last component takes the remainder
+    "short": NoiseModel(
+        (
+            MixtureComponent(0.5, AldParams(0.95, 0.0, 0.01)),
+            MixtureComponent(0.3, GaussianParams(0.0, 2.0)),
+            MixtureComponent(0.2 - 1e-13, AldParams(0.85, 2.0, 0.01)),
+        )
+    ),
+}
+
+
+class ScalarTopOfUnitRng:
+    """Stub scalar generator: every uniform is the largest float below 1, every exponential and normal 1.5."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+    def exponential(self, scale):
+        return scale * 1.5
+
+    def standard_exponential(self):
+        return 1.5
+
+    def standard_normal(self, size=None):
+        return 1.5
+
+
+class TestBoundSampler:
+    @pytest.mark.parametrize("name", SCALAR_MIXTURES)
+    def test_draws_equal_the_reference_loop_bit_for_bit(self, name):
+        # 10^5 draws reach the ziggurat's rare branch of the exponential and normal draws
+        m, n = SCALAR_MIXTURES[name], 100_000
+        ours, ref = np.random.default_rng(31), np.random.default_rng(31)
+        draw = _sampler(m, ours)
+        got = np.array([draw() for _ in range(n)])
+        assert got.tobytes() == np.array([reference_draw(m, ref) for _ in range(n)]).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        # the public scalar draw takes the same path
+        assert [mixture_sample(m, ours) for _ in range(1000)] == [reference_draw(m, ref) for _ in range(1000)]
+
+    def test_component_draws_equal_the_reference_loop(self):
+        ours, ref = np.random.default_rng(37), np.random.default_rng(37)
+        for c in SCALAR_MIXTURES["three"].components:
+            alone = NoiseModel((MixtureComponent(1.0, c.dist),))
+            sample = ald_sample if isinstance(c.dist, AldParams) else gaussian_sample
+            for _ in range(1000):
+                ours.random()  # the reference's pick of its only component
+                assert sample(c.dist, ours) == reference_draw(alone, ref)
+
+    def test_draw_above_a_rounded_total_weight_uses_the_last_component(self):
+        m = SCALAR_MIXTURES["short"]
+        last = m.components[-1].dist
+        expected = last.mu + 1.5 * last.sigma / last.tau  # above the location, since the uniform exceeds tau
+        assert _sampler(m, ScalarTopOfUnitRng())() == reference_draw(m, ScalarTopOfUnitRng()) == expected
