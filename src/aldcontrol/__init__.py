@@ -19,13 +19,13 @@ from .controller import (
     DEFAULT_EPS_B,
     DEFAULT_U_MAX,
     POSTERIOR_FLOOR,
-    ce_control,
-    ensemble_control,
+    bind_ce_law,
+    bind_ensemble_law,
+    bind_posterior,
     likelihood_table,
-    posterior_update,
     subsystem_log_likelihood,
 )
-from .estimator import RLS_RULE, batch_weighted_ls, filter_step, quantile_rule
+from .estimator import RLS_RULE, batch_weighted_ls, bind_filter, quantile_rule
 from .harness import (
     EpisodeTrace,
     McSummary,
@@ -57,8 +57,8 @@ from .plant import (
     TRAJECTORY_KINDS,
     ArxParams,
     TrajectorySpec,
+    bind_plant,
     parameter_vector,
-    plant_step,
     reference_trajectory,
 )
 

@@ -268,6 +268,8 @@ def load_config(path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

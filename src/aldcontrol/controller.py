@@ -4,8 +4,11 @@ Each noise hypothesis defines a subsystem with its own quantile-filter
 estimate and posterior probability.  The ensemble control signal is the
 posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 Every function works over leading dimensions, with the subsystem axis S
-last, so one call serves a whole batch of runs.  A law bound to estimates
-that never change (a frozen bank) forms its safeguarded divisor once.
+last, so one call serves a whole batch of runs.  The posterior update and
+the two laws are bound to their arrays once (:func:`bind_posterior`,
+:func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped; a law bound
+to estimates that never change (a frozen bank) forms its safeguarded divisor
+once.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ __all__ = [
     "DEFAULT_EPS_B",
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
-    "ce_control",
+    "bind_ce_law",
     "likelihood_table",
     "subsystem_log_likelihood",
-    "posterior_update",
-    "ensemble_control",
+    "bind_posterior",
+    "bind_ensemble_law",
 ]
 
 # Divisor safeguard and saturation for the certainty-equivalence law; early
@@ -34,13 +37,18 @@ DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
 
 
-def _ce_law(w, eta, eps_b: float, u_max: float, frozen: bool = False):
-    """:func:`ce_control` bound to the estimates ``w`` and regressors ``eta``: a function of ``y_r_next``.
+def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_MAX, frozen: bool = False):
+    """The certainty-equivalence law bound to the estimates ``w`` and regressors ``eta``: a function of ``y_r_next``.
 
-    ``eta`` may change in place between calls, and so may ``w`` unless it is
-    ``frozen``; then the safeguarded divisor is formed here once instead of
-    at every call.  The views into them and the numpy callables are taken
-    here once.
+    Each call returns the input (y_r_next - eta'alpha)/b1 for the estimates
+    w = [b1, alpha...]; ``w`` (..., d), ``eta`` (..., d-1), the regressor
+    without u(k), and ``y_r_next`` broadcast.  Divisors smaller than
+    ``eps_b`` in magnitude are replaced by ``eps_b*sign(b1)`` with
+    sign(0) = +1, and the result is clamped to [-u_max, u_max].  Non-finite
+    inputs give a non-finite or clamped result.  ``eta`` may change in place
+    between calls, and so may ``w`` unless it is ``frozen``; then the
+    safeguarded divisor is formed here once instead of at every call.  The
+    views into them and the numpy callables are taken here once.
     """
     absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
     maximum, minimum, vecdot = np.maximum, np.minimum, np.vecdot
@@ -59,23 +67,6 @@ def _ce_law(w, eta, eps_b: float, u_max: float, frozen: bool = False):
         return minimum(maximum(u, u_min), u_max)
 
     return law
-
-
-def ce_control(
-    w,
-    eta,
-    y_r_next: float,
-    eps_b: float = DEFAULT_EPS_B,
-    u_max: float = DEFAULT_U_MAX,
-):
-    """Certainty-equivalence input (y_r_next - eta'alpha)/b1 for estimates w = [b1, alpha...].
-
-    ``w`` (..., d) and ``eta`` (..., d-1), the regressor without u(k),
-    broadcast.  Divisors smaller than ``eps_b`` in magnitude are replaced by
-    ``eps_b*sign(b1)`` with sign(0) = +1, and the result is clamped to
-    [-u_max, u_max].  Non-finite inputs give a non-finite or clamped result.
-    """
-    return _ce_law(w, eta, eps_b, u_max)(y_r_next)
 
 
 def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -104,10 +95,16 @@ def subsystem_log_likelihood(table, residual):
     return _log_likelihood(table, residual, residual < 0.0)
 
 
-def _bayes(post: np.ndarray):
-    """:func:`posterior_update` bound to the posteriors ``post``: a function of the log-likelihoods.
+def bind_posterior(post: np.ndarray):
+    """The Bayes update bound to the subsystem posteriors ``post`` (..., S): a function of the log-likelihoods.
 
-    Each call updates ``post`` in place.
+    Each call updates ``post`` in place by log-likelihoods along the last
+    axis, computed in the log domain with max-subtraction; the result is
+    renormalized and floored at :data:`POSTERIOR_FLOOR` so a temporarily
+    discredited subsystem can recover.  A non-finite log-likelihood gives
+    non-finite posteriors and so a non-finite weighted control, which the
+    episode loop (it scores banks of two or more subsystems) diagnoses as
+    divergence.
     """
     exp, subtract, multiply, divide, maximum = np.exp, np.subtract, np.multiply, np.divide, np.maximum
     peak, total = np.maximum.reduce, np.add.reduce
@@ -124,43 +121,18 @@ def _bayes(post: np.ndarray):
     return update
 
 
-def posterior_update(post: np.ndarray, log_lik) -> np.ndarray:
-    """Bayes update of the subsystem posteriors ``post`` (..., S) by log-likelihoods along the last axis.
+def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_MAX):
+    """The ensemble law bound to its arrays: a function of ``y_r_next``.
 
-    Computed in the log domain with max-subtraction; the result is
-    renormalized and floored at :data:`POSTERIOR_FLOOR` so a temporarily
-    discredited subsystem can recover.  A non-finite log-likelihood gives
-    non-finite posteriors and so a non-finite weighted control, which the
-    episode loop (it scores banks of two or more subsystems) diagnoses as
-    divergence.  Returns the new posteriors; ``post`` is unchanged.
+    Each call returns the posterior-weighted sum of the certainty-equivalence
+    laws (:func:`bind_ce_law`) of the estimates ``W`` (..., S, d) under the
+    posteriors ``post`` (..., S); ``eta`` (..., d-1) is shared by the S
+    subsystems.  All three may change in place between calls.
     """
-    log_lik = np.asarray(log_lik, dtype=float)
-    post = np.array(np.broadcast_to(post, np.broadcast_shapes(np.shape(post), log_lik.shape)), dtype=float)
-    _bayes(post)(log_lik)
-    return post
-
-
-def _ensemble_law(post, W, eta, eps_b: float, u_max: float):
-    """:func:`ensemble_control` bound to its arrays: a function of ``y_r_next``."""
     multiply, total = np.multiply, np.add.reduce
-    laws = _ce_law(W, eta[..., None, :], eps_b, u_max)
+    laws = bind_ce_law(W, eta[..., None, :], eps_b, u_max)
 
     def law(y_r_next):
         return total(multiply(post, laws(y_r_next)), -1)
 
     return law
-
-
-def ensemble_control(
-    post,
-    W,
-    eta,
-    y_r_next: float,
-    eps_b: float = DEFAULT_EPS_B,
-    u_max: float = DEFAULT_U_MAX,
-):
-    """Posterior-weighted sum of the certainty-equivalence laws of the estimates W (..., S, d).
-
-    ``post`` is (..., S) and ``eta`` (..., d-1), shared by the S subsystems.
-    """
-    return _ensemble_law(post, W, eta, eps_b, u_max)(y_r_next)

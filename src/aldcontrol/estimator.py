@@ -1,9 +1,10 @@
 """Online parameter estimation: one weighted least-squares filter step, and the batch oracle.
 
-Every estimator is a bank of filters updated in place by :func:`filter_step`
-under a weight rule ``(p_neg, p_pos, shift)`` with one entry per filter: a
-sample is weighted ``p_neg`` for a negative prediction residual and ``p_pos``
-otherwise, and its innovation is the residual minus ``shift``.  The
+Every estimator is a bank of filters updated in place by the step that
+:func:`bind_filter` binds to its arrays, under a weight rule ``(p_neg, p_pos,
+shift)`` with one entry per filter: a sample is weighted ``p_neg`` for a
+negative prediction residual and ``p_pos`` otherwise, and its innovation is
+the residual minus ``shift``.  The
 iterative quantile filter of an asymmetric Laplace hypothesis has the rule
 ``(1 - tau, tau, ald_mean)`` (:func:`quantile_rule`); classic RLS has
 ``(1, 1, 0)`` (:data:`RLS_RULE`).  With tau = 1/2 and a zero-mean hypothesis
@@ -21,7 +22,7 @@ from .noise import AldParams, ald_mean
 __all__ = [
     "RLS_RULE",
     "quantile_rule",
-    "filter_step",
+    "bind_filter",
     "batch_weighted_ls",
 ]
 
@@ -35,14 +36,20 @@ def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, 
     return 1.0 - tau, tau, np.array([ald_mean(h) for h in hyps])
 
 
-def _filter(W: np.ndarray, P: np.ndarray, x, rule):
-    """:func:`filter_step` bound to its arrays: a function of ``z`` that returns ``(r, neg)``.
+def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
+    """The filter step bound to its arrays: a function of ``z`` that returns ``(r, neg)``.
 
-    ``neg`` is ``r < 0``, the sign that picked each sample weight, or None
-    under a unit rule (1, 1, +0.0): there ``p*v`` is ``v`` and ``r - 0.0`` is
-    ``r`` bit for bit, so the step skips the sign, the weight and the shift.
-    Every invariant view, constant and numpy callable is taken here once, so
-    a loop that steps the same arrays pays for the arithmetic alone.
+    Each call assimilates the sample (x, z) into the estimates ``W`` (..., d)
+    and covariances ``P`` (..., d, d) in place; ``x`` (..., d), which may
+    change in place between calls, ``z`` and the entries of ``rule``
+    broadcast over the leading dimensions of ``W``.  ``r`` is the prediction
+    residuals ``z - x'w`` (...) taken before the update, and ``neg`` is
+    ``r < 0``, the sign that picked each sample weight, or None under a unit
+    rule (1, 1, +0.0): there ``p*v`` is ``v`` and ``r - 0.0`` is ``r`` bit
+    for bit, so the step skips the sign, the weight and the shift.  ``P`` is
+    re-symmetrized after the update to suppress floating-point drift.  Every
+    invariant view, constant and numpy callable is taken here once, so a
+    loop that steps the same arrays pays for the arithmetic alone.
     """
     add, subtract, multiply, divide, less, where = np.add, np.subtract, np.multiply, np.divide, np.less, np.where
     vecdot, matvec, vecmat = np.vecdot, np.matvec, np.vecmat
@@ -74,23 +81,12 @@ def _filter(W: np.ndarray, P: np.ndarray, x, rule):
     return step
 
 
-def filter_step(W: np.ndarray, P: np.ndarray, x, z, rule) -> np.ndarray:
-    """Assimilate the sample (x, z) into the estimates ``W`` (..., d) and covariances ``P`` (..., d, d) in place.
-
-    ``x`` (..., d), ``z`` and the entries of ``rule`` broadcast over the
-    leading dimensions of ``W``.  Returns the prediction residuals
-    ``z - x'w`` (...) taken before the update.  ``P`` is re-symmetrized after
-    the update to suppress floating-point drift.
-    """
-    return _filter(W, P, x, rule)(z)[0]
-
-
 def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
     """Weighted least squares with a Gaussian-style prior (w0, P0).
 
     Solves  (P0^-1 + X' W X) w = P0^-1 w0 + X' W (z - offsets)  with
     W = diag(weights).  Run with the weights and offsets that a sequence of
-    :func:`filter_step` calls realized, it reproduces the recursive estimate
+    :func:`bind_filter` steps realized, it reproduces the recursive estimate
     up to rounding, so it is the filter's independent test oracle; with no
     rows it returns ``w0``.
 

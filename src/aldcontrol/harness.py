@@ -6,9 +6,11 @@ Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
 (rows, S), updated in place.  Each step applies the plant, assimilates the
 newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
-next reference value; each phase is a step function bound to the state
-arrays once per batch.  The controllers differ only in the bank set up
-before the loop, and each binding skips the exact no-ops its batch allows:
+next reference value.  Each phase is its module's public step, bound to the
+state arrays once per batch: ``bind_plant``, ``bind_filter``,
+``bind_posterior``, and ``bind_ensemble_law`` or ``bind_ce_law``.  The
+controllers differ only in the bank set up before the loop, and each
+binding skips the exact no-ops its batch allows:
 an all-``rls`` batch skips the sign and weight, an ``oracle``-only batch
 forms the control's divisor once, the plant reads the regressor under
 output feedback, and records that never change are written once after the
@@ -38,10 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _is_integer, parse_controller
-from .controller import _bayes, _ce_law, _ensemble_law, _log_likelihood, likelihood_table
-from .estimator import RLS_RULE, _filter, quantile_rule
+from .controller import _log_likelihood, bind_ce_law, bind_ensemble_law, bind_posterior, likelihood_table
+from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
-from .plant import _plant, parameter_vector, reference_trajectory
+from .plant import bind_plant, parameter_vector, reference_trajectory
 
 __all__ = [
     "EpisodeTrace",
@@ -96,7 +98,7 @@ class EpisodeTrace:
 def _bank(cfg: RunConfig):
     """Subsystem bank of one controller: (likelihood table, weight rule, W (S, d)).
 
-    The rule is :func:`~aldcontrol.estimator.filter_step`'s, one entry per
+    The rule is :func:`~aldcontrol.estimator.bind_filter`'s, one entry per
     subsystem.  Only a bank of two or more subsystems has a table, and only
     its posteriors are scored; a bank without a rule keeps W frozen.
     """
@@ -187,19 +189,19 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window
     # Under output feedback x[:, m:] holds y(k)..y(k-n+1) at every plant
     # step, so the plant reads it and shifts no history of its own.
     if feedback_z:
-        step_plant = _plant(plant, u_now, np.zeros((rows, plant.n)))
+        step_plant = bind_plant(plant, u_now, np.zeros((rows, plant.n)))
     else:
-        step_plant = _plant(plant, u_now, x[:, m:], shift=False)
-    step_filter = _filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
-    update_post = _bayes(post[:n_scored])
+        step_plant = bind_plant(plant, u_now, x[:, m:], shift=False)
+    step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
+    update_post = bind_posterior(post[:n_scored])
     cut = n_scored < n_learn  # the learning rows extend past the scored ones
     # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
     # 1.0*u is u: its control is subsystem 0's law itself; with no row
     # learning W is frozen, and the law forms its divisor once
     control = (
-        _ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max, frozen=not n_learn)
+        bind_ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max, frozen=not n_learn)
         if n_sub == 1
-        else _ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
+        else bind_ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
     )
     add = np.add
     # per step: the noise, the next reference as a 0-d array (which numpy
@@ -242,8 +244,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window
     if not full:
         failed = ~finite.all(axis=1) | ~np.isfinite(W).all(axis=(1, 2))
         err = y_arr[:, window] - refs[1 : steps + 1][window]
-        with np.errstate(over="ignore"):
-            j = np.array([np.nan if f else np.mean(e**2) for f, e in zip(failed, err)])
+        j = np.array([np.nan if f else _mean_square(e) for f, e in zip(failed, err)])
         return j.reshape(len(cfgs), runs)[np.argsort(order)]
     if not n_scored:
         posteriors[...] = post[:, None]
@@ -291,6 +292,12 @@ def _window_slice(steps: int, window: tuple[int, int]) -> slice:
     return slice(lo - 1, hi)
 
 
+def _mean_square(err: np.ndarray) -> float:
+    """Mean of ``err**2``, the windowed error of :func:`accumulated_error` and of the Monte Carlo core alike."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(err**2))
+
+
 def accumulated_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     """Per-step mean squared tracking error of the true output over the window.
 
@@ -298,9 +305,7 @@ def accumulated_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     episode failed inside the window.
     """
     sel = _window_slice(trace.steps, window)
-    err = trace.y[sel] - trace.y_r[sel]
-    with np.errstate(over="ignore"):
-        return float(np.mean(err**2))
+    return _mean_square(trace.y[sel] - trace.y_r[sel])
 
 
 def max_tracking_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
@@ -359,12 +364,15 @@ def compare_controllers(
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     sel = _window_slice(cfg.steps, window)
-    seeds = cfg.seed + np.arange(runs)
+    # Python ints, so that every seed run_episode takes works here too
+    seeds = [int(cfg.seed) + i for i in range(runs)]
     j_runs = np.empty((len(cfgs), runs))
     chunk = max(1, _BATCH_RUNS // len(cfgs))
     for lo in range(0, runs, chunk):
-        batch = [int(s) for s in seeds[lo : lo + chunk]]
+        batch = seeds[lo : lo + chunk]
         j_runs[:, lo : lo + chunk] = _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps), sel)
+    # int64 while the seeds fit, Python ints past it
+    seeds = np.array(seeds, dtype=np.int64 if seeds[-1] < 2**63 else object)
     summaries = []
     for c, j in zip(cfgs, j_runs):
         ok = np.isfinite(j)
@@ -416,8 +424,11 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header of the CSV file at ``path`` ([] if empty) and the (line number, fields) of each later row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        return header, [(reader.line_num, row) for row in reader]
+        try:
+            header = next(reader, [])
+            return header, [(reader.line_num, row) for row in reader]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file: {exc}") from None
 
 
 def _parse_row(path, line: int, row: list[str], types) -> list:
@@ -447,8 +458,14 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
         types = [float] * width
         values = [v for line, row in data for v in _parse_row(path, line, row, types)]
     table = np.array(values).reshape(len(data), width)
+    k = table[:, 0]
+    # an integer that int64 holds: NaN, infinities and fractions compare False
+    bad = ~((k == np.trunc(k)) & (np.abs(k) < 2.0**63))
+    if bad.any():
+        line, row = data[int(np.argmax(bad))]
+        raise ValueError(f"{path}: line {line}: k {row[0]!r} is not an integer")
     return {
-        "k": table[:, 0].astype(int),
+        "k": k.astype(int),
         "y_r": table[:, 1],
         "y": table[:, 2],
         "z": table[:, 3],

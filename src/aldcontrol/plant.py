@@ -5,10 +5,11 @@ The plant is
     y(k+1) = b_1 u(k) + ... + b_m u(k-m+1) + a_1 y(k) + ... + a_n y(k-n+1)
 
 with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
-by the caller, with any leading (run) dimensions; :func:`plant_step` shifts
-each new output into the output history in place.  The episode loop's plant
-under output feedback reads the regressor's output entries instead, which
-the loop shifts itself.
+by the caller, with any leading (run) dimensions.  :func:`bind_plant` binds
+the plant to them once and returns its step, which shifts each new output
+into the output history in place; under output feedback the episode loop's
+plant reads the regressor's output entries instead, which the loop shifts
+itself.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ __all__ = [
     "ArxParams",
     "TrajectorySpec",
     "TRAJECTORY_KINDS",
+    "bind_plant",
     "parameter_vector",
-    "plant_step",
     "reference_trajectory",
 ]
 
@@ -80,12 +81,15 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
-def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = True):
-    """:func:`plant_step` bound to its history arrays: a function of no arguments that returns y(k+1).
+def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = True):
+    """The plant step bound to its history arrays: a function of no arguments that returns y(k+1).
 
-    ``u_now`` and ``y_hist`` may change in place between calls; without
-    ``shift`` the caller shifts each new output into ``y_hist`` itself.  The
-    views into ``y_hist`` and the numpy callables are taken here once.
+    Each call forms the next outputs from the inputs u(k)..u(k-m+1) in
+    ``u_now`` (..., m) and the outputs y(k)..y(k-n+1) in ``y_hist`` (..., n),
+    and shifts them into ``y_hist`` in place, dropping the oldest.  Both
+    arrays may change in place between calls; without ``shift`` the caller
+    shifts each new output into ``y_hist`` itself.  The views into
+    ``y_hist`` and the numpy callables are taken here once.
     """
     add, vecdot = np.add, np.vecdot
     b, a = p.b, p.a
@@ -99,14 +103,6 @@ def _plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = Tr
         return y_next
 
     return step
-
-
-def plant_step(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
-    """Next outputs y(k+1) from inputs u(k)..u(k-m+1) (..., m) and outputs y(k)..y(k-n+1) (..., n).
-
-    The new outputs are shifted into ``y_hist`` in place, dropping the oldest.
-    """
-    return _plant(p, u_now, y_hist)()
 
 
 @dataclass(frozen=True)

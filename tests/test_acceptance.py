@@ -96,9 +96,12 @@ def test_criterion_2_estimator_oracle_equivalence():
         P[2] /= 2.0
         half = ac.AldParams(0.5, 0.0, 1.0)
         rule = [np.concatenate(parts) for parts in zip(ac.quantile_rule([hyp, half]), ac.RLS_RULE)]
+        x = np.zeros(d)
+        step = ac.bind_filter(W, P, x, rule)
         residuals = []
-        for x, z in zip(xs, zs):
-            residuals.append(ac.filter_step(W, P, x, z, rule)[0])
+        for x_k, z in zip(xs, zs):
+            x[...] = x_k
+            residuals.append(step(z)[0][0])
             worst_reduction = max(worst_reduction, float(np.max(np.abs(W[1] - W[2]))))
         weights = np.where(np.array(residuals) < 0.0, 1.0 - hyp.tau, hyp.tau)
         batch = ac.batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), weights, w0, P0)

@@ -54,6 +54,14 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg_path), "--seed", "3", "--out", str(out)) == 0
         assert read_trace_csv(out)["k"].size == 25
 
+    def test_config_file_that_is_not_utf8_fails_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"{\xff}")
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert f"error: {config}: not a text file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         assert run_cli("simulate", "--preset", "base", "--seed", "-1", "--out", str(out)) == 2
@@ -108,6 +116,16 @@ class TestMonteCarlo:
         for row in per_run:
             seeds.setdefault(row["controller"], []).append(row["seed"])
         assert seeds["ensemble"] == seeds["oracle"] == [11, 12]
+
+    def test_seed_past_int64_runs(self, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        seed = 2**63
+        assert run_cli(
+            "montecarlo", "--preset", "base", "--steps", "20", "--runs", "2", "--seed", str(seed),
+            "--window", "1:5", "--controllers", "rls", "--out", str(out),
+        ) == 0
+        per_run, _ = read_summary_csv(out)
+        assert [row["seed"] for row in per_run] == [seed, seed + 1]
 
     def test_bad_controller_token_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
         import aldcontrol.harness as harness

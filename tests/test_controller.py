@@ -11,35 +11,39 @@ from aldcontrol import (
     AldParams,
     ald_pdf,
     ald_sample,
-    ce_control,
-    ensemble_control,
-    filter_step,
+    bind_ce_law,
+    bind_ensemble_law,
+    bind_filter,
+    bind_posterior,
     likelihood_table,
     parameter_vector,
-    posterior_update,
     preset_config,
     quantile_rule,
     run_episode,
     subsystem_log_likelihood,
 )
-from aldcontrol.controller import _ce_law
+
+
+def ce_input(w, eta, y_r_next, **kw):
+    """The certainty-equivalence input of one call, from a law bound for it alone."""
+    return bind_ce_law(w, eta, **kw)(y_r_next)
 
 
 class TestCeControl:
     def test_unit_gain(self):
-        assert ce_control(np.array([1.0, 0.0, 0.0]), np.zeros(2), 5.0) == pytest.approx(5.0)
+        assert ce_input(np.array([1.0, 0.0, 0.0]), np.zeros(2), 5.0) == pytest.approx(5.0)
 
     def test_inverts_known_offset(self):
-        assert ce_control(np.array([0.5, 1.0]), np.array([1.0]), 2.0) == pytest.approx(2.0)
+        assert ce_input(np.array([0.5, 1.0]), np.array([1.0]), 2.0) == pytest.approx(2.0)
 
     def test_divisor_safeguard_and_sign_convention(self):
-        assert ce_control(np.array([0.0, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(1e6)
-        assert ce_control(np.array([-1e-9, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(-1e6)
+        assert ce_input(np.array([0.0, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(1e6)
+        assert ce_input(np.array([-1e-9, 0.0]), np.zeros(1), 1.0, eps_b=1e-6, u_max=1e9) == pytest.approx(-1e6)
 
     def test_saturation(self):
         w = np.array([1e-3, 0.0])
-        assert ce_control(w, np.zeros(1), 100.0, u_max=50.0) == 50.0
-        assert ce_control(w, np.zeros(1), -100.0, u_max=50.0) == -50.0
+        assert ce_input(w, np.zeros(1), 100.0, u_max=50.0) == 50.0
+        assert ce_input(w, np.zeros(1), -100.0, u_max=50.0) == -50.0
 
     def test_zero_noise_closed_loop_is_exact(self):
         w = np.array([0.5, -1.41, 0.9])
@@ -47,7 +51,7 @@ class TestCeControl:
         for k in range(1, 40):
             target = math.sin(0.2 * k)
             eta = np.array([y[-1], y[-2]])
-            u = ce_control(w, eta, target)
+            u = ce_input(w, eta, target)
             y_next = 0.5 * u - 1.41 * y[-1] + 0.9 * y[-2]
             assert y_next == pytest.approx(target, abs=1e-12)
             y.append(y_next)
@@ -67,13 +71,14 @@ class TestFrozenLaw:
         # a frozen bank's divisor is formed once; the moving law forms it at every call
         w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
         eta = np.zeros((rows, d - 1))
-        frozen, moving = _ce_law(w, eta, 1e-6, 1e3, frozen=True), _ce_law(w, eta, 1e-6, 1e3)
+        frozen, moving = bind_ce_law(w, eta, 1e-6, 1e3, frozen=True), bind_ce_law(w, eta, 1e-6, 1e3)
         for _ in range(data.draw(st.integers(1, 5))):
             eta[...] = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
             y_r_next = np.array(data.draw(LAW_VALUES))
             with np.errstate(all="ignore"):
+                # both bound laws see eta's in-place change, as a law bound now to a copy does
                 u, u_moving = frozen(y_r_next), moving(y_r_next)
-                assert u.tobytes() == u_moving.tobytes() == ce_control(w, eta, y_r_next).tobytes()
+                assert u.tobytes() == u_moving.tobytes() == ce_input(w, eta.copy(), y_r_next).tobytes()
 
 
 def log_lik(hyp, residual):
@@ -110,20 +115,27 @@ def log_likelihoods(hyps, W, x, z):
     return subsystem_log_likelihood(likelihood_table(hyps), np.array([z - x @ w for w in W]))
 
 
+def posterior_after(post, log_lik):
+    """The posteriors ``post`` after one Bayes update, from a copy bound for it alone."""
+    out = np.array(post, dtype=float)
+    bind_posterior(out)(np.asarray(log_lik, dtype=float))
+    return out
+
+
 class TestPosteriorUpdate:
     def test_equal_likelihoods_leave_posteriors(self):
-        out = posterior_update(np.array([0.3, 0.7]), [-1.7, -1.7])
+        out = posterior_after([0.3, 0.7], [-1.7, -1.7])
         assert out == pytest.approx([0.3, 0.7])
 
     def test_single_subsystem_stays_one(self):
-        out = posterior_update(np.array([1.0]), [-123.0])
+        out = posterior_after([1.0], [-123.0])
         assert out[0] == 1.0
 
     def test_bayes_arithmetic_for_known_ratio(self):
         # residuals ln(2)*sigma/tau > 0 and 0 give a likelihood ratio of exactly 2
         hyp = AldParams(0.5, 0.0, 1.0)
         gap = math.log(2.0) / 0.5
-        out = posterior_update(np.array([0.5, 0.5]), log_likelihoods([hyp, hyp], [[0.0], [gap]], np.array([1.0]), gap))
+        out = posterior_after([0.5, 0.5], log_likelihoods([hyp, hyp], [[0.0], [gap]], np.array([1.0]), gap))
         assert out == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
     @pytest.mark.parametrize("shift", [8.0, -16.0, 0.5])
@@ -132,23 +144,25 @@ class TestPosteriorUpdate:
         # max-subtraction a common shift must not change a single bit
         table = np.array([-3.5, 0.25, -0.125])
         post = np.array([0.25, 0.5, 0.25])
-        assert np.array_equal(posterior_update(post, table), posterior_update(post, table + shift))
+        assert np.array_equal(posterior_after(post, table), posterior_after(post, table + shift))
 
     def test_floor_keeps_discredited_subsystem_alive(self):
         hyp = AldParams(0.5, 0.0, 0.01)
-        out = posterior_update(np.array([0.5, 0.5]), log_likelihoods([hyp, hyp], [[0.0], [1e6]], np.array([1.0]), 0.0))
+        out = posterior_after([0.5, 0.5], log_likelihoods([hyp, hyp], [[0.0], [1e6]], np.array([1.0]), 0.0))
         assert out[1] >= 1e-12
         assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_posterior_rows_stay_on_simplex(self):
+        # one update bound for the whole run, stepped in place as the episode loop does
         rng = np.random.default_rng(31)
         hyps = [AldParams(0.95, 0.0, 0.01), AldParams(0.85, 0.0, 0.1)]
         W = rng.normal(size=(2, 2))
         post = np.full(2, 0.5)
+        update = bind_posterior(post)
         for _ in range(200):
             x = rng.normal(size=2)
             z = float(rng.normal())
-            post = posterior_update(post, log_likelihoods(hyps, W, x, z))
+            update(log_likelihoods(hyps, W, x, z))
             assert abs(math.fsum(post) - 1.0) <= 1e-9
             assert np.all(post >= 1e-12)
 
@@ -163,8 +177,9 @@ class TestPosteriorUpdate:
     )
     def test_simplex_and_floor_under_extreme_gaps(self, rows, n_sub):
         post = np.full(n_sub, 1.0 / n_sub)
+        update = bind_posterior(post)
         for log_lik in rows:
-            post = posterior_update(post, log_lik[:n_sub])
+            update(np.array(log_lik[:n_sub]))
             assert abs(math.fsum(post) - 1.0) <= 1e-9
             assert np.all(post >= 1e-12)
 
@@ -173,25 +188,29 @@ class TestEnsembleControl:
     def test_single_subsystem_equals_ce(self):
         w = np.array([0.5, -1.0])
         eta = np.array([2.0])
-        assert ensemble_control(np.array([1.0]), w[None, :], eta, 3.0) == pytest.approx(ce_control(w, eta, 3.0))
+        assert bind_ensemble_law(np.array([1.0]), w[None, :], eta)(3.0) == pytest.approx(ce_input(w, eta, 3.0))
 
     def test_degenerate_posterior_selects_subsystem(self):
         W = np.array([[1.0, 0.0], [0.25, 0.0]])
-        assert ensemble_control(np.array([1.0 - 1e-12, 1e-12]), W, np.array([0.0]), 2.0) == pytest.approx(2.0, abs=1e-9)
+        law = bind_ensemble_law(np.array([1.0 - 1e-12, 1e-12]), W, np.array([0.0]))
+        assert law(2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_weighted_sum(self):
         # laws produce u = 2 and u = 4 for the same target
         W = np.array([[1.0, 0.0], [0.5, 0.0]])
-        assert ensemble_control(np.array([0.5, 0.5]), W, np.array([0.0]), 2.0) == pytest.approx(3.0)
+        assert bind_ensemble_law(np.array([0.5, 0.5]), W, np.array([0.0]))(2.0) == pytest.approx(3.0)
 
     def test_linear_in_posterior(self):
+        # one law bound for every draw: it reads the posteriors written in place
         rng = np.random.default_rng(37)
         W = rng.normal(size=(3, 3)) + np.array([1.0, 0, 0])
         eta = rng.normal(size=2)
-        laws = [ce_control(w, eta, 1.3) for w in W]
+        laws = [ce_input(w, eta, 1.3) for w in W]
+        p = np.empty(3)
+        law = bind_ensemble_law(p, W, eta)
         for _ in range(25):
-            p = rng.dirichlet(np.ones(3))
-            assert ensemble_control(p, W, eta, 1.3) == pytest.approx(float(p @ laws))
+            p[...] = rng.dirichlet(np.ones(3))
+            assert law(1.3) == pytest.approx(float(p @ laws))
 
 
 class TestOracleControl:
@@ -201,7 +220,7 @@ class TestOracleControl:
         tr = run_episode(cfg)
         w = parameter_vector(cfg.plant)
         for i in range(1, cfg.steps - 1):
-            assert tr.u[i] == ce_control(w, np.array([tr.y[i], tr.y[i - 1]]), tr.y_r[i + 1])
+            assert tr.u[i] == ce_input(w, np.array([tr.y[i], tr.y[i - 1]]), tr.y_r[i + 1])
 
 
 class TestEnsembleCollapse:
@@ -222,8 +241,11 @@ class TestEnsembleCollapse:
         W = np.zeros((seeds, 2, 3))
         P = np.tile(100.0 * np.eye(3), (seeds, 2, 1, 1))
         post = np.full((seeds, 2), 0.5)
-        rule, table = quantile_rule(hyps), likelihood_table(hyps)
+        x_k = np.zeros((seeds, 1, 3))
+        step, update = bind_filter(W, P, x_k, quantile_rule(hyps)), bind_posterior(post)
+        table = likelihood_table(hyps)
         for x, z in zip(xs, zs):
-            r = filter_step(W, P, x[:, None, :], z[:, None], rule)
-            post = posterior_update(post, subsystem_log_likelihood(table, r))
+            x_k[:, 0] = x
+            r, _ = step(z[:, None])
+            update(subsystem_log_likelihood(table, r))
         assert np.median(post[:, 0]) > 0.9

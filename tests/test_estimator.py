@@ -12,10 +12,9 @@ from aldcontrol import (
     ald_mean,
     ald_sample,
     batch_weighted_ls,
-    filter_step,
+    bind_filter,
     quantile_rule,
 )
-from aldcontrol.estimator import _filter
 
 
 def bank(w0, P0, *lead):
@@ -34,18 +33,31 @@ def oracle_weights(tau, residuals):
     return np.where(np.asarray(residuals) < 0.0, 1.0 - tau, tau)
 
 
+def assimilate(W, P, x, z, rule):
+    """The residuals of one sample, through a filter step bound for it alone."""
+    return bind_filter(W, P, x, rule)(z)[0]
+
+
 def run_iqf(hyp, w0, P0, xs, zs):
-    """One quantile filter through the samples: its final estimate and the weights it realized."""
+    """One quantile filter through the samples: its final estimate and the weights it realized.
+
+    The step is bound once and reads each regressor written into its buffer,
+    as the episode loop's does.
+    """
     W, P = bank(w0, P0, 1)
-    rule = quantile_rule([hyp])
-    residuals = [filter_step(W, P, x, z, rule)[0] for x, z in zip(xs, zs)]
+    x = np.zeros(len(w0))
+    step = bind_filter(W, P, x, quantile_rule([hyp]))
+    residuals = []
+    for x_k, z in zip(xs, zs):
+        x[...] = x_k
+        residuals.append(step(z)[0][0])
     return W[0], oracle_weights(hyp.tau, residuals)
 
 
 def covariance_after(tau, z):
     """P after one scalar quantile-filter step from w = 0, P = 1 with x = 1."""
     W, P = bank(np.zeros(1), np.eye(1), 1)
-    filter_step(W, P, np.ones(1), z, quantile_rule([AldParams(tau, 0.0, 1.0)]))
+    assimilate(W, P, np.ones(1), z, quantile_rule([AldParams(tau, 0.0, 1.0)]))
     return P[0, 0, 0]
 
 
@@ -78,7 +90,7 @@ class TestResidualWeight:
 class TestIqfStep:
     def test_hand_worked_scalar_update(self):
         W, P = bank(np.zeros(1), np.eye(1), 1)
-        r = filter_step(W, P, np.array([1.0]), 1.0, quantile_rule([AldParams(0.5, 0.0, 1.0)]))
+        r = assimilate(W, P, np.array([1.0]), 1.0, quantile_rule([AldParams(0.5, 0.0, 1.0)]))
         assert r.tolist() == [1.0]
         assert W[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert P[0, 0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -88,15 +100,17 @@ class TestIqfStep:
         w_true = np.array([0.5, -1.41, 0.9])
         rule = quantile_rule([AldParams(0.5, 0.0, 1.0)])
         W, P = bank(np.zeros(3), 1e8 * np.eye(3), 1)
+        x = np.zeros(3)
+        step = bind_filter(W, P, x, rule)
         for _ in range(200):
-            x = rng.normal(size=3)
-            filter_step(W, P, x, float(x @ w_true), rule)
+            x[...] = rng.normal(size=3)
+            step(float(x @ w_true))
         assert np.linalg.norm(W[0] - w_true) < 1e-6
 
     def test_zero_regressor_is_inert(self):
         w0, P0 = np.array([1.0, -2.0]), 5.0 * np.eye(2)
         W, P = bank(w0, P0, 1)
-        filter_step(W, P, np.zeros(2), 7.0, quantile_rule([AldParams(0.9, 0.3, 0.2)]))
+        assimilate(W, P, np.zeros(2), 7.0, quantile_rule([AldParams(0.9, 0.3, 0.2)]))
         assert np.array_equal(W[0], w0)
         assert np.array_equal(P[0], P0)
 
@@ -104,10 +118,12 @@ class TestIqfStep:
         rng = np.random.default_rng(1)
         rule = quantile_rule([AldParams(0.85, 0.0, 0.5)])
         W, P = bank(np.zeros(4), 50.0 * np.eye(4), 1)
+        x = np.zeros(4)
+        step = bind_filter(W, P, x, rule)
         for _ in range(300):
-            x = rng.normal(size=4)
+            x[...] = rng.normal(size=4)
             before = x @ P[0] @ x
-            filter_step(W, P, x, float(rng.normal()), rule)
+            step(float(rng.normal()))
             assert np.max(np.abs(P[0] - P[0].T)) < 1e-10
             assert x @ P[0] @ x <= before + 1e-12
         assert np.all(np.linalg.eigvalsh(P[0]) > 0)
@@ -116,13 +132,13 @@ class TestIqfStep:
 class TestRlsStep:
     def test_hand_worked_scalar_update(self):
         W, P = bank(np.zeros(1), np.eye(1), 1)
-        filter_step(W, P, np.array([1.0]), 1.0, RLS_RULE)
+        assimilate(W, P, np.array([1.0]), 1.0, RLS_RULE)
         assert W[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert P[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_regressor_is_inert(self):
         W, P = bank(np.array([2.0]), 3.0 * np.eye(1), 1)
-        filter_step(W, P, np.zeros(1), 4.0, RLS_RULE)
+        assimilate(W, P, np.zeros(1), 4.0, RLS_RULE)
         assert W.tolist() == [[2.0]]
 
     def test_symmetric_iqf_equals_rls_at_half_covariance(self):
@@ -132,11 +148,11 @@ class TestRlsStep:
         w0 = rng.normal(size=3)
         W, P = bank(w0, P0, 2)
         P[1] /= 2.0
-        rule = concat(quantile_rule([AldParams(0.5, 0.0, 1.0)]), RLS_RULE)
+        x = np.zeros(3)
+        step = bind_filter(W, P, x, concat(quantile_rule([AldParams(0.5, 0.0, 1.0)]), RLS_RULE))
         for _ in range(150):
-            x = rng.normal(size=3)
-            z = float(rng.normal(scale=2.0))
-            filter_step(W, P, x, z, rule)
+            x[...] = rng.normal(size=3)
+            step(float(rng.normal(scale=2.0)))
             assert np.max(np.abs(W[0] - W[1])) < 1e-10
 
 
@@ -159,8 +175,8 @@ class TestUnitRule:
         x, w0 = np.zeros(d), data.draw(arrays(float, d, elements=SAMPLE_VALUES))
         W, P = bank(w0, 10.0 * np.eye(d), 2)
         W2, P2 = bank(w0, 10.0 * np.eye(d), 2)
-        unit = _filter(W, P, x, concat(RLS_RULE, RLS_RULE))
-        weighted = _filter(W2, P2, x, concat(RLS_RULE, quantile_rule([AldParams(0.8, 0.1, 0.5)])))
+        unit = bind_filter(W, P, x, concat(RLS_RULE, RLS_RULE))
+        weighted = bind_filter(W2, P2, x, concat(RLS_RULE, quantile_rule([AldParams(0.8, 0.1, 0.5)])))
         for x_k, z in zip(xs, zs):
             x[...] = x_k
             with np.errstate(all="ignore"):
@@ -174,7 +190,7 @@ class TestUnitRule:
         # r - (-0.0) turns a -0.0 residual into +0.0, so a -0.0 shift is not skipped
         W, P = bank([0.0], [[1.0]], 3)
         rule = (np.ones(3), np.ones(3), np.array([0.0, shift, 0.0]))
-        _, neg = _filter(W, P, np.ones(1), rule)(1.0)
+        _, neg = bind_filter(W, P, np.ones(1), rule)(1.0)
         assert (neg is None) == unit
 
 
@@ -214,9 +230,9 @@ class TestBatchWeightedLs:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_in_place_bank_update_matches_batch(self, d, n, runs, taus, mu, sigma, p0_scale, seed):
-        # drive filter_step the way the stepping core does: one call per
-        # sample on an (R, S) bank, R runs with their own samples and S
-        # hypotheses sharing each run's regressor and measurement
+        # drive the filter the way the stepping core does: one step bound
+        # once, one call per sample on an (R, S) bank, R runs with their own
+        # samples and S hypotheses sharing each run's regressor and measurement
         rng = np.random.default_rng(seed)
         hyps = [AldParams(tau, mu, sigma) for tau in taus]
         root = rng.normal(size=(d, d))
@@ -225,8 +241,12 @@ class TestBatchWeightedLs:
         xs = rng.normal(size=(n, runs, d))
         zs = rng.normal(size=(n, runs), scale=2.0)
         W, P = bank(w0, P0, runs, len(hyps))
-        rule = quantile_rule(hyps)
-        residuals = [filter_step(W, P, x[:, None, :], z[:, None], rule) for x, z in zip(xs, zs)]
+        x_k = np.zeros((runs, 1, d))
+        step = bind_filter(W, P, x_k, quantile_rule(hyps))
+        residuals = []
+        for x, z in zip(xs, zs):
+            x_k[:, 0] = x
+            residuals.append(step(z[:, None])[0])
         residuals = np.reshape(residuals, (n, runs, len(hyps)))
         for run in range(runs):
             for s, hyp in enumerate(hyps):
@@ -258,9 +278,11 @@ class TestBiasCorrection:
                 xs[k, seed] = x
                 zs[k, seed] = float(x @ w_true + ald_sample(hyp, rng))
         W, P = bank(np.zeros(3), 100.0 * np.eye(3), seeds, 2)
-        rule = concat(quantile_rule([hyp]), RLS_RULE)
+        x_k = np.zeros((seeds, 1, 3))
+        step = bind_filter(W, P, x_k, concat(quantile_rule([hyp]), RLS_RULE))
         for x, z in zip(xs, zs):
-            filter_step(W, P, x[:, None, :], z[:, None], rule)
+            x_k[:, 0] = x
+            step(z[:, None])
         err_iqf, err_rls = np.linalg.norm(W - w_true, axis=-1).T
         assert np.median(err_iqf) < np.median(err_rls)
 
@@ -280,9 +302,10 @@ class TestCovarianceInvariant:
     def test_bank_covariance_stays_symmetric_positive_definite(
         self, d, runs, taus, sigma, p0_scale, offset, scale, seed
     ):
-        # drive filter_step the way the stepping core does: a shift-register
-        # regressor over one lagged signal per run, and an (R, S) bank of
-        # estimates and covariances updated in place for 10_000 steps
+        # drive the filter the way the stepping core does: one step bound
+        # once to a shift-register regressor over one lagged signal per run,
+        # and an (R, S) bank of estimates and covariances updated in place
+        # for 10_000 steps
         rng = np.random.default_rng(seed)
         hyps = [AldParams(tau, 0.0, sigma) for tau in taus]
         rule = quantile_rule(hyps)
@@ -291,9 +314,10 @@ class TestCovarianceInvariant:
         signal = offset + scale * rng.standard_normal((10_000 + d, runs))
         noise = ald_sample(hyps[0], rng, size=(10_000, runs))
         x = np.zeros((runs, d))
+        step = bind_filter(W, P, x[:, None, :], rule)
         for k in range(10_000):
             x[:, 1:] = x[:, :-1]
             x[:, 0] = signal[k]
-            filter_step(W, P, x[:, None, :], (x @ w_true + noise[k])[:, None], rule)
+            step((x @ w_true + noise[k])[:, None])
             assert np.max(np.abs(P - P.mT)) <= 1e-10
             assert np.linalg.eigvalsh(P)[..., 0].min() > 0.0

@@ -109,7 +109,7 @@ class TestRunEpisode:
 
     def test_programming_error_propagates(self, base, monkeypatch):
         # every controller's loop steps the plant: a bug raised there at step 5 must surface, not fail the episode
-        bound = harness._plant
+        bound = harness.bind_plant
 
         def broken(*args, **kwargs):
             step, calls = bound(*args, **kwargs), []
@@ -122,7 +122,7 @@ class TestRunEpisode:
 
             return plant
 
-        monkeypatch.setattr(harness, "_plant", broken)
+        monkeypatch.setattr(harness, "bind_plant", broken)
         for token in ("ensemble", "rls", "oracle"):
             with pytest.raises(ValueError, match="bug"):
                 run_episode(short(base, steps=20, controller=token))
@@ -434,7 +434,7 @@ class TestSummaryConsumer:
         clean = compare_controllers(cfg, [token], 2, (1, 40))[0]
         assert clean.runs_failed == 0
         noise = run_episode(cfg).noise
-        bind = harness._filter
+        bind = harness.bind_filter
 
         def injecting(W, *args):
             step, calls = bind(W, *args), []
@@ -449,9 +449,9 @@ class TestSummaryConsumer:
             return filter_k
 
         ys, us = [], []
-        monkeypatch.setattr(harness, "_filter", injecting)
-        monkeypatch.setattr(harness, "_plant", recording(harness._plant, ys))
-        for name in ("_ce_law", "_ensemble_law"):
+        monkeypatch.setattr(harness, "bind_filter", injecting)
+        monkeypatch.setattr(harness, "bind_plant", recording(harness.bind_plant, ys))
+        for name in ("bind_ce_law", "bind_ensemble_law"):
             monkeypatch.setattr(harness, name, recording(getattr(harness, name), us))
         trace = run_episode(cfg)
         assert (trace.failed, trace.fail_step) == (True, k)
@@ -585,6 +585,16 @@ class TestMetrics:
         cfg = short(base, steps=60, seed=3)
         s1, s2 = compare_controllers(cfg, ["ensemble", "rls"], 3, (10, 60))
         assert np.array_equal(s1.seeds, s2.seeds)
+        assert s1.seeds.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, np.int64(2**63 - 1), 2**63, 2**70])
+    def test_compare_controllers_runs_every_seed_run_episode_takes(self, base, seed):
+        # run i's seed is seed + i, past int64 too: no overflow and no wrap to a negative seed
+        cfg = short(base, steps=20, seed=seed, controller="rls")
+        [summary] = compare_controllers(cfg, ["rls"], 2, (1, 5))
+        assert summary.seeds.tolist() == [int(seed), int(seed) + 1]
+        for i, j in enumerate(summary.j_runs):
+            assert j == accumulated_error(run_episode(short(cfg, seed=int(seed) + i)), (1, 5))
 
     def test_ensemble_clearly_beats_rls_on_transient_window(self, base):
         cfg = short(base, steps=100)
@@ -768,6 +778,23 @@ class TestTraceCsv:
             for name, values in expected.items():
                 assert back[name].tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("k", ["1.5", "nan", "inf", "-inf", "1e19"])
+    def test_k_that_is_not_an_integer_rejected_with_path_and_line(self, base, tmp_path, k):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        lines = path.read_text().splitlines()
+        lines[4] = k + lines[4][lines[4].index(",") :]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"trace.csv: line 5: k '{k}' is not an integer"):
+            read_trace_csv(path)
+
+    def test_file_that_is_not_utf8_rejected_with_path(self, base, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        path.write_bytes(path.read_bytes() + b"\xff\r\n")
+        with pytest.raises(ValueError, match="trace.csv: not a text file"):
+            read_trace_csv(path)
+
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))
         missing = tmp_path / "no_such_dir" / "trace.csv"
@@ -826,6 +853,12 @@ class TestSummaryCsv:
         path = tmp_path / "summary.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"summary.csv: line {line}: {message}"):
+            read_summary_csv(path)
+
+    def test_file_that_is_not_utf8_rejected_with_path(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(b"controller,run,seed,j_bar_run\r\nensemble,1,0,\xff\r\n")
+        with pytest.raises(ValueError, match="summary.csv: not a text file"):
             read_summary_csv(path)
 
     def test_empty_rejected_before_write(self, base, tmp_path):
@@ -947,6 +980,12 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="broken.json"):
+            load_config(path)
+
+    def test_load_config_reports_path_on_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"run": {"controller": "\xff"}}')
+        with pytest.raises(ConfigError, match="latin.json: not a text file"):
             load_config(path)
 
 

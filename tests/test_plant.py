@@ -15,15 +15,14 @@ from aldcontrol import (
     NoiseModel,
     TrajectorySpec,
     ald_pdf,
-    ce_control,
+    bind_ce_law,
+    bind_plant,
     mixture_sample,
     parameter_vector,
-    plant_step,
     preset_config,
     reference_trajectory,
     run_episode,
 )
-from aldcontrol.plant import _plant
 
 PLANT = ArxParams(a=np.array([-1.41, 0.9]), b=np.array([0.5]))
 
@@ -61,16 +60,16 @@ class TestArxParams:
 
 class TestPlantStep:
     def test_zero_state_zero_input(self):
-        assert plant_step(PLANT, np.zeros(1), np.zeros(2)) == 0.0
+        assert bind_plant(PLANT, np.zeros(1), np.zeros(2))() == 0.0
 
     def test_input_gain_from_rest(self):
         y_hist = np.zeros(2)
-        y = plant_step(PLANT, np.array([2.0]), y_hist)
+        y = bind_plant(PLANT, np.array([2.0]), y_hist)()
         assert y == pytest.approx(1.0)
         assert np.allclose(y_hist, [1.0, 0.0])
 
     def test_autoregressive_response(self):
-        y = plant_step(PLANT, np.zeros(1), np.array([1.0, 0.0]))
+        y = bind_plant(PLANT, np.zeros(1), np.array([1.0, 0.0]))()
         assert y == pytest.approx(-1.41)
 
     def test_superposition(self):
@@ -78,8 +77,14 @@ class TestPlantStep:
         u1, u2 = rng.normal(size=20), rng.normal(size=20)
 
         def response(us):
-            y_hist = np.zeros(2)
-            return np.array([plant_step(PLANT, np.array([u]), y_hist) for u in us])
+            # one plant bound for the run: it reads each input written in place
+            u_now = np.zeros(1)
+            step = bind_plant(PLANT, u_now, np.zeros(2))
+            ys = []
+            for u in us:
+                u_now[0] = u
+                ys.append(step())
+            return np.array(ys)
 
         assert np.allclose(response(u1 + u2), response(u1) + response(u2), atol=1e-12)
 
@@ -90,7 +95,7 @@ class TestPlantStep:
         tr = run_episode(cfg)
         w = parameter_vector(cfg.plant)
         for i in range(1, cfg.steps - 1):
-            assert tr.u[i] == ce_control(w, np.array([tr.z[i], tr.z[i - 1]]), tr.y_r[i + 1])
+            assert tr.u[i] == bind_ce_law(w, np.array([tr.z[i], tr.z[i - 1]]))(tr.y_r[i + 1])
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 3), m=st.integers(1, 3), rows=st.integers(1, 3), data=st.data())
@@ -103,7 +108,7 @@ class TestPlantStep:
         p = ArxParams(a, b)
         x = data.draw(arrays(float, (rows, m + n), elements=values))
         y_hist = x[:, m:].copy()
-        shared, own = _plant(p, x[:, :m], x[:, m:], shift=False), _plant(p, x[:, :m], y_hist)
+        shared, own = bind_plant(p, x[:, :m], x[:, m:], shift=False), bind_plant(p, x[:, :m], y_hist)
         for _ in range(data.draw(st.integers(1, 6))):
             with np.errstate(all="ignore"):
                 y, y_own = shared(), own()
