@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 from .config import FEEDBACK_KINDS, PRESETS, ConfigError, RunConfig, load_config, preset_config
-from .harness import compare_controllers, export_summary_csv, export_trace_csv, run_episode
+from .harness import _writable_path, compare_controllers, export_summary_csv, export_trace_csv, run_episode
 
 _TRAJECTORY_TOKENS = {"square": "filtered_square", "triangle": "triangle", "sine": "sine"}
 
@@ -83,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _base_config(args)
+        _writable_path(args.out, args.force)  # before the first episode, not after the run
         if args.command == "simulate":
             if args.controller is not None:
                 cfg = replace(cfg, controller=args.controller)

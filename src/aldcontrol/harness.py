@@ -12,20 +12,22 @@ state arrays once per batch: ``bind_plant``, ``bind_filter``,
 controllers differ only in the bank set up before the loop, and each
 binding skips the exact no-ops its batch allows:
 an all-``rls`` batch skips the sign and weight, an ``oracle``-only batch
-forms the control's divisor once, the plant reads the regressor under
-output feedback, and records that never change are written once after the
-loop.  The measurement noise comes from a tape drawn from each
-seed's own stream, so a run does not depend on its batch, and
-:func:`run_episode` is the batch of one controller and one seed.  The core
-records what its caller reads: full traces for :func:`run_episode`, and for
-Monte Carlo only y and u per step, from which it returns windowed errors.
+forms the control's divisor once, and the plant reads the regressor under
+output feedback.  The measurement noise comes from a tape drawn from each
+seed's own stream, so a run does not depend on its batch.
+
+The loop keeps y and u per step; recording is a fifth phase, bound the same
+way by a recorder that the caller picks (see ``_run_batch``).
+``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
+one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
+each run's windowed error.
 
 Only banks of two or more subsystems are scored; a one-subsystem posterior
 is the constant 1.0.  A run fails at step i + 1 when row i is the first whose
 output, measurement, control or estimates are not finite (a NaN posterior
 makes the weighted control NaN at its step); from there on its rows are NaN.
 Monte Carlo summaries count failures and average the successes; their runs
-fail by the same rule, read from the final estimates (see ``_run_batch``).
+fail by the same rule, read from the final estimates (see ``_error_recorder``).
 Any error raised while stepping propagates.
 """
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import csv
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -122,21 +123,28 @@ def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
     return tape
 
 
-def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window: slice | None = None):
+def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, recorder):
     """Episodes of every config in ``cfgs`` for every seed, stepped together on the noise ``tape`` (one row per seed).
 
     The configs differ only in their controller.  There is one state row per
-    (controller, seed), and the traces come back per config in the order of
-    ``cfgs``, each list in the order of ``seeds``.
+    (controller, seed), and the loop keeps each row's y and u per step.  The
+    rest is the ``recorder``'s, bound once to the state like the phases:
+    ``recorder(y, u, noise, y_r, W, post, n_scored, n_learn, n_subs)``
+    returns a ``record()`` called after every step (or None, for no per-step
+    record) and a ``finish()`` called after the loop, which returns one
+    result per row.  Its arguments:
 
-    Given the trace rows of a ``window``, the loop records only y and u and
-    returns the (configs, seeds) array of each run's :func:`accumulated_error`
-    over them, NaN for a failed run.  Failure needs no history of W: W
-    changes only by the in-place ``W += gain*innovation``, where inf + finite
-    is inf and inf - inf and NaN + x are NaN, so a non-finite entry stays
-    non-finite; a frozen W is the validated config's, and a padded subsystem
-    copies subsystem 0 bit for bit.  So W was non-finite at some step exactly
-    when it is at the end.
+    - ``y`` and ``u``, the (rows, steps) records the loop fills, and
+      ``noise``, the draws e(1)..e(steps) of each row;
+    - ``y_r``, the reference y_r(1)..y_r(steps);
+    - ``W`` and ``post``, the state arrays, updated in place;
+    - ``n_scored`` and ``n_learn``: only the first ``n_scored`` rows have
+      their posteriors stepped and only the first ``n_learn`` their
+      estimates, and the others never change;
+    - ``n_subs``, each row's own subsystem count S_c (its other columns pad).
+
+    The results come back per config in the order of ``cfgs``, each block
+    in the order of ``seeds``.
     """
     cfg = cfgs[0]
     plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
@@ -168,13 +176,8 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window
     P = np.tile(cfg.initial_P(), (rows, n_sub, 1, 1))
     tape = np.tile(tape, (len(cfgs), 1))
     feedback_z = cfg.feedback == "measurement"
-
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
-    full = window is None
-    keep_post, keep_W = full and n_scored, full and n_learn  # records copied every step
-    if full:
-        posteriors = np.empty((rows, steps, n_sub))
-        w_hats = np.empty((rows, steps, n_sub, plant.d))
+    record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn, n_subs)
 
     # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
     # the control law sees eta = x[1:] and the estimators the previous step's x.
@@ -204,22 +207,15 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window
         else bind_ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
     )
     add = np.add
-    # per step: the noise, the next reference as a 0-d array (which numpy
-    # takes faster than a float) and the step's column of each record; the
-    # posteriors of an unscored batch and the estimates of a frozen one never
-    # change and are written once after the loop
-    records = zip(
-        tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T,
-        posteriors.transpose(1, 0, 2) if keep_post else repeat(None),
-        w_hats.transpose(1, 0, 2, 3) if keep_W else repeat(None),
-    )
 
-    # a diverging run overflows; it is diagnosed after the loop
+    # a diverging run overflows; the recorder diagnoses it after the loop
     with np.errstate(all="ignore"):
         # step 0 only feeds back z(0) (shifting the zero histories changes nothing) and forms u(0)
         fed[...] = z if feedback_z else y
         u_new[...] = control(np.array(refs[1]))
-        for e, y_r_next, y_k, u_k, post_k, W_k in records:
+        # per step: the noise, the next reference as a 0-d array (which numpy
+        # takes faster than a float) and the step's column of y and u
+        for e, y_r_next, y_k, u_k in zip(tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T):
             y = step_plant()
             add(y, e, z)
             if n_learn:
@@ -233,48 +229,94 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, window
             fed[...] = z if feedback_z else y
             u_new[...] = u = control(y_r_next)
             y_k[...], u_k[...] = y, u
-            if keep_post:
-                post_k[...] = post
-            if keep_W:
-                W_k[...] = W
+            if record:
+                record()
 
-    noise = tape[:, 1:]
-    z_arr = y_arr + noise  # the loop's z, added again rather than copied every step
-    finite = np.isfinite(y_arr) & np.isfinite(z_arr) & np.isfinite(u_arr)
-    if not full:
-        failed = ~finite.all(axis=1) | ~np.isfinite(W).all(axis=(1, 2))
-        err = y_arr[:, window] - refs[1 : steps + 1][window]
-        j = np.array([np.nan if f else _mean_square(e) for f, e in zip(failed, err)])
-        return j.reshape(len(cfgs), runs)[np.argsort(order)]
-    if not n_scored:
-        posteriors[...] = post[:, None]
-    if not n_learn:
-        w_hats[...] = W[:, None]
-    finite &= np.isfinite(w_hats).all(axis=(2, 3))
-    failed = ~finite.all(axis=1)
-    first = np.where(failed, np.argmin(finite, axis=1), steps)
-    dead = np.arange(steps) >= first[:, None]
-    y_r = np.tile(refs[1 : steps + 1], (rows, 1))
-    for column in (y_r, y_arr, z_arr, u_arr, noise, posteriors, w_hats):
-        column[dead] = np.nan
-    ks = np.arange(1, steps + 1)
-    traces: list = [None] * len(cfgs)
-    for j, c in enumerate(order):
-        s_c = len(Ws[j])
-        traces[c] = [
-            EpisodeTrace(
-                controller=cfgs[c].controller, seed=int(seed), k=ks, y_r=y_r[row], y=y_arr[row], z=z_arr[row],
-                u=u_arr[row], posteriors=posteriors[row, :, :s_c], w_hat=w_hats[row, :, :s_c], noise=noise[row],
-                failed=bool(failed[row]), fail_step=int(first[row]) + 1 if failed[row] else None,
+    results = finish()
+    return [results[j * runs : (j + 1) * runs] for j in np.argsort(order)]
+
+
+def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn, n_subs):
+    """Recorder of full traces: each row's :class:`EpisodeTrace` fields but its controller and seed.
+
+    The records start as copies of the posteriors and estimates at bind
+    time, and per step it copies only those of the rows whose loop steps
+    them: the others never change.  A run fails at step i + 1 when row i is
+    the first whose output, measurement, control or estimates are not
+    finite, and from there on every column of its trace is NaN.  Each trace
+    keeps its own S_c subsystem columns.
+    """
+    rows, steps = y.shape
+    posteriors, w_hats = post[:, None].repeat(steps, axis=1), W[:, None].repeat(steps, axis=1)
+    post_now, W_now = post[:n_scored], W[:n_learn]
+    post_cols, W_cols = iter(posteriors[:n_scored].swapaxes(0, 1)), iter(w_hats[:n_learn].swapaxes(0, 1))
+
+    def record():
+        next(W_cols)[...] = W_now
+        if n_scored:
+            next(post_cols)[...] = post_now
+
+    def finish():
+        z = y + noise  # the loop's z, added again rather than copied every step
+        finite = np.isfinite(y) & np.isfinite(z) & np.isfinite(u) & np.isfinite(w_hats).all(axis=(2, 3))
+        failed = ~finite.all(axis=1)
+        first = np.where(failed, np.argmin(finite, axis=1), steps)
+        dead = np.arange(steps) >= first[:, None]
+        y_rs = np.tile(y_r, (rows, 1))
+        for column in (y_rs, y, z, u, noise, posteriors, w_hats):
+            column[dead] = np.nan
+        return [
+            dict(
+                k=np.arange(1, steps + 1), y_r=y_rs[row], y=y[row], z=z[row], u=u[row], noise=noise[row],
+                posteriors=posteriors[row, :, :s_c], w_hat=w_hats[row, :, :s_c], failed=bool(failed[row]),
+                fail_step=int(first[row]) + 1 if failed[row] else None,
             )
-            for row, seed in enumerate(seeds, j * runs)
+            for row, s_c in enumerate(n_subs.tolist())
         ]
-    return traces
+
+    # a scored row also learns: a batch with no row learning steps neither
+    return (record if n_learn else None), finish
+
+
+def _error_recorder(window: slice):
+    """Recorder of each run's :func:`accumulated_error` over the trace rows ``window``, NaN for a failed run.
+
+    It keeps no per-step record: ``finish`` reads the loop's y and u and the
+    final W.  A run fails by the trace's rule, and failure needs no history
+    of W: W changes only by the in-place ``W += gain*innovation``, where
+    inf + finite is inf and inf - inf and NaN + x are NaN, so a non-finite
+    entry stays non-finite; a frozen W is the validated config's, and a
+    padded subsystem copies subsystem 0 bit for bit.  So W was non-finite
+    at some step exactly when it is at the end.
+    """
+
+    def bind(y, u, noise, y_r, W, *_):
+        def finish():
+            finite = np.isfinite(y) & np.isfinite(y + noise) & np.isfinite(u)
+            failed = ~finite.all(axis=1) | ~np.isfinite(W).all(axis=(1, 2))
+            err = y[:, window] - y_r[window]
+            return np.array([np.nan if f else _mean_square(e) for f, e in zip(failed, err)])
+
+        return None, finish
+
+    return bind
+
+
+def _traces(cfgs: list[RunConfig], seeds: list[int]) -> list[list[EpisodeTrace]]:
+    """Traces of every config in ``cfgs`` for every seed from one core call, one list per config.
+
+    Row (config, seed) is bit for bit the :func:`run_episode` trace of that config with that seed.
+    """
+    tape = _noise_tape(cfgs[0].noise, seeds, cfgs[0].steps)
+    return [
+        [EpisodeTrace(controller=c.controller, seed=int(seed), **fields) for seed, fields in zip(seeds, block)]
+        for c, block in zip(cfgs, _run_batch(cfgs, seeds, tape, _trace_recorder))
+    ]
 
 
 def run_episode(cfg: RunConfig) -> EpisodeTrace:
     """Simulate one closed-loop episode under ``cfg``; deterministic given the seed."""
-    return _run_batch([cfg], [cfg.seed], _noise_tape(cfg.noise, [cfg.seed], cfg.steps))[0][0]
+    return _traces([cfg], [cfg.seed])[0][0]
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
@@ -302,7 +344,7 @@ def accumulated_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     """Per-step mean squared tracking error of the true output over the window.
 
     The window (k_lo, k_hi) is inclusive on both ends.  Returns NaN if the
-    episode failed inside the window.
+    episode failed inside or before the window, whose rows are then NaN.
     """
     sel = _window_slice(trace.steps, window)
     return _mean_square(trace.y[sel] - trace.y_r[sel])
@@ -351,8 +393,9 @@ def compare_controllers(
     controllers, one seed per chunk when C exceeds ``_BATCH_RUNS``, so
     memory stays bounded for any run count.  Its noise tape is drawn once
     and shared by every controller, so run i sees the same noise under every
-    controller.  A chunk keeps y and u per step and no trace, and gets each
-    run's :func:`accumulated_error` back from the core.
+    controller.  A chunk records through ``_error_recorder``: it keeps y and
+    u per step and no trace, and gets each run's :func:`accumulated_error`
+    back from the core.
     A run that fails after the window still counts as failed (j = NaN), though
     :func:`accumulated_error` alone gives it a finite value.
     """
@@ -363,38 +406,38 @@ def compare_controllers(
         raise ValueError(f"runs must be an integer, got {runs!r}")
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    sel = _window_slice(cfg.steps, window)
+    record_errors = _error_recorder(_window_slice(cfg.steps, window))
     # Python ints, so that every seed run_episode takes works here too
     seeds = [int(cfg.seed) + i for i in range(runs)]
     j_runs = np.empty((len(cfgs), runs))
     chunk = max(1, _BATCH_RUNS // len(cfgs))
     for lo in range(0, runs, chunk):
         batch = seeds[lo : lo + chunk]
-        j_runs[:, lo : lo + chunk] = _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps), sel)
+        j_runs[:, lo : lo + chunk] = _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps), record_errors)
     # int64 while the seeds fit, Python ints past it
     seeds = np.array(seeds, dtype=np.int64 if seeds[-1] < 2**63 else object)
-    summaries = []
-    for c, j in zip(cfgs, j_runs):
-        ok = np.isfinite(j)
-        j[~ok] = np.nan
-        summaries.append(
-            McSummary(
-                controller=c.controller, window=(int(window[0]), int(window[1])), seed_base=cfg.seed,
-                seeds=seeds, j_runs=j, runs_ok=int(ok.sum()), runs_failed=runs - int(ok.sum()),
-                j_bar_mean=float(np.mean(j[ok])) if ok.any() else float("nan"),
-            )
+    j_runs[~np.isfinite(j_runs)] = np.nan  # a run whose error overflows counts as failed too
+    return [
+        McSummary(
+            controller=c.controller, window=(int(window[0]), int(window[1])), seed_base=cfg.seed,
+            seeds=seeds, j_runs=j, runs_ok=int(ok.sum()), runs_failed=runs - int(ok.sum()),
+            j_bar_mean=float(np.mean(j[ok])) if ok.any() else float("nan"),
         )
-    return summaries
+        for c, j, ok in zip(cfgs, j_runs, np.isfinite(j_runs))
+    ]
 
 
-def _open_for_write(path, force: bool):
+def _writable_path(path, force: bool) -> Path:
+    """``path`` as a Path, checked before anything is written: it is new or ``force`` is set, and its directory exists.
+
+    Any other error of the later open names the path itself.
+    """
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path}: already exists (use force to overwrite)")
-    try:
-        return path.open("w", newline="")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from None
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{path}: directory {str(path.parent)!r} does not exist")
+    return path
 
 
 def _trace_header(n_sub: int, dim: int) -> list[str]:
@@ -415,7 +458,7 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
     table = np.column_stack(
         (trace.y_r, trace.y, trace.z, trace.u, trace.posteriors, trace.w_hat.reshape(trace.steps, n_sub * dim))
     )
-    with _open_for_write(path, force) as fh:
+    with _writable_path(path, force).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(template % (k, *row.tolist()) for k, row in zip(trace.k.tolist(), table))
 
@@ -482,7 +525,7 @@ def export_summary_csv(summaries: list[McSummary], path, force: bool = False) ->
     for s in summaries:
         if s.j_runs.size == 0:
             raise ValueError(f"summary for {s.controller!r} has no runs")
-    with _open_for_write(path, force) as fh:
+    with _writable_path(path, force).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RUN_HEADER)
         for s in summaries:

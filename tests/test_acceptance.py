@@ -46,7 +46,7 @@ def run_batch(cfgs, seeds):
 
     Row (config, seed) is bit for bit the ``run_episode`` trace of that config with that seed.
     """
-    return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
+    return harness._traces(cfgs, seeds)
 
 
 def split_quad(f, point):
@@ -172,6 +172,19 @@ def test_criterion_4_transient_error_levels():
     elapsed = time.monotonic() - t0
     cl.check(f"runtime {elapsed:.1f}s < 120s", elapsed < 120.0)
     cl.finish()
+
+
+def test_oracle_tracks_exactly_under_output_feedback():
+    # why criterion 4's oracle cells stay red: base feeds back the output, so
+    # the measurement noise never enters the oracle's loop and every run
+    # tracks to rounding, whatever its noise
+    base = ac.preset_config("base")
+    assert base.feedback == "output"
+    for kind in TRANSIENT_TARGETS:
+        cfg = replace(base, steps=100, trajectory=replace(base.trajectory, kind=kind))
+        [summary] = ac.compare_controllers(cfg, ["oracle"], 100, (10, 100))
+        assert np.all(summary.j_runs < 1e-30), kind
+        assert np.all(summary.j_runs == summary.j_runs[0]), kind
 
 
 STEADY_ENSEMBLE_TARGETS = {"sine": 0.0003, "filtered_square": 0.0003, "triangle": 0.0001}

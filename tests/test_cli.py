@@ -17,6 +17,28 @@ def run_cli(*args):
     return main(list(args))
 
 
+def spy(monkeypatch, name) -> list:
+    """Record every call of the CLI's ``name`` in the returned list, then make it."""
+    calls, call = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or call(*args))
+    return calls
+
+
+def assert_out_checked_first(tmp_path, capsys, calls, *args):
+    """An existing ``--out`` without ``--force``, or one in a missing directory, exits 2 before any run."""
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"k,y\r\n1,2\r\n")
+    assert run_cli(*args, "--out", str(out)) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {out}: already exists (use force to overwrite)\n"
+    assert out.read_bytes() == b"k,y\r\n1,2\r\n"
+    missing = tmp_path / "missing" / "out.csv"
+    assert run_cli(*args, "--out", str(missing), "--force") == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {missing}: directory {str(missing.parent)!r} does not exist\n"
+    assert not missing.parent.exists()
+
+
 class TestSimulate:
     def test_writes_trace_from_preset(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -89,6 +111,10 @@ class TestSimulate:
         assert "unknown controller" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_fails_before_the_episode(self, tmp_path, capsys, monkeypatch):
+        calls = spy(monkeypatch, "run_episode")
+        assert_out_checked_first(tmp_path, capsys, calls, "simulate", "--preset", "base", "--steps", "10")
+
 
 class TestMonteCarlo:
     def test_writes_summary_with_aggregate_block(self, tmp_path, capsys):
@@ -151,6 +177,10 @@ class TestMonteCarlo:
         code = run_cli("montecarlo", "--preset", "base", "--seed", "-3", "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "run.seed must be nonnegative" in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        calls = spy(monkeypatch, "compare_controllers")
+        assert_out_checked_first(tmp_path, capsys, calls, "montecarlo", "--preset", "base", "--runs", "300")
 
     def test_bad_window_rejected(self, tmp_path, capsys):
         code = run_cli(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -86,7 +87,11 @@ class TestRunEpisode:
         tr = run_episode(cfg)
         assert tr.failed
         assert tr.fail_step is not None
-        assert np.all(np.isnan(tr.y[tr.fail_step :]))
+        # row fail_step - 1 holds step fail_step, the first failed one: from it on every column is NaN
+        for name in ("y_r", "y", "z", "u", "noise", "posteriors", "w_hat"):
+            column = getattr(tr, name)
+            assert np.all(np.isnan(column[tr.fail_step - 1 :])), name
+            assert np.all(np.isfinite(column[tr.fail_step - 2])), name
         assert math.isnan(accumulated_error(tr, (100, 1400)))
         assert max_tracking_error(tr, (100, 1400)) == math.inf
 
@@ -140,7 +145,7 @@ def assert_same_trace(a, b):
 
 def run_batch(cfgs, seeds):
     """Traces of every config for ``seeds`` from one core call, one list per config."""
-    return harness._run_batch(cfgs, seeds, harness._noise_tape(cfgs[0].noise, seeds, cfgs[0].steps))
+    return harness._traces(cfgs, seeds)
 
 
 def count_core_rows(monkeypatch) -> list[int]:
@@ -471,6 +476,21 @@ class TestSummaryConsumer:
         assert monte_carlo(cfg, 3, (5, 30)).j_runs.tobytes() == expected[0].tobytes()
         for s, j in zip(compare_controllers(cfg, TOKENS, 3, (5, 30)), expected):
             assert s.j_runs.tobytes() == j.tobytes()
+
+    def test_monte_carlo_keeps_no_per_step_state(self):
+        # one full chunk of the four default controllers on noise1 (S = 3):
+        # a per-step copy of W alone would be a (rows, steps, S, d) record
+        cfg = replace(preset_config("noise1"), steps=200)
+        tokens = ["ensemble", "rls", "single-ald:0", "oracle"]
+        runs = harness._BATCH_RUNS // len(tokens)
+        record = 8 * runs * len(tokens) * cfg.steps * len(cfg.hypotheses) * cfg.plant.d  # float64 bytes
+        tracemalloc.start()
+        try:
+            compare_controllers(cfg, tokens, runs, (10, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < record
 
 
 class TestMetrics:
