@@ -6,9 +6,9 @@ posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 Every function works over leading dimensions, with the subsystem axis S
 last, so one call serves a whole batch of runs.  The posterior update and
 the two laws are bound to their arrays once (:func:`bind_posterior`,
-:func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped; a law bound
-to estimates that never change (a frozen bank) forms its safeguarded divisor
-once.
+:func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped, and so is
+the log-likelihood to its table; a law bound to estimates that never change
+(a frozen bank) forms its safeguarded divisor once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_M
     inputs give a non-finite or clamped result.  ``eta`` may change in place
     between calls, and so may ``w`` unless it is ``frozen``; then the
     safeguarded divisor is formed here once instead of at every call.  The
-    views into them and the numpy callables are taken here once.
+    views into them and the numpy callables are taken here once.  A call may
+    pass an array ``out`` of the result's shape, which receives the input
+    and is returned.
     """
     absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
     maximum, minimum, vecdot = np.maximum, np.minimum, np.vecdot
@@ -62,9 +64,9 @@ def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_M
 
     b1 = divisor() if frozen else None
 
-    def law(y_r_next):
+    def law(y_r_next, out=None):
         u = divide(subtract(y_r_next, vecdot(eta, alpha)), divisor() if b1 is None else b1)
-        return minimum(maximum(u, u_min), u_max)
+        return minimum(maximum(u, u_min), u_max, out=out)
 
     return law
 
@@ -80,10 +82,18 @@ def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _log_likelihood(table, residual, neg):
-    """:func:`subsystem_log_likelihood` of residuals whose signs ``neg`` (``residual < 0``) are already known."""
+def _bind_log_likelihood(table):
+    """:func:`subsystem_log_likelihood` bound to ``table`` once: a function of residuals and their signs ``neg`` (``residual < 0``).
+
+    The table's arrays and the numpy callables are taken here once.
+    """
+    subtract, divide, check_loss = np.subtract, np.divide, _check_loss
     log_peak, slope_neg, slope_pos, sigma = table
-    return np.subtract(log_peak, np.divide(_check_loss(residual, neg, slope_neg, slope_pos), sigma))
+
+    def log_likelihood(residual, neg):
+        return subtract(log_peak, divide(check_loss(residual, neg, slope_neg, slope_pos), sigma))
+
+    return log_likelihood
 
 
 def subsystem_log_likelihood(table, residual):
@@ -92,7 +102,7 @@ def subsystem_log_likelihood(table, residual):
     Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of each
     residual.
     """
-    return _log_likelihood(table, residual, residual < 0.0)
+    return _bind_log_likelihood(table)(residual, residual < 0.0)
 
 
 def bind_posterior(post: np.ndarray):
@@ -127,12 +137,14 @@ def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float =
     Each call returns the posterior-weighted sum of the certainty-equivalence
     laws (:func:`bind_ce_law`) of the estimates ``W`` (..., S, d) under the
     posteriors ``post`` (..., S); ``eta`` (..., d-1) is shared by the S
-    subsystems.  All three may change in place between calls.
+    subsystems.  All three may change in place between calls.  A call may
+    pass an array ``out`` of the result's shape, which receives the input
+    and is returned.
     """
     multiply, total = np.multiply, np.add.reduce
     laws = bind_ce_law(W, eta[..., None, :], eps_b, u_max)
 
-    def law(y_r_next):
-        return total(multiply(post, laws(y_r_next)), -1)
+    def law(y_r_next, out=None):
+        return total(multiply(post, laws(y_r_next)), -1, out=out)
 
     return law

@@ -8,16 +8,20 @@ newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
 next reference value.  Each phase is its module's public step, bound to the
 state arrays once per batch: ``bind_plant``, ``bind_filter``,
-``bind_posterior``, and ``bind_ensemble_law`` or ``bind_ce_law``.  The
+``bind_posterior``, and ``bind_ensemble_law`` or ``bind_ce_law``; the
+scoring's log-likelihood is bound to its table once as well.  The
 controllers differ only in the bank set up before the loop, and each
 binding skips the exact no-ops its batch allows:
 an all-``rls`` batch skips the sign and weight, an ``oracle``-only batch
 forms the control's divisor once, and the plant reads the regressor under
 output feedback.  The measurement noise comes from a tape drawn from each
-seed's own stream, so a run does not depend on its batch.
+seed's own stream, so a run does not depend on its batch.  The last seed's
+row is kept, so paired episodes (several controllers run one after another
+on one seed) draw it once.
 
-The loop keeps y and u per step; recording is a fifth phase, bound the same
-way by a recorder that the caller picks (see ``_run_batch``).
+The loop keeps y and u per step: the plant and the law write them straight
+into the step's column of their records.  Recording is a fifth phase, bound
+the same way by a recorder that the caller picks (see ``_run_batch``).
 ``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
 one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
 each run's windowed error.
@@ -41,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _is_integer, parse_controller
-from .controller import _log_likelihood, bind_ce_law, bind_ensemble_law, bind_posterior, likelihood_table
+from .controller import _bind_log_likelihood, bind_ce_law, bind_ensemble_law, bind_posterior, likelihood_table
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import bind_plant, parameter_vector, reference_trajectory
@@ -114,12 +118,36 @@ def _bank(cfg: RunConfig):
     return table, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
 
 
+# The last noise row drawn, at most one entry: (id(model), seed, steps) -> (model, read-only row).
+_noise_memo: dict = {}
+
+
+def _noise_row(noise: NoiseModel, seed: int, steps: int) -> np.ndarray:
+    """Measurement noise e(0)..e(steps) of one seed from its scalar mixture stream, read-only.
+
+    The last row drawn is kept, so a paired episode (another controller on
+    the same seed) reads it instead of drawing it again.  It is keyed by the
+    model's identity, never by ``==``, under which a ``mu`` or ``mean`` of
+    -0.0 equals 0.0 although the two can draw zeros of different sign; the
+    entry holds the model, so its id is not reused while the entry lives.
+    """
+    key = (id(noise), seed, steps)
+    kept = _noise_memo.get(key)
+    if kept is not None:
+        return kept[1]
+    draw = _sampler(noise, np.random.default_rng(seed))
+    row = np.array([draw() for _ in range(steps + 1)])
+    row.flags.writeable = False
+    _noise_memo.clear()
+    _noise_memo[key] = noise, row
+    return row
+
+
 def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
-    """Measurement noise e(0)..e(steps) of each seed, one row per seed, from its scalar mixture stream."""
+    """Measurement noise e(0)..e(steps) of each seed, one row per seed (``_noise_row``'s), in a new array."""
     tape = np.empty((len(seeds), steps + 1))
     for row, seed in zip(tape, seeds):
-        draw = _sampler(noise, np.random.default_rng(seed))
-        row[:] = [draw() for _ in range(steps + 1)]
+        row[:] = _noise_row(noise, seed, steps)
     return tape
 
 
@@ -196,6 +224,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     else:
         step_plant = bind_plant(plant, u_now, x[:, m:], shift=False)
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
+    log_likelihood = _bind_log_likelihood(table) if n_scored else None
     update_post = bind_posterior(post[:n_scored])
     cut = n_scored < n_learn  # the learning rows extend past the scored ones
     # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
@@ -212,23 +241,24 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     with np.errstate(all="ignore"):
         # step 0 only feeds back z(0) (shifting the zero histories changes nothing) and forms u(0)
         fed[...] = z if feedback_z else y
-        u_new[...] = control(np.array(refs[1]))
-        # per step: the noise, the next reference as a 0-d array (which numpy
-        # takes faster than a float) and the step's column of y and u
-        for e, y_r_next, y_k, u_k in zip(tape.T[1:], map(np.array, refs[2:].tolist()), y_arr.T, u_arr.T):
-            y = step_plant()
+        # the references y_r(1)..y_r(steps + 1) as (1,) rows of one view
+        y_r_rows = iter(refs[1:, None])
+        u_new[...] = control(next(y_r_rows))
+        # per step: the noise, the next reference and the step's column of y
+        # and u, into which the plant and the law write their outputs
+        for e, y_r_next, y_k, u_k in zip(tape.T[1:], y_r_rows, y_arr.T, u_arr.T):
+            y = step_plant(y_k)
             add(y, e, z)
             if n_learn:
                 r, neg = step_filter(z_learn)
                 if n_scored:
                     if cut:
                         r, neg = r[:n_scored], neg[:n_scored]
-                    update_post(_log_likelihood(table, r, neg))
+                    update_post(log_likelihood(r, neg))
             # shift both histories by one and put the newest fed-back value in front
             older[...] = newer
             fed[...] = z if feedback_z else y
-            u_new[...] = u = control(y_r_next)
-            y_k[...], u_k[...] = y, u
+            u_new[...] = control(y_r_next, u_k)
             if record:
                 record()
 
@@ -428,11 +458,14 @@ def compare_controllers(
 
 
 def _writable_path(path, force: bool) -> Path:
-    """``path`` as a Path, checked before anything is written: it is new or ``force`` is set, and its directory exists.
+    """``path`` as a Path, checked before anything is written: it is not a directory, it is new or ``force``
+    is set, and its directory exists.
 
     Any other error of the later open names the path itself.
     """
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
     if path.exists() and not force:
         raise FileExistsError(f"{path}: already exists (use force to overwrite)")
     if not path.parent.is_dir():

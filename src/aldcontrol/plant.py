@@ -82,21 +82,22 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
 
 
 def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = True):
-    """The plant step bound to its history arrays: a function of no arguments that returns y(k+1).
+    """The plant step bound to its history arrays: a function of an optional ``out`` that returns y(k+1).
 
     Each call forms the next outputs from the inputs u(k)..u(k-m+1) in
     ``u_now`` (..., m) and the outputs y(k)..y(k-n+1) in ``y_hist`` (..., n),
     and shifts them into ``y_hist`` in place, dropping the oldest.  Both
     arrays may change in place between calls; without ``shift`` the caller
-    shifts each new output into ``y_hist`` itself.  The views into
-    ``y_hist`` and the numpy callables are taken here once.
+    shifts each new output into ``y_hist`` itself.  A call may pass an array
+    ``out`` of the outputs' shape, which receives y(k+1) and is returned.
+    The views into ``y_hist`` and the numpy callables are taken here once.
     """
     add, vecdot = np.add, np.vecdot
     b, a = p.b, p.a
     older, newer, newest = y_hist[..., 1:], y_hist[..., :-1], y_hist[..., :1]
 
-    def step():
-        y_next = add(vecdot(u_now, b), vecdot(y_hist, a))
+    def step(out=None):
+        y_next = add(vecdot(u_now, b), vecdot(y_hist, a), out=out)
         if shift:
             older[...] = newer
             newest[...] = y_next[..., None]

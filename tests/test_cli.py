@@ -39,6 +39,17 @@ def assert_out_checked_first(tmp_path, capsys, calls, *args):
     assert not missing.parent.exists()
 
 
+def assert_directory_out_refused_first(tmp_path, capsys, calls, *args):
+    """An ``--out`` that is an existing directory exits 2 before any run, with or without ``--force``."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for force in ((), ("--force",)):
+        assert run_cli(*args, "--out", str(folder), *force) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: {folder}: is a directory\n"
+    assert folder.is_dir() and not any(folder.iterdir())
+
+
 class TestSimulate:
     def test_writes_trace_from_preset(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -115,6 +126,10 @@ class TestSimulate:
         calls = spy(monkeypatch, "run_episode")
         assert_out_checked_first(tmp_path, capsys, calls, "simulate", "--preset", "base", "--steps", "10")
 
+    def test_directory_out_fails_before_the_episode(self, tmp_path, capsys, monkeypatch):
+        calls = spy(monkeypatch, "run_episode")
+        assert_directory_out_refused_first(tmp_path, capsys, calls, "simulate", "--preset", "base", "--steps", "10")
+
 
 class TestMonteCarlo:
     def test_writes_summary_with_aggregate_block(self, tmp_path, capsys):
@@ -156,8 +171,8 @@ class TestMonteCarlo:
     def test_bad_controller_token_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
         import aldcontrol.harness as harness
 
-        calls = []
-        monkeypatch.setattr(harness, "run_episode", lambda cfg: calls.append(cfg))
+        calls, batch = [], harness._run_batch
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args) or batch(*args))
         out = tmp_path / "summary.csv"
         for tokens in ("ensemble,rls,pid", "ensemble,single-ald:7"):
             code = run_cli("montecarlo", "--preset", "base", "--controllers", tokens, "--out", str(out))
@@ -165,6 +180,10 @@ class TestMonteCarlo:
             assert "run.controller" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+        # the spy sees the batches of a valid command
+        assert run_cli("montecarlo", "--preset", "base", "--steps", "20", "--runs", "2", "--window", "1:20",
+                       "--controllers", "ensemble,rls", "--out", str(out)) == 0
+        assert len(calls) == 1
 
     def test_empty_controller_list_rejected(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
@@ -181,6 +200,10 @@ class TestMonteCarlo:
     def test_unwritable_out_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
         calls = spy(monkeypatch, "compare_controllers")
         assert_out_checked_first(tmp_path, capsys, calls, "montecarlo", "--preset", "base", "--runs", "300")
+
+    def test_directory_out_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        calls = spy(monkeypatch, "compare_controllers")
+        assert_directory_out_refused_first(tmp_path, capsys, calls, "montecarlo", "--preset", "base", "--runs", "300")
 
     def test_bad_window_rejected(self, tmp_path, capsys):
         code = run_cli(

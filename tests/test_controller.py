@@ -80,6 +80,20 @@ class TestFrozenLaw:
                 u, u_moving = frozen(y_r_next), moving(y_r_next)
                 assert u.tobytes() == u_moving.tobytes() == ce_input(w, eta.copy(), y_r_next).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 4), d=st.integers(1, 4), frozen=st.booleans(), data=st.data())
+    def test_out_receives_the_same_bits_and_is_returned(self, rows, d, frozen, data):
+        # the episode loop passes the step's column of its (rows, steps) input record
+        w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
+        eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
+        law, record = bind_ce_law(w, eta, 1e-6, 1e3, frozen=frozen), np.empty((rows, 3))
+        for out in record.T:
+            y_r_next = data.draw(arrays(float, data.draw(st.sampled_from([(), (1,)])), elements=LAW_VALUES))
+            with np.errstate(all="ignore"):
+                u = law(y_r_next)
+                assert law(y_r_next, out) is out
+            assert u.tobytes() == out.tobytes()
+
 
 def log_lik(hyp, residual):
     return float(subsystem_log_likelihood(likelihood_table([hyp]), residual)[0])
@@ -211,6 +225,20 @@ class TestEnsembleControl:
         for _ in range(25):
             p[...] = rng.dirichlet(np.ones(3))
             assert law(1.3) == pytest.approx(float(p @ laws))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 4), n_sub=st.integers(1, 4), d=st.integers(1, 4), data=st.data())
+    def test_out_receives_the_same_bits_and_is_returned(self, rows, n_sub, d, data):
+        W = data.draw(arrays(float, (rows, n_sub, d), elements=LAW_VALUES))
+        eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
+        post = data.draw(arrays(float, (rows, n_sub), elements=st.floats(0.0, 1.0)))
+        law, record = bind_ensemble_law(post, W, eta), np.empty((rows, 3))
+        for out in record.T:
+            y_r_next = np.array([data.draw(LAW_VALUES)])
+            with np.errstate(all="ignore"):
+                u = law(y_r_next)
+                assert law(y_r_next, out) is out
+            assert u.tobytes() == out.tobytes()
 
 
 class TestOracleControl:

@@ -119,11 +119,11 @@ class TestRunEpisode:
         def broken(*args, **kwargs):
             step, calls = bound(*args, **kwargs), []
 
-            def plant():
+            def plant(*a):
                 calls.append(None)
                 if len(calls) == 5:
                     raise ValueError("bug")
-                return step()
+                return step(*a)
 
             return plant
 
@@ -159,6 +159,13 @@ def count_core_rows(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harness, "_run_batch", spy)
     return rows
+
+
+def count_sampler_binds(monkeypatch) -> list[tuple]:
+    """Spy on the noise draw: the arguments of every later bind of ``_sampler``, one per seed's row drawn."""
+    binds, bind = [], harness._sampler
+    monkeypatch.setattr(harness, "_sampler", lambda *args: binds.append(args) or bind(*args))
+    return binds
 
 
 def assert_prefix(part, whole):
@@ -325,6 +332,9 @@ class TestBatchedCore:
         run_episode(replace(cfg, seed=7))
         run_episode(replace(cfg, controller="rls", seed=3))
         compare_controllers(replace(cfg, seed=5), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 60))
+        # the same seed again, reading the kept noise row, and a batch that ends on it
+        run_episode(replace(cfg, controller="rls"))
+        compare_controllers(cfg, ["rls", "oracle"], 1, (1, 60))
         for name, data in saved.items():
             assert arrays[name].tobytes() == data, name
         assert_same_trace(trace, run_episode(cfg))
@@ -340,6 +350,40 @@ class TestBatchedCore:
         monkeypatch.setattr(harness, "_sampler", counting)
         compare_controllers(short(base, steps=20), ["ensemble", "rls", "single-ald:0", "oracle"], 3, (1, 20))
         assert len(calls) == 3 * 21
+
+    def test_paired_episodes_draw_the_noise_once(self, monkeypatch):
+        binds = count_sampler_binds(monkeypatch)
+        cfg = short(preset_config("noise1"), steps=50, seed=4)
+        ensemble, rls = run_episode(cfg), run_episode(replace(cfg, controller="rls"))
+        assert len(binds) == 1
+        assert ensemble.noise.tobytes() == rls.noise.tobytes()
+        # a fresh draw of the same seed gives the same traces
+        harness._noise_memo.clear()
+        assert_same_trace(run_episode(replace(cfg, controller="rls")), rls)
+        assert_same_trace(run_episode(cfg), ensemble)
+        assert len(binds) == 2
+
+    def test_noise_models_equal_but_for_a_signed_zero_each_draw_their_own_row(self, base, monkeypatch):
+        # NoiseModel's == holds mu = -0.0 and 0.0 equal; the kept row must not
+        plus, minus = (NoiseModel((MixtureComponent(1.0, AldParams(0.5, mu, 0.1)),)) for mu in (0.0, -0.0))
+        assert plus == minus
+        binds = count_sampler_binds(monkeypatch)
+        cfg = short(base, steps=20, seed=2)
+        run_episode(replace(cfg, noise=plus))
+        run_episode(replace(cfg, noise=minus))
+        assert len(binds) == 2 and binds[0][0] is plus and binds[1][0] is minus
+
+    def test_at_most_one_noise_row_is_kept_and_it_is_read_only(self, base, monkeypatch):
+        binds = count_sampler_binds(monkeypatch)
+        cfg = short(base, steps=30)
+        for seed, steps in ((1, 30), (2, 30), (2, 31), (1, 30)):
+            run_episode(replace(cfg, seed=seed, steps=steps))
+            assert len(harness._noise_memo) == 1
+        compare_controllers(cfg, ["ensemble", "rls"], 5, (1, 30))
+        [(model, row)] = harness._noise_memo.values()
+        assert model is cfg.noise and row.shape == (31,) and not row.flags.writeable
+        # each (seed, steps) changed from the one before it, and so did every seed of the batch
+        assert len(binds) == 4 + 5
 
     @pytest.mark.parametrize("tokens", [["ensemble", "rls", "single-ald:0", "oracle"], ["oracle", "ensemble", "rls"]])
     def test_compare_controllers_makes_one_core_call_per_chunk(self, base, monkeypatch, tokens):

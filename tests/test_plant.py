@@ -119,6 +119,22 @@ class TestPlantStep:
             x[:, 0] = data.draw(arrays(float, rows, elements=values))
             assert x[:, m:].tobytes() == y_hist.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 3), m=st.integers(1, 3), rows=st.integers(1, 3), shift=st.booleans(), data=st.data())
+    def test_out_receives_the_same_bits_and_is_returned(self, n, m, rows, shift, data):
+        # the episode loop passes the step's column of its (rows, steps) output record
+        values = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats(-1e3, 1e3))
+        p = ArxParams(data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0))), np.ones(m))
+        u_now = data.draw(arrays(float, (rows, m), elements=values))
+        y_hist = data.draw(arrays(float, (rows, n), elements=values))
+        y_hist_out, record = y_hist.copy(), np.empty((rows, 4))
+        fresh, into = bind_plant(p, u_now, y_hist, shift=shift), bind_plant(p, u_now, y_hist_out, shift=shift)
+        for out in record.T:
+            with np.errstate(all="ignore"):
+                y, y_out = fresh(), into(out)
+            assert y_out is out and y.tobytes() == out.tobytes()
+            assert y_hist.tobytes() == y_hist_out.tobytes()
+
     def test_open_loop_is_unstable(self):
         companion = np.array([[PLANT.a[0], PLANT.a[1]], [1.0, 0.0]])
         assert np.max(np.abs(np.linalg.eigvals(companion))) > 1.0
