@@ -187,17 +187,17 @@ def _value(value, path: str, kind: type):
     raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
 
 
-def _section(obj, path: str, kinds: dict, required=(), unknown: str = "unknown key") -> dict:
+def _section(obj, path: str, kinds: dict, required=()) -> dict:
     """Mapping ``obj`` read key by key with :func:`_value`.
 
     ``kinds`` maps every allowed key to its kind; any other key is rejected as
-    ``unknown``, and so is a missing ``required`` key.
+    an unknown key, and a missing ``required`` key is rejected too.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping")
     for key in obj:
         if key not in kinds:
-            raise ConfigError(f"{path}.{key}: {unknown}")
+            raise ConfigError(f"{path}.{key}: unknown key")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}.{key}: missing required key")

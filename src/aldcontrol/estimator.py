@@ -85,10 +85,11 @@ def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
     """Weighted least squares with a Gaussian-style prior (w0, P0).
 
     Solves  (P0^-1 + X' W X) w = P0^-1 w0 + X' W (z - offsets)  with
-    W = diag(weights).  Run with the weights and offsets that a sequence of
-    :func:`bind_filter` steps realized, it reproduces the recursive estimate
-    up to rounding, so it is the filter's independent test oracle; with no
-    rows it returns ``w0``.
+    W = diag(weights), every weight positive and finite (a ValueError
+    otherwise).  Run with the weights and offsets that a sequence of
+    :func:`bind_filter` steps realized, the unit weights of :data:`RLS_RULE`
+    included, it reproduces the recursive estimate up to rounding, so it is
+    the filter's independent test oracle; with no rows it returns ``w0``.
 
     Raises ``numpy.linalg.LinAlgError`` if the normal matrix is singular,
     which cannot happen for a positive definite ``P0``.
@@ -99,8 +100,8 @@ def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     P0 = np.asarray(P0, dtype=float)
-    if np.any(weights <= 0.0) or np.any(weights >= 1.0):
-        raise ValueError("weights must lie in (0, 1)")
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ValueError("weights must be positive and finite")
     P0_inv = np.linalg.inv(P0)
     normal = P0_inv + X.T @ (weights[:, None] * X)
     rhs = P0_inv @ w0 + X.T @ (weights * (z - offsets))

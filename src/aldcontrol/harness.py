@@ -9,12 +9,13 @@ refresh the posteriors, and forms the posterior-weighted control for the
 next reference value.  Each phase is its module's public step, bound to the
 state arrays once per batch: ``bind_plant``, ``bind_filter``,
 ``bind_posterior``, and ``bind_ensemble_law`` or ``bind_ce_law``; the
-scoring's log-likelihood is bound to its table once as well.  The
-controllers differ only in the bank set up before the loop, and each
-binding skips the exact no-ops its batch allows:
-an all-``rls`` batch skips the sign and weight, an ``oracle``-only batch
-forms the control's divisor once, and the plant reads the regressor under
-output feedback.  The measurement noise comes from a tape drawn from each
+scoring's log-likelihood is bound to its table once as well.  Every
+history of a row is a column block of one array, which the loop alone
+shifts, once per step: the steps only read their histories and write their
+outputs.  The controllers differ only in the bank set up before the loop,
+and each binding skips the exact no-ops its batch allows: an all-``rls``
+batch skips the sign and weight, and an ``oracle``-only batch forms the
+control's divisor once.  The measurement noise comes from a tape drawn from each
 seed's own stream, so a run does not depend on its batch.  The last seed's
 row is kept, so paired episodes (several controllers run one after another
 on one seed) draw it once.
@@ -207,22 +208,25 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
     record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn, n_subs)
 
-    # x = [u(k), u(k-1)..u(k-m+1), f(k)..f(k-n+1)] with f the fed-back signal;
-    # the control law sees eta = x[1:] and the estimators the previous step's x.
+    # Every history is a column block of one array, newest first:
+    # hist = [u(k)..u(k-m+1), f(k)..f(k-n+1)], f the fed-back signal, and under
+    # measurement feedback (f = z) then y(k)..y(k-n+1), so that the plant reads
+    # the last n columns under either feedback.  The control law sees eta = x[1:]
+    # of the regressor x = hist[:, :d], and the estimators the previous step's x.
     # Every product with a row of W is a vecdot: it gives the same bits as the
     # per-row dot product, which matvec on the sliced W[..., 1:] does not.
-    x = np.zeros((rows, plant.d))
-    eta, u_now, u_new, older, newer = x[:, 1:], x[:, :m], x[:, 0], x[:, 1:], x[:, :-1]
-    fed = x[:, m : m + 1].T  # the newest fed-back entry, (1, rows); empty when n = 0
+    d, n = plant.d, plant.n
+    width = d + n if feedback_z else d
+    hist = np.zeros((rows, width))
+    x = hist[:, :d]
+    eta, u_now, u_new, older, newer = x[:, 1:], x[:, :m], x[:, 0], hist[:, 1:], hist[:, :-1]
+    # the newest fed-back and output entries, (1, rows) each: both empty when
+    # n = 0, and the output entry also under output feedback, where f is y
+    fed, y_new = hist[:, m : m + 1].T, hist[:, d : d + 1].T
     y = np.zeros(rows)
     z = y + tape[:, 0]
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
-    # Under output feedback x[:, m:] holds y(k)..y(k-n+1) at every plant
-    # step, so the plant reads it and shifts no history of its own.
-    if feedback_z:
-        step_plant = bind_plant(plant, u_now, np.zeros((rows, plant.n)))
-    else:
-        step_plant = bind_plant(plant, u_now, x[:, m:], shift=False)
+    step_plant = bind_plant(plant, u_now, hist[:, width - n :])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
     log_likelihood = _bind_log_likelihood(table) if n_scored else None
     update_post = bind_posterior(post[:n_scored])
@@ -255,9 +259,12 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
                     if cut:
                         r, neg = r[:n_scored], neg[:n_scored]
                     update_post(log_likelihood(r, neg))
-            # shift both histories by one and put the newest fed-back value in front
+            # shift every history by one and put the newest values in front
             older[...] = newer
-            fed[...] = z if feedback_z else y
+            if feedback_z:
+                fed[...], y_new[...] = z, y
+            else:
+                fed[...] = y
             u_new[...] = control(y_r_next, u_k)
             if record:
                 record()
@@ -352,11 +359,12 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
     """Trace rows of the inclusive window (k_lo, k_hi); its bounds are integers, numpy ones included, bools not."""
     try:
-        if not all(map(_is_integer, window)):
-            raise TypeError
-        lo, hi = map(int, window)
-    except TypeError:
-        raise ValueError(f"window {window!r} bounds must be integers") from None
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise ValueError(f"window {window!r} must be a (k_lo, k_hi) pair") from None
+    if not (_is_integer(lo) and _is_integer(hi)):
+        raise ValueError(f"window {window!r} bounds must be integers")
+    lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError(f"empty window {window!r}")
     if lo < 1 or hi > steps:

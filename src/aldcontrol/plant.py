@@ -6,10 +6,8 @@ The plant is
 
 with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
 by the caller, with any leading (run) dimensions.  :func:`bind_plant` binds
-the plant to them once and returns its step, which shifts each new output
-into the output history in place; under output feedback the episode loop's
-plant reads the regressor's output entries instead, which the loop shifts
-itself.
+the plant to them once and returns its step, which reads them and writes only
+the new outputs: the caller shifts each history itself.
 """
 
 from __future__ import annotations
@@ -81,27 +79,21 @@ def parameter_vector(p: ArxParams) -> np.ndarray:
     return np.concatenate([p.b, p.a])
 
 
-def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray, shift: bool = True):
+def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
     """The plant step bound to its history arrays: a function of an optional ``out`` that returns y(k+1).
 
     Each call forms the next outputs from the inputs u(k)..u(k-m+1) in
-    ``u_now`` (..., m) and the outputs y(k)..y(k-n+1) in ``y_hist`` (..., n),
-    and shifts them into ``y_hist`` in place, dropping the oldest.  Both
-    arrays may change in place between calls; without ``shift`` the caller
-    shifts each new output into ``y_hist`` itself.  A call may pass an array
-    ``out`` of the outputs' shape, which receives y(k+1) and is returned.
-    The views into ``y_hist`` and the numpy callables are taken here once.
+    ``u_now`` (..., m) and the outputs y(k)..y(k-n+1) in ``y_hist`` (..., n).
+    Both arrays are the caller's: the step only reads them, and the caller
+    shifts each new output into ``y_hist`` between calls.  A call may pass
+    an array ``out`` of the outputs' shape, which receives y(k+1) and is
+    returned; nothing else is written.
     """
     add, vecdot = np.add, np.vecdot
     b, a = p.b, p.a
-    older, newer, newest = y_hist[..., 1:], y_hist[..., :-1], y_hist[..., :1]
 
     def step(out=None):
-        y_next = add(vecdot(u_now, b), vecdot(y_hist, a), out=out)
-        if shift:
-            older[...] = newer
-            newest[...] = y_next[..., None]
-        return y_next
+        return add(vecdot(u_now, b), vecdot(y_hist, a), out=out)
 
     return step
 

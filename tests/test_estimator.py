@@ -254,10 +254,50 @@ class TestBatchWeightedLs:
                 batch = batch_weighted_ls(xs[:, run], zs[:, run], np.full(n, ald_mean(hyp)), weights, w0, P0)
                 assert np.max(np.abs(batch - W[run, s])) <= 1e-8 * max(1.0, np.max(np.abs(batch)))
 
-    def test_rejects_out_of_range_weights(self):
-        with pytest.raises(ValueError):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(0, 80),
+        runs=st.integers(1, 3),
+        taus=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=2),
+        mu=st.floats(-2.0, 2.0),
+        p0_scale=st.floats(0.01, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rls_beside_quantile_bank_matches_batch(self, d, n, runs, taus, mu, p0_scale, seed):
+        # RLS's unit weight is a valid batch weight: each entry of a mixed
+        # bank equals the batch solve under the weights and offsets its rule realized
+        rng = np.random.default_rng(seed)
+        p_neg, p_pos, shift = rule = concat(RLS_RULE, quantile_rule([AldParams(tau, mu, 0.5) for tau in taus]))
+        root = rng.normal(size=(d, d))
+        P0 = p0_scale * (root @ root.T / d + np.eye(d))
+        w0 = rng.normal(size=d)
+        xs = rng.normal(size=(n, runs, d))
+        zs = rng.normal(size=(n, runs), scale=2.0)
+        W, P = bank(w0, P0, runs, p_neg.size)
+        x_k = np.zeros((runs, 1, d))
+        step = bind_filter(W, P, x_k, rule)
+        residuals = np.empty((n, runs, p_neg.size))
+        for r, x, z in zip(residuals, xs, zs):
+            x_k[:, 0] = x
+            r[...] = step(z[:, None])[0]
+        for run in range(runs):
+            for s in range(p_neg.size):
+                weights = np.where(residuals[:, run, s] < 0.0, p_neg[s], p_pos[s])
+                batch = batch_weighted_ls(xs[:, run], zs[:, run], np.full(n, shift[s]), weights, w0, P0)
+                assert np.max(np.abs(batch - W[run, s])) <= 1e-8 * max(1.0, np.max(np.abs(batch)))
+
+    @pytest.mark.parametrize("weight", [1e-300, 0.5, 1.0, 4.0])
+    def test_accepts_every_positive_finite_weight(self, weight):
+        # one sample x = z = 1 from the prior (0, 1): w = weight / (1 + weight)
+        out = batch_weighted_ls(np.ones((1, 1)), np.ones(1), np.zeros(1), np.array([weight]), np.zeros(1), np.eye(1))
+        assert out[0] == pytest.approx(weight / (1.0 + weight), rel=1e-15)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_out_of_range_weights(self, weight):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
             batch_weighted_ls(
-                np.ones((1, 1)), np.ones(1), np.zeros(1), np.array([1.0]), np.zeros(1), np.eye(1)
+                np.ones((2, 1)), np.ones(2), np.zeros(2), np.array([0.5, weight]), np.zeros(1), np.eye(1)
             )
 
 

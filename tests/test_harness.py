@@ -241,6 +241,24 @@ class TestBatchedCore:
             for seed, trace in zip(seeds, traces):
                 assert_same_trace(trace, run_episode(replace(c, seed=seed)))
 
+    @pytest.mark.parametrize("feedback", FEEDBACK_KINDS)
+    @pytest.mark.parametrize("plant", PLANTS, ids=lambda p: "preset" if p is None else f"n{p.n}m{p.m}")
+    def test_every_trace_follows_the_arx_recursion_bit_for_bit(self, base, plant, feedback):
+        # the plant reads the true outputs y, never the measurements z, under either feedback
+        for token in ("rls", "oracle", "ensemble"):
+            cfg = with_plant(short(base, steps=120, feedback=feedback, controller=token), plant)
+            p, tr = cfg.plant, run_episode(cfg)
+            assert not tr.failed
+
+            def y_of(j):
+                return tr.y[j - 1] if j >= 1 else 0.0  # the plant starts at rest: y = 0 before k = 1
+
+            for k in range(p.m, cfg.steps):
+                u_hist = np.array([tr.u[k - i - 1] for i in range(p.m)])  # u(k)..u(k-m+1)
+                y_hist = np.array([y_of(k - i) for i in range(p.n)])  # y(k)..y(k-n+1)
+                expected = np.add(np.vecdot(u_hist, p.b), np.vecdot(y_hist, p.a))
+                assert tr.y[k].tobytes() == expected.tobytes(), (token, k)
+
     @pytest.mark.parametrize("token,fail_steps", [("rls", {53, 279}), ("ensemble", {118, 222})])
     def test_rows_fail_at_their_own_steps_beside_healthy_rows(self, base, token, fail_steps):
         cfg = short(base, noise=RARE_HUGE, steps=300)
@@ -565,6 +583,17 @@ class TestMetrics:
             with pytest.raises(ValueError, match=re.escape(repr(window))):
                 call(tr, window)
         with pytest.raises(ValueError, match=re.escape(repr(window))):
+            compare_controllers(cfg, ["rls"], 1, window)
+
+    @pytest.mark.parametrize("window", [(1, 2, 3), (5,), ()])
+    def test_window_that_is_not_a_pair_is_named(self, base, window):
+        cfg = short(base, steps=40)
+        tr = run_episode(cfg)
+        message = re.escape(f"window {window!r} must be a (k_lo, k_hi) pair")
+        for call in (accumulated_error, max_tracking_error):
+            with pytest.raises(ValueError, match=message):
+                call(tr, window)
+        with pytest.raises(ValueError, match=message):
             compare_controllers(cfg, ["rls"], 1, window)
 
     def test_numpy_integer_window_accepted(self, base):

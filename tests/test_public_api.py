@@ -21,3 +21,18 @@ def test_every_declared_name_exists():
     for module in submodules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+# The step API's binders, each with its parameter names in order: a new knob on a step is a reviewed edit here.
+BINDER_PARAMETERS = {
+    "bind_plant": ["p", "u_now", "y_hist"],
+    "bind_filter": ["W", "P", "x", "rule"],
+    "bind_posterior": ["post"],
+    "bind_ce_law": ["w", "eta", "eps_b", "u_max", "frozen"],
+    "bind_ensemble_law": ["post", "W", "eta", "eps_b", "u_max"],
+}
+
+
+def test_binder_signatures_are_pinned():
+    actual = {name: list(inspect.signature(getattr(aldcontrol, name)).parameters) for name in BINDER_PARAMETERS}
+    assert actual == BINDER_PARAMETERS
