@@ -21,9 +21,8 @@ from .controller import (
     POSTERIOR_FLOOR,
     bind_ce_law,
     bind_ensemble_law,
+    bind_log_likelihood,
     bind_posterior,
-    likelihood_table,
-    subsystem_log_likelihood,
 )
 from .estimator import RLS_RULE, batch_weighted_ls, bind_filter, quantile_rule
 from .harness import (

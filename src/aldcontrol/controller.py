@@ -7,8 +7,9 @@ Every function works over leading dimensions, with the subsystem axis S
 last, so one call serves a whole batch of runs.  The posterior update and
 the two laws are bound to their arrays once (:func:`bind_posterior`,
 :func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped, and so is
-the log-likelihood to its table; a law bound to estimates that never change
-(a frozen bank) forms its safeguarded divisor once.
+the scoring of residuals under the hypotheses (:func:`bind_log_likelihood`);
+a law bound to estimates that never change (a frozen bank) forms its
+safeguarded divisor once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ __all__ = [
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
     "bind_ce_law",
-    "likelihood_table",
-    "subsystem_log_likelihood",
+    "bind_log_likelihood",
     "bind_posterior",
     "bind_ensemble_law",
 ]
@@ -71,38 +71,36 @@ def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_M
     return law
 
 
-def likelihood_table(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (log(tau*(1-tau)/sigma), tau - 1, tau, sigma) of the hypotheses, built once per bank."""
-    tau = np.array([h.tau for h in hyps])
-    return (
-        np.array([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps]),
-        tau - 1.0,
-        tau,
-        np.array([h.sigma for h in hyps]),
-    )
+def bind_log_likelihood(hyps: tuple[AldParams, ...]):
+    """The scoring step of the hypotheses ``hyps``: a function of residuals and their signs ``neg``.
 
-
-def _bind_log_likelihood(table):
-    """:func:`subsystem_log_likelihood` bound to ``table`` once: a function of residuals and their signs ``neg`` (``residual < 0``).
-
-    The table's arrays and the numpy callables are taken here once.
+    Each call returns the ALD log-densities log(tau*(1-tau)/sigma) -
+    loss/sigma of prediction residuals z - x'w_hat (..., S) under the S
+    hypotheses, with the check loss of residual - mu and the slope that its
+    sign picks.  ``neg`` is ``residual < 0``, the sign the filter step
+    already took.  The arrays log(tau*(1-tau)/sigma), tau - 1, tau, sigma
+    and mu and the numpy callables are taken here once, and so is the check
+    that every mu is 0, as for every shipped hypothesis: then the step scores
+    the residual with ``neg`` as they are, and otherwise it subtracts mu and
+    takes the sign of the difference.
     """
-    subtract, divide, check_loss = np.subtract, np.divide, _check_loss
-    log_peak, slope_neg, slope_pos, sigma = table
+    subtract, divide, less, check_loss = np.subtract, np.divide, np.less, _check_loss
+    log_peak = np.array([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps])
+    tau = np.array([h.tau for h in hyps])
+    slope_neg, sigma, mu = tau - 1.0, np.array([h.sigma for h in hyps]), np.array([h.mu for h in hyps])
+    zero = np.array(0.0)  # 0-d, which numpy takes faster than a Python float
 
     def log_likelihood(residual, neg):
-        return subtract(log_peak, divide(check_loss(residual, neg, slope_neg, slope_pos), sigma))
+        return subtract(log_peak, divide(check_loss(residual, neg, slope_neg, tau), sigma))
 
-    return log_likelihood
+    if np.all(mu == 0.0):
+        return log_likelihood
 
+    def at_mu(residual, neg):
+        u = subtract(residual, mu)
+        return log_likelihood(u, less(u, zero))
 
-def subsystem_log_likelihood(table, residual):
-    """ALD log-densities of prediction residuals z - x'w_hat (..., S) under the S hypotheses of ``table``.
-
-    Returns log(tau*(1-tau)/sigma) - loss/sigma with the check loss of each
-    residual.
-    """
-    return _bind_log_likelihood(table)(residual, residual < 0.0)
+    return at_mu
 
 
 def bind_posterior(post: np.ndarray):

@@ -85,8 +85,10 @@ def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
     """Weighted least squares with a Gaussian-style prior (w0, P0).
 
     Solves  (P0^-1 + X' W X) w = P0^-1 w0 + X' W (z - offsets)  with
-    W = diag(weights), every weight positive and finite (a ValueError
-    otherwise).  Run with the weights and offsets that a sequence of
+    W = diag(weights), every weight positive and finite.  ``X`` has one row
+    per sample and len(w0) columns, and ``z``, ``offsets`` and ``weights``
+    one entry per row of ``X``; a ValueError names any other shape or
+    weight.  Run with the weights and offsets that a sequence of
     :func:`bind_filter` steps realized, the unit weights of :data:`RLS_RULE`
     included, it reproduces the recursive estimate up to rounding, so it is
     the filter's independent test oracle; with no rows it returns ``w0``.
@@ -94,12 +96,12 @@ def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
     Raises ``numpy.linalg.LinAlgError`` if the normal matrix is singular,
     which cannot happen for a positive definite ``P0``.
     """
-    X = np.asarray(X, dtype=float).reshape(-1, np.asarray(w0).shape[0])
-    z = np.asarray(z, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    P0 = np.asarray(P0, dtype=float)
+    X, z, offsets, weights, w0, P0 = (np.asarray(v, dtype=float) for v in (X, z, offsets, weights, w0, P0))
+    if X.ndim != 2 or X.shape[1:] != w0.shape:
+        raise ValueError(f"X has shape {X.shape}, but needs one column per entry of w0 (shape {w0.shape})")
+    for name, v in (("z", z), ("offsets", offsets), ("weights", weights)):
+        if v.shape != X.shape[:1]:
+            raise ValueError(f"{name} has shape {v.shape}, but needs one entry per row of X ({X.shape[0]})")
     if not np.all(np.isfinite(weights) & (weights > 0.0)):
         raise ValueError("weights must be positive and finite")
     P0_inv = np.linalg.inv(P0)

@@ -6,10 +6,10 @@ Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
 (rows, S), updated in place.  Each step applies the plant, assimilates the
 newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
-next reference value.  Each phase is its module's public step, bound to the
-state arrays once per batch: ``bind_plant``, ``bind_filter``,
-``bind_posterior``, and ``bind_ensemble_law`` or ``bind_ce_law``; the
-scoring's log-likelihood is bound to its table once as well.  Every
+next reference value.  Each phase is its module's public step, bound once
+per batch: ``bind_plant``, ``bind_filter``, ``bind_log_likelihood`` (to the
+hypotheses of the batch's scored ensemble), ``bind_posterior``, and
+``bind_ensemble_law`` or ``bind_ce_law``, to the state arrays.  Every
 history of a row is a column block of one array, which the loop alone
 shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
@@ -21,7 +21,7 @@ row is kept, so paired episodes (several controllers run one after another
 on one seed) draw it once.
 
 The loop keeps y and u per step: the plant and the law write them straight
-into the step's column of their records.  Recording is a fifth phase, bound
+into the step's column of their records.  Recording is a sixth phase, bound
 the same way by a recorder that the caller picks (see ``_run_batch``).
 ``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
 one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _is_integer, parse_controller
-from .controller import _bind_log_likelihood, bind_ce_law, bind_ensemble_law, bind_posterior, likelihood_table
+from .controller import bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import bind_plant, parameter_vector, reference_trajectory
@@ -102,21 +102,21 @@ class EpisodeTrace:
 
 
 def _bank(cfg: RunConfig):
-    """Subsystem bank of one controller: (likelihood table, weight rule, W (S, d)).
+    """Subsystem bank of one controller: (scored, weight rule, W (S, d)).
 
     The rule is :func:`~aldcontrol.estimator.bind_filter`'s, one entry per
-    subsystem.  Only a bank of two or more subsystems has a table, and only
-    its posteriors are scored; a bank without a rule keeps W frozen.
+    subsystem.  Only a bank of two or more subsystems is ``scored``: only
+    its posteriors are stepped, and it is an ``ensemble`` bank over
+    ``cfg.hypotheses``.  A bank without a rule keeps W frozen.
     """
     kind, index = parse_controller(cfg.controller)
     if kind == "oracle":
-        return None, None, parameter_vector(cfg.plant)[None, :]
+        return False, None, parameter_vector(cfg.plant)[None, :]
     if kind == "rls":
-        table, rule = None, RLS_RULE
+        rule = RLS_RULE
     else:
-        hyps = cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1]
-        table, rule = (likelihood_table(hyps) if len(hyps) > 1 else None), quantile_rule(hyps)
-    return table, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
+        rule = quantile_rule(cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1])
+    return rule[0].size > 1, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
 
 
 # The last noise row drawn, at most one entry: (id(model), seed, steps) -> (model, read-only row).
@@ -182,9 +182,9 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     # scored banks first, then learning-only ones, then frozen ones: the
     # posterior step and the gain step each work on a prefix of the rows
     banks = [_bank(c) for c in cfgs]
-    order = sorted(range(len(cfgs)), key=lambda c: (banks[c][0] is None, banks[c][1] is None))
-    tables, rules, Ws = zip(*(banks[c] for c in order))
-    n_scored = runs * sum(t is not None for t in tables)
+    order = sorted(range(len(cfgs)), key=lambda c: (not banks[c][0], banks[c][1] is None))
+    scored, rules, Ws = zip(*(banks[c] for c in order))
+    n_scored = runs * sum(scored)
     n_learn = runs * sum(r is not None for r in rules)
     n_subs = np.repeat([len(w) for w in Ws], runs)  # subsystems of each row's own bank
     sub = np.arange(n_subs.max())
@@ -194,10 +194,10 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
         """(S_c, ...) arrays, one per bank, padded to S with copies of entry 0 and repeated once per seed."""
         return np.array([v[pad] for v, pad in zip(per_bank, pads)]).repeat(runs, axis=0)
 
-    # Only unscored banks are padded: a scored bank is an ensemble, whose S is
-    # the batch's.  A padded subsystem copies subsystem 0 with prior 0: it
+    # Only unscored banks are padded: a scored bank is an ensemble over
+    # cfg.hypotheses, whose S is the batch's, so every scored row is scored
+    # by one step.  A padded subsystem copies subsystem 0 with prior 0: it
     # tracks subsystem 0 bit for bit, and its 0*u leaves the control's sum unchanged.
-    table = tuple(map(stack, zip(*tables[: n_scored // runs])))
     rule = tuple(map(stack, zip(*rules[: n_learn // runs])))
     W = stack(Ws)
     post = np.where(sub < n_subs[:, None], 1.0 / n_subs[:, None], 0.0)
@@ -228,7 +228,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
     step_plant = bind_plant(plant, u_now, hist[:, width - n :])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
-    log_likelihood = _bind_log_likelihood(table) if n_scored else None
+    log_likelihood = bind_log_likelihood(cfg.hypotheses) if n_scored else None
     update_post = bind_posterior(post[:n_scored])
     cut = n_scored < n_learn  # the learning rows extend past the scored ones
     # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
@@ -530,8 +530,8 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     header, data = _read_rows(path)
     n_sub = sum(1 for name in header if name.startswith("pi_"))
     dim = (len(header) - 5 - n_sub) // max(n_sub, 1)
-    if n_sub < 1 or header != _trace_header(n_sub, dim):
-        raise ValueError(f"{path}: not a trace CSV (header is not k,y_r,y,z,u,pi_1..pi_S,w_hat_1_1..w_hat_S_d, S >= 1)")
+    if n_sub < 1 or dim < 1 or header != _trace_header(n_sub, dim):
+        raise ValueError(f"{path}: not a trace CSV (header is not k,y_r,y,z,u,pi_1..pi_S,w_hat_1_1..w_hat_S_d, S,d >= 1)")
     width = len(header)
     values = None
     if all(len(row) == width for _, row in data):

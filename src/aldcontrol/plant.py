@@ -46,6 +46,8 @@ class ArxParams:
         a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if a.ndim != 1 or b.ndim != 1:
+            raise ValueError("plant coefficients a and b must be one-dimensional")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("plant coefficients must be finite")
         if b.size < 1:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,13 +14,12 @@ from aldcontrol import (
     bind_ce_law,
     bind_ensemble_law,
     bind_filter,
+    bind_log_likelihood,
     bind_posterior,
-    likelihood_table,
     parameter_vector,
     preset_config,
     quantile_rule,
     run_episode,
-    subsystem_log_likelihood,
 )
 
 
@@ -95,8 +94,14 @@ class TestFrozenLaw:
             assert u.tobytes() == out.tobytes()
 
 
+def scores(hyps, residuals):
+    """Log-likelihoods of ``residuals`` (..., S) under ``hyps``, from a scoring step bound for them alone."""
+    residuals = np.asarray(residuals, dtype=float)
+    return bind_log_likelihood(hyps)(residuals, residuals < 0.0)
+
+
 def log_lik(hyp, residual):
-    return float(subsystem_log_likelihood(likelihood_table([hyp]), residual)[0])
+    return float(scores([hyp], [residual])[0])
 
 
 class TestSubsystemLogLikelihood:
@@ -120,13 +125,30 @@ class TestSubsystemLogLikelihood:
         rng = np.random.default_rng(3)
         hyps = [AldParams(0.95, 0.0, 0.01), AldParams(0.5, 0.3, 2.0), AldParams(0.1, -1.0, 0.2)]
         residuals = rng.normal(size=(4, 3))
-        table = subsystem_log_likelihood(likelihood_table(hyps), residuals)
+        table = scores(hyps, residuals)
         for (i, j), r in np.ndenumerate(residuals):
             assert table[i, j] == log_lik(hyps[j], r)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tau=st.floats(0.01, 0.99),
+        mu=st.floats(-10.0, 10.0),
+        sigma=st.floats(1e-3, 1e3),
+        # |r - mu|/sigma, bounded so that the density does not underflow
+        t=st.floats(-30.0, 30.0),
+    )
+    # a hypothesis located off 0 at its own peak, r = mu, and at r = 0
+    @example(tau=0.5, mu=0.3, sigma=2.0, t=0.0)
+    @example(tau=0.5, mu=0.3, sigma=2.0, t=-0.15)
+    def test_value_is_the_log_density(self, tau, mu, sigma, t):
+        hyp = AldParams(tau, mu, sigma)
+        r = mu + t * sigma
+        # the absolute 1e-12 serves values near 0, where log(tau*(1-tau)/sigma) and the loss cancel
+        assert log_lik(hyp, r) == pytest.approx(math.log(ald_pdf(hyp, r)), rel=1e-12, abs=1e-12)
+
 
 def log_likelihoods(hyps, W, x, z):
-    return subsystem_log_likelihood(likelihood_table(hyps), np.array([z - x @ w for w in W]))
+    return scores(hyps, [z - x @ w for w in W])
 
 
 def posterior_after(post, log_lik):
@@ -271,9 +293,9 @@ class TestEnsembleCollapse:
         post = np.full((seeds, 2), 0.5)
         x_k = np.zeros((seeds, 1, 3))
         step, update = bind_filter(W, P, x_k, quantile_rule(hyps)), bind_posterior(post)
-        table = likelihood_table(hyps)
+        log_likelihood = bind_log_likelihood(hyps)
         for x, z in zip(xs, zs):
             x_k[:, 0] = x
             r, _ = step(z[:, None])
-            update(subsystem_log_likelihood(table, r))
+            update(log_likelihood(r, r < 0.0))
         assert np.median(post[:, 0]) > 0.9

@@ -300,6 +300,21 @@ class TestBatchWeightedLs:
                 np.ones((2, 1)), np.ones(2), np.zeros(2), np.array([0.5, weight]), np.zeros(1), np.eye(1)
             )
 
+    @pytest.mark.parametrize(
+        "X, z, offsets, weights, named",
+        [
+            # one weight and one offset for three rows used to broadcast to [0.6]
+            (np.ones((3, 1)), np.ones(3), np.zeros(1), np.array([0.5]), "offsets has shape"),
+            (np.ones((3, 1)), np.ones(3), np.zeros(3), np.array([0.5]), "weights has shape"),
+            (np.ones((3, 1)), np.ones(2), np.zeros(3), np.full(3, 0.5), "z has shape"),
+            (np.ones((3, 2)), np.ones(3), np.zeros(3), np.full(3, 0.5), "X has shape"),
+            (np.ones(3), np.ones(3), np.zeros(3), np.full(3, 0.5), "X has shape"),
+        ],
+    )
+    def test_rejects_a_shape_that_does_not_match_the_rows_of_X(self, X, z, offsets, weights, named):
+        with pytest.raises(ValueError, match=named):
+            batch_weighted_ls(X, z, offsets, weights, np.zeros(1), np.eye(1))
+
 
 class TestBiasCorrection:
     @pytest.mark.parametrize("tau", [0.85, 0.95])

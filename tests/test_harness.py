@@ -22,6 +22,7 @@ from aldcontrol import (
     MixtureComponent,
     NoiseModel,
     accumulated_error,
+    ald_pdf,
     config_from_dict,
     export_summary_csv,
     export_trace_csv,
@@ -325,6 +326,33 @@ class TestBatchedCore:
         nine = alone[seeds.index(9)]
         assert not nine.failed and np.all(nine.posteriors == 1.0)
         assert np.all(np.isfinite(nine.y)) and np.all(np.isfinite(nine.w_hat))
+
+    def test_scored_rows_are_scored_at_each_hypothesis_location(self, monkeypatch):
+        # a hypothesis located at noise1's outlier component (mu = 2.0): the
+        # core's scores are the ALD log-densities of the filter's residuals
+        hyps = (AldParams(0.9, 0.0, 0.5), AldParams(0.5, 2.0, 1.0))
+        residuals, log_liks, bind = [], [], harness.bind_filter
+
+        def keeping(*args):
+            step = bind(*args)
+
+            def filter_kept(z):
+                r, neg = step(z)
+                residuals.append(r.copy())
+                return r, neg
+
+            return filter_kept
+
+        monkeypatch.setattr(harness, "bind_filter", keeping)
+        monkeypatch.setattr(harness, "bind_log_likelihood", recording(harness.bind_log_likelihood, log_liks))
+        cfg = replace(preset_config("noise1"), steps=200, hypotheses=hyps)
+        run_batch([cfg, replace(cfg, controller="rls")], [0, 1, 2])
+        assert len(log_liks) == len(residuals) == 200
+        # the scored rows, the ensemble's, come first
+        r = np.array(residuals)[:, :3]
+        expected = np.stack([np.log(ald_pdf(h, r[..., j])) for j, h in enumerate(hyps)], axis=-1)
+        assert np.isfinite(expected).all()
+        np.testing.assert_allclose(np.array(log_liks), expected, rtol=1e-12, atol=1e-12)
 
     def test_a_run_does_not_depend_on_its_length(self, base):
         # a fail step is caused by that step's state: a shorter run is the
@@ -775,6 +803,8 @@ class TestTraceCsv:
         "header",
         [
             "k,y_r,y,z,u",
+            # no estimate columns: d = 0, which no plant has
+            "k,y_r,y,z,u,pi_1",
             "k,y_r,y,z,u,w_hat_1_1,pi_1",
             "k,y_r,y,z,u,pi_2,w_hat_2_1",
             "k,y_r,y,z,u,pi_1,w_hat_1_2",

@@ -38,6 +38,19 @@ class TestArxParams:
         with pytest.raises(ValueError):
             ArxParams(a=np.array([0.1]), b=np.array([]))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a (1, 2) a was accepted and broadcast through the plant's vecdot
+            ([[-1.41, 0.9]], [0.5]),
+            # a (1, 2) b failed on numpy's "truth value ... is ambiguous"
+            ([-1.41, 0.9], [[0.5, 0.1]]),
+        ],
+    )
+    def test_coefficients_must_be_one_dimensional(self, a, b):
+        with pytest.raises(ValueError, match="plant coefficients a and b must be one-dimensional"):
+            ArxParams(a=a, b=b)
+
     def test_coefficients_are_read_only_copies(self):
         a, b = np.array([-1.41, 0.9]), np.array([0.5])
         p = ArxParams(a=a, b=b)

@@ -27,6 +27,7 @@ def test_every_declared_name_exists():
 BINDER_PARAMETERS = {
     "bind_plant": ["p", "u_now", "y_hist"],
     "bind_filter": ["W", "P", "x", "rule"],
+    "bind_log_likelihood": ["hyps"],
     "bind_posterior": ["post"],
     "bind_ce_law": ["w", "eta", "eps_b", "u_max", "frozen"],
     "bind_ensemble_law": ["post", "W", "eta", "eps_b", "u_max"],
@@ -36,3 +37,7 @@ BINDER_PARAMETERS = {
 def test_binder_signatures_are_pinned():
     actual = {name: list(inspect.signature(getattr(aldcontrol, name)).parameters) for name in BINDER_PARAMETERS}
     assert actual == BINDER_PARAMETERS
+
+
+def test_every_exported_binder_is_pinned():
+    assert {name for name in dir(aldcontrol) if name.startswith("bind_")} == set(BINDER_PARAMETERS)
