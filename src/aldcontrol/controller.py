@@ -7,8 +7,9 @@ Every function works over leading dimensions, with the subsystem axis S
 last, so one call serves a whole batch of runs.  The posterior update and
 the two laws are bound to their arrays once (:func:`bind_posterior`,
 :func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped, and so is
-the scoring of residuals under the hypotheses (:func:`bind_log_likelihood`);
-a law bound to estimates that never change (a frozen bank) forms its
+the scoring of residuals under the hypotheses (:func:`bind_log_likelihood`),
+which reads the residuals alone and builds its per-row constants once; a
+law bound to estimates that never change (a frozen bank) forms its
 safeguarded divisor once.
 """
 
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .noise import AldParams, _check_loss
+from .noise import AldParams
 
 __all__ = [
     "DEFAULT_EPS_B",
@@ -71,36 +72,32 @@ def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_M
     return law
 
 
-def bind_log_likelihood(hyps: tuple[AldParams, ...]):
-    """The scoring step of the hypotheses ``hyps``: a function of residuals and their signs ``neg``.
+def bind_log_likelihood(hyps: tuple[AldParams, ...], rows: int):
+    """The scoring step of the hypotheses ``hyps`` over ``rows`` rows: a function of the residuals alone.
 
     Each call returns the ALD log-densities log(tau*(1-tau)/sigma) -
-    loss/sigma of prediction residuals z - x'w_hat (..., S) under the S
-    hypotheses, with the check loss of residual - mu and the slope that its
-    sign picks.  ``neg`` is ``residual < 0``, the sign the filter step
-    already took.  The arrays log(tau*(1-tau)/sigma), tau - 1, tau, sigma
-    and mu and the numpy callables are taken here once, and so is the check
-    that every mu is 0, as for every shipped hypothesis: then the step scores
-    the residual with ``neg`` as they are, and otherwise it subtracts mu and
-    takes the sign of the difference.
+    u*(tau - 1[u<0])/sigma, u = residual - mu, of prediction residuals
+    z - x'w_hat (rows, S) under the S hypotheses.  The (rows, S) arrays of
+    log(tau*(1-tau)/sigma), tau, sigma and mu and the numpy callables are
+    taken here once, so the step works on operands of one shape.  The slope
+    is ``tau - (u < 0)``: the bool casts to 0.0 or 1.0, so it is tau or
+    exactly tau - 1.  Under mu = +0.0, every shipped hypothesis, u is the
+    residual bit for bit, so its sign is the one the filter step weighted by.
     """
-    subtract, divide, less, check_loss = np.subtract, np.divide, np.less, _check_loss
-    log_peak = np.array([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps])
-    tau = np.array([h.tau for h in hyps])
-    slope_neg, sigma, mu = tau - 1.0, np.array([h.sigma for h in hyps]), np.array([h.mu for h in hyps])
+    subtract, multiply, divide, less = np.subtract, np.multiply, np.divide, np.less
+
+    def per_row(values):
+        return np.tile(np.array(values, dtype=float), (rows, 1))
+
+    log_peak = per_row([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps])
+    tau, sigma, mu = (per_row([getattr(h, name) for h in hyps]) for name in ("tau", "sigma", "mu"))
     zero = np.array(0.0)  # 0-d, which numpy takes faster than a Python float
 
-    def log_likelihood(residual, neg):
-        return subtract(log_peak, divide(check_loss(residual, neg, slope_neg, tau), sigma))
-
-    if np.all(mu == 0.0):
-        return log_likelihood
-
-    def at_mu(residual, neg):
+    def log_likelihood(residual):
         u = subtract(residual, mu)
-        return log_likelihood(u, less(u, zero))
+        return subtract(log_peak, divide(multiply(u, subtract(tau, less(u, zero))), sigma))
 
-    return at_mu
+    return log_likelihood
 
 
 def bind_posterior(post: np.ndarray):

@@ -4,8 +4,9 @@ Every estimator is a bank of filters updated in place by the step that
 :func:`bind_filter` binds to its arrays, under a weight rule ``(p_neg, p_pos,
 shift)`` with one entry per filter: a sample is weighted ``p_neg`` for a
 negative prediction residual and ``p_pos`` otherwise, and its innovation is
-the residual minus ``shift``.  The
-iterative quantile filter of an asymmetric Laplace hypothesis has the rule
+the residual minus ``shift``.  The step returns the residuals and nothing
+else: they are all that the scoring of the hypotheses reads.  The iterative
+quantile filter of an asymmetric Laplace hypothesis has the rule
 ``(1 - tau, tau, ald_mean)`` (:func:`quantile_rule`); classic RLS has
 ``(1, 1, 0)`` (:data:`RLS_RULE`).  With tau = 1/2 and a zero-mean hypothesis
 the quantile filter reduces to RLS at half the initial covariance.  A bank
@@ -37,19 +38,18 @@ def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, 
 
 
 def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
-    """The filter step bound to its arrays: a function of ``z`` that returns ``(r, neg)``.
+    """The filter step bound to its arrays: a function of ``z`` that returns the residuals ``r``.
 
     Each call assimilates the sample (x, z) into the estimates ``W`` (..., d)
     and covariances ``P`` (..., d, d) in place; ``x`` (..., d), which may
     change in place between calls, ``z`` and the entries of ``rule``
-    broadcast over the leading dimensions of ``W``.  ``r`` is the prediction
-    residuals ``z - x'w`` (...) taken before the update, and ``neg`` is
-    ``r < 0``, the sign that picked each sample weight, or None under a unit
-    rule (1, 1, +0.0): there ``p*v`` is ``v`` and ``r - 0.0`` is ``r`` bit
-    for bit, so the step skips the sign, the weight and the shift.  ``P`` is
-    re-symmetrized after the update to suppress floating-point drift.  Every
-    invariant view, constant and numpy callable is taken here once, so a
-    loop that steps the same arrays pays for the arithmetic alone.
+    broadcast over the leading dimensions of ``W``.  ``r`` is one array of
+    the prediction residuals ``z - x'w`` (...) taken before the update.
+    Under a unit rule (1, 1, +0.0) ``p*v`` is ``v`` and ``r - 0.0`` is ``r``
+    bit for bit, so the step skips the sign, the weight and the shift.
+    ``P`` is re-symmetrized after the update to suppress floating-point
+    drift.  Every invariant view, constant and numpy callable is taken here
+    once, so a loop that steps the same arrays pays for the arithmetic alone.
     """
     add, subtract, multiply, divide, less, where = np.add, np.subtract, np.multiply, np.divide, np.less, np.where
     vecdot, matvec, vecmat = np.vecdot, np.matvec, np.vecmat
@@ -65,10 +65,9 @@ def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
         Px = matvec(P, x)
         xPx = vecdot(x, Px)
         if unit:
-            neg, innovation = None, r
+            innovation = r
         else:
-            neg = less(r, zero)
-            p = where(neg, p_neg, p_pos)
+            p = where(less(r, zero), p_neg, p_pos)
             Px, xPx, innovation = multiply(p[..., None], Px), multiply(p, xPx), subtract(r, shift)
         # denominator >= 1 because P is positive semidefinite and p > 0
         gain = divide(Px, add(one, xPx)[..., None])
@@ -76,7 +75,7 @@ def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
         add(W, multiply(gain, innovation[..., None]), W)
         subtract(P, multiply(gain[..., :, None], vecmat(x, P)[..., None, :]), P)
         multiply(half, add(P, P_T), P)
-        return r, neg
+        return r
 
     return step
 

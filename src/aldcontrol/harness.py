@@ -8,7 +8,9 @@ newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
 next reference value.  Each phase is its module's public step, bound once
 per batch: ``bind_plant``, ``bind_filter``, ``bind_log_likelihood`` (to the
-hypotheses of the batch's scored ensemble), ``bind_posterior``, and
+hypotheses of the batch's scored ensemble and its scored rows, a prefix of
+the learning rows: it scores that prefix of the residuals the filter step
+returns, and reads nothing else), ``bind_posterior``, and
 ``bind_ensemble_law`` or ``bind_ce_law``, to the state arrays.  Every
 history of a row is a column block of one array, which the loop alone
 shifts, once per step: the steps only read their histories and write their
@@ -228,9 +230,8 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
     step_plant = bind_plant(plant, u_now, hist[:, width - n :])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
-    log_likelihood = bind_log_likelihood(cfg.hypotheses) if n_scored else None
+    log_likelihood = bind_log_likelihood(cfg.hypotheses, n_scored) if n_scored else None
     update_post = bind_posterior(post[:n_scored])
-    cut = n_scored < n_learn  # the learning rows extend past the scored ones
     # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
     # 1.0*u is u: its control is subsystem 0's law itself; with no row
     # learning W is frozen, and the law forms its divisor once
@@ -254,11 +255,9 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
             y = step_plant(y_k)
             add(y, e, z)
             if n_learn:
-                r, neg = step_filter(z_learn)
+                r = step_filter(z_learn)
                 if n_scored:
-                    if cut:
-                        r, neg = r[:n_scored], neg[:n_scored]
-                    update_post(log_likelihood(r, neg))
+                    update_post(log_likelihood(r[:n_scored]))
             # shift every history by one and put the newest values in front
             older[...] = newer
             if feedback_z:
@@ -467,7 +466,7 @@ def compare_controllers(
 
 def _writable_path(path, force: bool) -> Path:
     """``path`` as a Path, checked before anything is written: it is not a directory, it is new or ``force``
-    is set, and its directory exists.
+    is set, and its parent exists and is a directory.
 
     Any other error of the later open names the path itself.
     """
@@ -476,9 +475,11 @@ def _writable_path(path, force: bool) -> Path:
         raise IsADirectoryError(f"{path}: is a directory")
     if path.exists() and not force:
         raise FileExistsError(f"{path}: already exists (use force to overwrite)")
-    if not path.parent.is_dir():
-        raise FileNotFoundError(f"{path}: directory {str(path.parent)!r} does not exist")
-    return path
+    if path.parent.is_dir():
+        return path
+    if path.parent.exists():
+        raise NotADirectoryError(f"{path}: {str(path.parent)!r} is not a directory")
+    raise FileNotFoundError(f"{path}: directory {str(path.parent)!r} does not exist")
 
 
 def _trace_header(n_sub: int, dim: int) -> list[str]:

@@ -232,15 +232,10 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
     return out
 
 
-def _check_loss(u, neg, slope_neg, slope_pos):
-    """Check loss u*(tau - 1[u<0]) from the signs ``neg`` = u < 0 and the slopes tau - 1 and tau; no argument checks."""
-    return np.multiply(u, np.where(neg, slope_neg, slope_pos))
-
-
 def pinball_loss(tau: float, u):
     """Check loss u*(tau - 1[u<0]); nonnegative, convex, zero only at u = 0."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     u = np.asarray(u, dtype=float)
-    out = _check_loss(u, u < 0.0, tau - 1.0, tau)
+    out = np.multiply(u, np.where(u < 0.0, tau - 1.0, tau))
     return float(out) if out.ndim == 0 else out

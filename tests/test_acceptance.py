@@ -101,7 +101,7 @@ def test_criterion_2_estimator_oracle_equivalence():
         residuals = []
         for x_k, z in zip(xs, zs):
             x[...] = x_k
-            residuals.append(step(z)[0][0])
+            residuals.append(step(z)[0])
             worst_reduction = max(worst_reduction, float(np.max(np.abs(W[1] - W[2]))))
         weights = np.where(np.array(residuals) < 0.0, 1.0 - hyp.tau, hyp.tau)
         batch = ac.batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), weights, w0, P0)
@@ -185,6 +185,24 @@ def test_oracle_tracks_exactly_under_output_feedback():
         [summary] = ac.compare_controllers(cfg, ["oracle"], 100, (10, 100))
         assert np.all(summary.j_runs < 1e-30), kind
         assert np.all(summary.j_runs == summary.j_runs[0]), kind
+
+
+def test_triangle_rls_start_up_alone_exceeds_its_band():
+    # why criterion 4's triangle rls cell stays red: on the same 100 runs,
+    # the mean error of steps 10..30 summed over those 21 steps is above the
+    # most that the whole window 10..100 (91 steps) may hold inside the 3x
+    # band, so nothing after step 30 can bring the cell into it; and the
+    # start-up does not depend on the waveform: it is within 5% of the sine's,
+    # whose cell is green
+    base = ac.preset_config("base")
+    start_up = {}
+    for kind in ("sine", "triangle"):
+        cfg = replace(base, steps=100, trajectory=replace(base.trajectory, kind=kind))
+        [summary] = ac.compare_controllers(cfg, ["rls"], 100, (10, 30))
+        assert summary.runs_failed == 0, kind
+        start_up[kind] = summary.j_bar_mean
+    assert start_up["triangle"] * 21 > 3.0 * TRANSIENT_TARGETS["triangle"]["rls"] * 91
+    assert abs(start_up["sine"] - start_up["triangle"]) <= 0.05 * max(start_up.values())
 
 
 STEADY_ENSEMBLE_TARGETS = {"sine": 0.0003, "filtered_square": 0.0003, "triangle": 0.0001}

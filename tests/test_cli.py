@@ -25,7 +25,7 @@ def spy(monkeypatch, name) -> list:
 
 
 def assert_out_checked_first(tmp_path, capsys, calls, *args):
-    """An existing ``--out`` without ``--force``, or one in a missing directory, exits 2 before any run."""
+    """An existing ``--out`` without ``--force``, or one in a missing directory or under a file, exits 2 first."""
     out = tmp_path / "kept.csv"
     out.write_bytes(b"k,y\r\n1,2\r\n")
     assert run_cli(*args, "--out", str(out)) == 2
@@ -37,6 +37,11 @@ def assert_out_checked_first(tmp_path, capsys, calls, *args):
     assert calls == []
     assert capsys.readouterr().err == f"error: {missing}: directory {str(missing.parent)!r} does not exist\n"
     assert not missing.parent.exists()
+    under_a_file = out / "x.csv"
+    assert run_cli(*args, "--out", str(under_a_file), "--force") == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {under_a_file}: {str(out)!r} is not a directory\n"
+    assert out.read_bytes() == b"k,y\r\n1,2\r\n"
 
 
 def assert_directory_out_refused_first(tmp_path, capsys, calls, *args):

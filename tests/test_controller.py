@@ -95,13 +95,24 @@ class TestFrozenLaw:
 
 
 def scores(hyps, residuals):
-    """Log-likelihoods of ``residuals`` (..., S) under ``hyps``, from a scoring step bound for them alone."""
+    """Log-likelihoods of ``residuals`` (S,) or (rows, S) under ``hyps``, from a scoring step bound for them alone."""
     residuals = np.asarray(residuals, dtype=float)
-    return bind_log_likelihood(hyps)(residuals, residuals < 0.0)
+    rows = residuals.reshape(-1, len(hyps))
+    return bind_log_likelihood(hyps, len(rows))(rows).reshape(residuals.shape)
 
 
 def log_lik(hyp, residual):
     return float(scores([hyp], [residual])[0])
+
+
+@st.composite
+def scored_rows(draw):
+    """Hypotheses (S = 1..3, mu anywhere in [-10, 10]) and a (rows, S) array of (r - mu)/sigma, rows = 1..130."""
+    hyp = st.builds(AldParams, st.floats(0.01, 0.99), st.floats(-10.0, 10.0), st.floats(1e-3, 1e3))
+    hyps = draw(st.lists(hyp, min_size=1, max_size=3))
+    # bounded so that the density does not underflow
+    t = draw(arrays(float, (draw(st.integers(1, 130)), len(hyps)), elements=st.floats(-30.0, 30.0)))
+    return hyps, t
 
 
 class TestSubsystemLogLikelihood:
@@ -130,21 +141,32 @@ class TestSubsystemLogLikelihood:
             assert table[i, j] == log_lik(hyps[j], r)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        tau=st.floats(0.01, 0.99),
-        mu=st.floats(-10.0, 10.0),
-        sigma=st.floats(1e-3, 1e3),
-        # |r - mu|/sigma, bounded so that the density does not underflow
-        t=st.floats(-30.0, 30.0),
-    )
+    @given(case=scored_rows())
     # a hypothesis located off 0 at its own peak, r = mu, and at r = 0
-    @example(tau=0.5, mu=0.3, sigma=2.0, t=0.0)
-    @example(tau=0.5, mu=0.3, sigma=2.0, t=-0.15)
-    def test_value_is_the_log_density(self, tau, mu, sigma, t):
-        hyp = AldParams(tau, mu, sigma)
-        r = mu + t * sigma
+    @example(case=([AldParams(0.5, 0.3, 2.0)], np.array([[0.0], [-0.15]])))
+    def test_value_is_the_log_density(self, case):
+        hyps, t = case
+        r = np.array([h.mu for h in hyps]) + t * np.array([h.sigma for h in hyps])
+        want = np.column_stack([np.log(ald_pdf(h, r[:, j])) for j, h in enumerate(hyps)])
         # the absolute 1e-12 serves values near 0, where log(tau*(1-tau)/sigma) and the loss cancel
-        assert log_lik(hyp, r) == pytest.approx(math.log(ald_pdf(hyp, r)), rel=1e-12, abs=1e-12)
+        assert scores(hyps, r) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        taus=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+        sigma=st.floats(1e-3, 1e3),
+        rows=st.integers(1, 130),
+        data=st.data(),
+    )
+    def test_at_zero_mu_it_is_the_sign_selected_slope_bit_for_bit(self, taus, sigma, rows, data):
+        # the form that took the filter's sign and picked tau - 1 or tau with np.where
+        hyps = [AldParams(tau, 0.0, sigma) for tau in taus]
+        r = data.draw(arrays(float, (rows, len(hyps)), elements=LAW_VALUES))
+        tau, sig = np.array(taus), np.full(len(taus), sigma)
+        log_peak = np.array([math.log(t * (1.0 - t) / sigma) for t in taus])
+        with np.errstate(all="ignore"):
+            want = log_peak - r * np.where(r < 0.0, tau - 1.0, tau) / sig
+            assert scores(hyps, r).tobytes() == want.tobytes()
 
 
 def log_likelihoods(hyps, W, x, z):
@@ -293,9 +315,8 @@ class TestEnsembleCollapse:
         post = np.full((seeds, 2), 0.5)
         x_k = np.zeros((seeds, 1, 3))
         step, update = bind_filter(W, P, x_k, quantile_rule(hyps)), bind_posterior(post)
-        log_likelihood = bind_log_likelihood(hyps)
+        log_likelihood = bind_log_likelihood(hyps, seeds)
         for x, z in zip(xs, zs):
             x_k[:, 0] = x
-            r, _ = step(z[:, None])
-            update(log_likelihood(r, r < 0.0))
+            update(log_likelihood(step(z[:, None])))
         assert np.median(post[:, 0]) > 0.9

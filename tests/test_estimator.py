@@ -35,7 +35,7 @@ def oracle_weights(tau, residuals):
 
 def assimilate(W, P, x, z, rule):
     """The residuals of one sample, through a filter step bound for it alone."""
-    return bind_filter(W, P, x, rule)(z)[0]
+    return bind_filter(W, P, x, rule)(z)
 
 
 def run_iqf(hyp, w0, P0, xs, zs):
@@ -50,7 +50,7 @@ def run_iqf(hyp, w0, P0, xs, zs):
     residuals = []
     for x_k, z in zip(xs, zs):
         x[...] = x_k
-        residuals.append(step(z)[0][0])
+        residuals.append(step(z)[0])
     return W[0], oracle_weights(hyp.tau, residuals)
 
 
@@ -180,18 +180,23 @@ class TestUnitRule:
         for x_k, z in zip(xs, zs):
             x[...] = x_k
             with np.errstate(all="ignore"):
-                (r, neg), (r2, neg2) = unit(z), weighted(z)
-            assert neg is None and neg2.shape == (2,)
+                r, r2 = unit(z), weighted(z)
+            assert r.shape == r2.shape == (2,)
             assert r[0].tobytes() == r2[0].tobytes()
             assert W[0].tobytes() == W2[0].tobytes() and P[0].tobytes() == P2[0].tobytes()
 
     @pytest.mark.parametrize("shift,unit", [(0.0, True), (-0.0, False), (1e-300, False)])
     def test_unit_rule_is_told_by_value(self, shift, unit):
-        # r - (-0.0) turns a -0.0 residual into +0.0, so a -0.0 shift is not skipped
-        W, P = bank([0.0], [[1.0]], 3)
+        # r - (-0.0) turns a -0.0 residual into +0.0, so a -0.0 shift is not
+        # skipped: from a -0.0 estimate and a -0.0 residual, gain 1/2, only the
+        # skipped shift keeps the estimate -0.0, and the taken one gives -0.0 + 0.5*(r - shift)
+        W, P = bank([-0.0], [[1.0]], 3)
         rule = (np.ones(3), np.ones(3), np.array([0.0, shift, 0.0]))
-        _, neg = bind_filter(W, P, np.ones(1), rule)(1.0)
-        assert (neg is None) == unit
+        r = bind_filter(W, P, np.ones(1), rule)(-0.0)
+        assert r.tobytes() == np.full(3, -0.0).tobytes()
+        taken = np.float64(-0.0) + 0.5 * (np.float64(-0.0) - shift)
+        assert W[1, 0].tobytes() == taken.tobytes()
+        assert bool(W[1, 0] == 0.0 and np.signbit(W[1, 0])) == unit
 
 
 class TestBatchWeightedLs:
@@ -246,7 +251,7 @@ class TestBatchWeightedLs:
         residuals = []
         for x, z in zip(xs, zs):
             x_k[:, 0] = x
-            residuals.append(step(z[:, None])[0])
+            residuals.append(step(z[:, None]))
         residuals = np.reshape(residuals, (n, runs, len(hyps)))
         for run in range(runs):
             for s, hyp in enumerate(hyps):
@@ -280,7 +285,7 @@ class TestBatchWeightedLs:
         residuals = np.empty((n, runs, p_neg.size))
         for r, x, z in zip(residuals, xs, zs):
             x_k[:, 0] = x
-            r[...] = step(z[:, None])[0]
+            r[...] = step(z[:, None])
         for run in range(runs):
             for s in range(p_neg.size):
                 weights = np.where(residuals[:, run, s] < 0.0, p_neg[s], p_pos[s])

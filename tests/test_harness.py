@@ -337,9 +337,9 @@ class TestBatchedCore:
             step = bind(*args)
 
             def filter_kept(z):
-                r, neg = step(z)
+                r = step(z)
                 residuals.append(r.copy())
-                return r, neg
+                return r
 
             return filter_kept
 
