@@ -27,14 +27,13 @@ __all__ = [
     "batch_weighted_ls",
 ]
 
-# unit weight on either side and no innovation shift, as read-only arrays
-RLS_RULE = (np.broadcast_to(1.0, 1), np.broadcast_to(1.0, 1), np.broadcast_to(0.0, 1))
+# unit weight on either side and no innovation shift, for one filter
+RLS_RULE = ((1.0,), (1.0,), (0.0,))
 
 
-def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight rule (1 - tau, tau, ald_mean) of quantile filters under the hypotheses ``hyps``, one entry each."""
-    tau = np.array([h.tau for h in hyps])
-    return 1.0 - tau, tau, np.array([ald_mean(h) for h in hyps])
+def quantile_rule(hyps: tuple[AldParams, ...]) -> tuple[tuple[float, ...], ...]:
+    """Weight rule (1 - tau, tau, ald_mean) of quantile filters under ``hyps``: three float tuples, one entry each."""
+    return tuple(1.0 - h.tau for h in hyps), tuple(h.tau for h in hyps), tuple(ald_mean(h) for h in hyps)
 
 
 def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
@@ -43,8 +42,10 @@ def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
     Each call assimilates the sample (x, z) into the estimates ``W`` (..., d)
     and covariances ``P`` (..., d, d) in place; ``x`` (..., d), which may
     change in place between calls, ``z`` and the entries of ``rule``
-    broadcast over the leading dimensions of ``W``.  ``r`` is one array of
-    the prediction residuals ``z - x'w`` (...) taken before the update.
+    broadcast over the leading dimensions of ``W``.  The rule's entries are
+    any sequences of floats, such as :func:`quantile_rule`'s tuples, and are
+    made into arrays once, here.  ``r`` is one array of the prediction
+    residuals ``z - x'w`` (...) taken before the update.
     Under a unit rule (1, 1, +0.0) ``p*v`` is ``v`` and ``r - 0.0`` is ``r``
     bit for bit, so the step skips the sign, the weight and the shift.
     ``P`` is re-symmetrized after the update to suppress floating-point
@@ -53,7 +54,7 @@ def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
     """
     add, subtract, multiply, divide, less, where = np.add, np.subtract, np.multiply, np.divide, np.less, np.where
     vecdot, matvec, vecmat = np.vecdot, np.matvec, np.vecmat
-    p_neg, p_pos, shift = rule
+    p_neg, p_pos, shift = (np.array(v, dtype=float) for v in rule)
     # -0.0 is not a unit shift: r - (-0.0) turns r = -0.0 into +0.0
     unit = bool(np.all(p_neg == 1.0) and np.all(p_pos == 1.0) and np.all((shift == 0.0) & ~np.signbit(shift)))
     P_T = P.mT

@@ -67,12 +67,13 @@ __all__ = [
     "read_summary_csv",
 ]
 
-_fmt = "{:.17g}".format  # 17 significant digits round-trip every float exactly
 # (controller, seed) rows stepped together at most, or one seed of every controller
 # when there are more controllers; bounds the memory of any run count
 _BATCH_RUNS = 512
 _RUN_HEADER = ["controller", "run", "seed", "j_bar_run"]
 _AGGREGATE_HEADER = ["controller", "runs_ok", "runs_failed", "j_bar_mean"]
+# a summary line of either block: %.17g round-trips every float exactly
+_SUMMARY_LINE = "%s,%d,%d,%.17g\r\n"
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,23 @@ class EpisodeTrace:
         return self.k.size
 
 
-def _bank(cfg: RunConfig):
-    """Subsystem bank of one controller: (scored, weight rule, W (S, d)).
+def _bank(cfg: RunConfig, token: str):
+    """Subsystem bank of the controller ``token`` under ``cfg``: (scored, weight rule, W (S_c, d)).
 
     The rule is :func:`~aldcontrol.estimator.bind_filter`'s, one entry per
     subsystem.  Only a bank of two or more subsystems is ``scored``: only
     its posteriors are stepped, and it is an ``ensemble`` bank over
-    ``cfg.hypotheses``.  A bank without a rule keeps W frozen.
+    ``cfg.hypotheses``.  Every other bank has one subsystem.  A bank without
+    a rule keeps W frozen.
     """
-    kind, index = parse_controller(cfg.controller)
+    kind, index = parse_controller(token)
     if kind == "oracle":
         return False, None, parameter_vector(cfg.plant)[None, :]
     if kind == "rls":
         rule = RLS_RULE
     else:
         rule = quantile_rule(cfg.hypotheses if kind == "ensemble" else cfg.hypotheses[index : index + 1])
-    return rule[0].size > 1, rule, np.tile(cfg.initial_w(), (rule[0].size, 1))
+    return len(rule[0]) > 1, rule, np.tile(cfg.initial_w(), (len(rule[0]), 1))
 
 
 # The last noise row drawn, at most one entry: (id(model), seed, steps) -> (model, read-only row).
@@ -154,16 +156,17 @@ def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
     return tape
 
 
-def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, recorder):
-    """Episodes of every config in ``cfgs`` for every seed, stepped together on the noise ``tape`` (one row per seed).
+def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: np.ndarray, recorder):
+    """Episodes of ``cfg`` under every controller token in ``controllers`` for every seed, stepped together on the
+    noise ``tape`` (one row per seed).
 
-    The configs differ only in their controller.  There is one state row per
+    ``cfg``'s own controller is not read.  There is one state row per
     (controller, seed), and the loop keeps each row's y and u per step.  The
     rest is the ``recorder``'s, bound once to the state like the phases:
-    ``recorder(y, u, noise, y_r, W, post, n_scored, n_learn, n_subs)``
-    returns a ``record()`` called after every step (or None, for no per-step
-    record) and a ``finish()`` called after the loop, which returns one
-    result per row.  Its arguments:
+    ``recorder(y, u, noise, y_r, W, post, n_scored, n_learn)`` returns a
+    ``record()`` called after every step (or None, for no per-step record)
+    and a ``finish()`` called after the loop, which returns one result per
+    row.  Its arguments:
 
     - ``y`` and ``u``, the (rows, steps) records the loop fills, and
       ``noise``, the draws e(1)..e(steps) of each row;
@@ -171,44 +174,42 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     - ``W`` and ``post``, the state arrays, updated in place;
     - ``n_scored`` and ``n_learn``: only the first ``n_scored`` rows have
       their posteriors stepped and only the first ``n_learn`` their
-      estimates, and the others never change;
-    - ``n_subs``, each row's own subsystem count S_c (its other columns pad).
+      estimates, and the others never change.  A scored row's bank has
+      all S = len(cfg.hypotheses) subsystems and every other row's bank one,
+      padded to S.
 
-    The results come back per config in the order of ``cfgs``, each block
-    in the order of ``seeds``.
+    The results come back per controller in the order of ``controllers``,
+    each block in the order of ``seeds``.
     """
-    cfg = cfgs[0]
     plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
     runs = len(seeds)
     refs = reference_trajectory(cfg.trajectory, steps + 2)
     # scored banks first, then learning-only ones, then frozen ones: the
     # posterior step and the gain step each work on a prefix of the rows
-    banks = [_bank(c) for c in cfgs]
-    order = sorted(range(len(cfgs)), key=lambda c: (not banks[c][0], banks[c][1] is None))
+    banks = [_bank(cfg, token) for token in controllers]
+    order = sorted(range(len(banks)), key=lambda c: (not banks[c][0], banks[c][1] is None))
     scored, rules, Ws = zip(*(banks[c] for c in order))
     n_scored = runs * sum(scored)
     n_learn = runs * sum(r is not None for r in rules)
-    n_subs = np.repeat([len(w) for w in Ws], runs)  # subsystems of each row's own bank
-    sub = np.arange(n_subs.max())
-    pads = [np.where(sub < len(w), sub, 0) for w in Ws]
+    S = len(cfg.hypotheses) if n_scored else 1
 
     def stack(per_bank):
-        """(S_c, ...) arrays, one per bank, padded to S with copies of entry 0 and repeated once per seed."""
-        return np.array([v[pad] for v, pad in zip(per_bank, pads)]).repeat(runs, axis=0)
+        """One (S_c, ...) value per bank, S_c = S or 1, broadcast to S and repeated once per seed."""
+        return np.array([np.broadcast_to(v, (S, *np.shape(v)[1:])) for v in per_bank]).repeat(runs, axis=0)
 
-    # Only unscored banks are padded: a scored bank is an ensemble over
-    # cfg.hypotheses, whose S is the batch's, so every scored row is scored
-    # by one step.  A padded subsystem copies subsystem 0 with prior 0: it
-    # tracks subsystem 0 bit for bit, and its 0*u leaves the control's sum unchanged.
+    # Only unscored banks are padded: every scored row is scored by one step.
+    # A padded subsystem copies subsystem 0 with prior 0: it tracks subsystem 0
+    # bit for bit, and its 0*u leaves the control's sum unchanged.
     rule = tuple(map(stack, zip(*rules[: n_learn // runs])))
     W = stack(Ws)
-    post = np.where(sub < n_subs[:, None], 1.0 / n_subs[:, None], 0.0)
-    rows, n_sub = W.shape[:2]
-    P = np.tile(cfg.initial_P(), (rows, n_sub, 1, 1))
-    tape = np.tile(tape, (len(cfgs), 1))
+    rows = len(W)
+    # uniform over a scored row's S subsystems, and 1.0 on the subsystem of every other row
+    post = np.where(np.arange(rows)[:, None] < n_scored, 1.0 / S, np.eye(1, S))
+    P = np.tile(cfg.initial_P(), (rows, S, 1, 1))
+    tape = np.tile(tape, (len(controllers), 1))
     feedback_z = cfg.feedback == "measurement"
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
-    record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn, n_subs)
+    record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn)
 
     # Every history is a column block of one array, newest first:
     # hist = [u(k)..u(k-m+1), f(k)..f(k-n+1)], f the fed-back signal, and under
@@ -237,7 +238,7 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     # learning W is frozen, and the law forms its divisor once
     control = (
         bind_ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max, frozen=not n_learn)
-        if n_sub == 1
+        if S == 1
         else bind_ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
     )
     add = np.add
@@ -272,15 +273,15 @@ def _run_batch(cfgs: list[RunConfig], seeds: list[int], tape: np.ndarray, record
     return [results[j * runs : (j + 1) * runs] for j in np.argsort(order)]
 
 
-def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn, n_subs):
+def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn):
     """Recorder of full traces: each row's :class:`EpisodeTrace` fields but its controller and seed.
 
     The records start as copies of the posteriors and estimates at bind
     time, and per step it copies only those of the rows whose loop steps
     them: the others never change.  A run fails at step i + 1 when row i is
     the first whose output, measurement, control or estimates are not
-    finite, and from there on every column of its trace is NaN.  Each trace
-    keeps its own S_c subsystem columns.
+    finite, and from there on every column of its trace is NaN.  A scored
+    row's trace keeps all S subsystem columns and every other row's its one.
     """
     rows, steps = y.shape
     posteriors, w_hats = post[:, None].repeat(steps, axis=1), W[:, None].repeat(steps, axis=1)
@@ -307,7 +308,7 @@ def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn, n_subs):
                 posteriors=posteriors[row, :, :s_c], w_hat=w_hats[row, :, :s_c], failed=bool(failed[row]),
                 fail_step=int(first[row]) + 1 if failed[row] else None,
             )
-            for row, s_c in enumerate(n_subs.tolist())
+            for row, s_c in enumerate([W.shape[1]] * n_scored + [1] * (rows - n_scored))
         ]
 
     # a scored row also learns: a batch with no row learning steps neither
@@ -338,21 +339,22 @@ def _error_recorder(window: slice):
     return bind
 
 
-def _traces(cfgs: list[RunConfig], seeds: list[int]) -> list[list[EpisodeTrace]]:
-    """Traces of every config in ``cfgs`` for every seed from one core call, one list per config.
+def _traces(cfg: RunConfig, controllers: list[str], seeds: list[int]) -> list[list[EpisodeTrace]]:
+    """Traces of ``cfg`` under every controller token in ``controllers`` for every seed from one core call, one
+    list per controller.
 
-    Row (config, seed) is bit for bit the :func:`run_episode` trace of that config with that seed.
+    Row (controller, seed) is bit for bit the :func:`run_episode` trace of ``cfg`` with that controller and seed.
     """
-    tape = _noise_tape(cfgs[0].noise, seeds, cfgs[0].steps)
+    tape = _noise_tape(cfg.noise, seeds, cfg.steps)
     return [
-        [EpisodeTrace(controller=c.controller, seed=int(seed), **fields) for seed, fields in zip(seeds, block)]
-        for c, block in zip(cfgs, _run_batch(cfgs, seeds, tape, _trace_recorder))
+        [EpisodeTrace(controller=token, seed=int(seed), **fields) for seed, fields in zip(seeds, block)]
+        for token, block in zip(controllers, _run_batch(cfg, controllers, seeds, tape, _trace_recorder))
     ]
 
 
 def run_episode(cfg: RunConfig) -> EpisodeTrace:
     """Simulate one closed-loop episode under ``cfg``; deterministic given the seed."""
-    return _traces([cfg], [cfg.seed])[0][0]
+    return _traces(cfg, [cfg.controller], [cfg.seed])[0][0]
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
@@ -438,7 +440,8 @@ def compare_controllers(
     """
     if not controllers:
         raise ValueError("no controllers given")
-    cfgs = [replace(cfg, controller=token) for token in controllers]
+    # each token checked against cfg (a single-ald index against its hypotheses)
+    controllers = [replace(cfg, controller=token).controller for token in controllers]
     if not _is_integer(runs):
         raise ValueError(f"runs must be an integer, got {runs!r}")
     if runs < 1:
@@ -446,21 +449,22 @@ def compare_controllers(
     record_errors = _error_recorder(_window_slice(cfg.steps, window))
     # Python ints, so that every seed run_episode takes works here too
     seeds = [int(cfg.seed) + i for i in range(runs)]
-    j_runs = np.empty((len(cfgs), runs))
-    chunk = max(1, _BATCH_RUNS // len(cfgs))
+    j_runs = np.empty((len(controllers), runs))
+    chunk = max(1, _BATCH_RUNS // len(controllers))
     for lo in range(0, runs, chunk):
         batch = seeds[lo : lo + chunk]
-        j_runs[:, lo : lo + chunk] = _run_batch(cfgs, batch, _noise_tape(cfg.noise, batch, cfg.steps), record_errors)
+        tape = _noise_tape(cfg.noise, batch, cfg.steps)
+        j_runs[:, lo : lo + chunk] = _run_batch(cfg, controllers, batch, tape, record_errors)
     # int64 while the seeds fit, Python ints past it
     seeds = np.array(seeds, dtype=np.int64 if seeds[-1] < 2**63 else object)
     j_runs[~np.isfinite(j_runs)] = np.nan  # a run whose error overflows counts as failed too
     return [
         McSummary(
-            controller=c.controller, window=(int(window[0]), int(window[1])), seed_base=cfg.seed,
+            controller=token, window=(int(window[0]), int(window[1])), seed_base=cfg.seed,
             seeds=seeds, j_runs=j, runs_ok=int(ok.sum()), runs_failed=runs - int(ok.sum()),
             j_bar_mean=float(np.mean(j[ok])) if ok.any() else float("nan"),
         )
-        for c, j, ok in zip(cfgs, j_runs, np.isfinite(j_runs))
+        for token, j, ok in zip(controllers, j_runs, np.isfinite(j_runs))
     ]
 
 
@@ -495,7 +499,6 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
     """Write the trace with columns k, y_r, y, z, u, pi_1.., w_hat_1_1.. (17 significant digits)."""
     n_sub, dim = trace.w_hat.shape[1:]
     header = _trace_header(n_sub, dim)
-    # %.17g is _fmt's conversion and \r\n the csv module's line end: the same text as export_summary_csv
     template = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
     table = np.column_stack(
         (trace.y_r, trace.y, trace.z, trace.u, trace.posteriors, trace.w_hat.reshape(trace.steps, n_sub * dim))
@@ -561,21 +564,24 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
 
 def export_summary_csv(summaries: list[McSummary], path, force: bool = False) -> None:
-    """Write per-run rows then an aggregate block, one line per controller."""
+    """Write per-run rows then an aggregate block, one line per controller (17 significant digits).
+
+    Every controller is checked to be a valid token, which no field of the
+    CSV needs to quote, before the file is opened.
+    """
     if not summaries:
         raise ValueError("nothing to export: no summaries")
     for s in summaries:
+        parse_controller(s.controller)
         if s.j_runs.size == 0:
             raise ValueError(f"summary for {s.controller!r} has no runs")
     with _writable_path(path, force).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RUN_HEADER)
+        fh.write(",".join(_RUN_HEADER) + "\r\n")
         for s in summaries:
-            for i in range(s.j_runs.size):
-                writer.writerow([s.controller, str(i + 1), str(int(s.seeds[i])), _fmt(s.j_runs[i])])
-        writer.writerow(_AGGREGATE_HEADER)
-        for s in summaries:
-            writer.writerow([s.controller, str(s.runs_ok), str(s.runs_failed), _fmt(s.j_bar_mean)])
+            runs = enumerate(s.j_runs.tolist())
+            fh.writelines(_SUMMARY_LINE % (s.controller, i + 1, s.seeds[i], j) for i, j in runs)
+        fh.write(",".join(_AGGREGATE_HEADER) + "\r\n")
+        fh.writelines(_SUMMARY_LINE % (s.controller, s.runs_ok, s.runs_failed, s.j_bar_mean) for s in summaries)
 
 
 def read_summary_csv(path) -> tuple[list[dict], list[dict]]:

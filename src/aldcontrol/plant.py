@@ -29,23 +29,19 @@ __all__ = [
 TRAJECTORY_KINDS = ("filtered_square", "triangle", "sine")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArxParams:
     """Output coefficients ``a`` (length n >= 0) and input coefficients ``b`` (length m >= 1).
 
-    Both are stored as read-only copies, so a plant never changes after it is
-    built, and plants compare and hash by their coefficient values.
+    Both are stored as tuples of floats, so a plant never changes after it
+    is built and compares and hashes by its coefficient values.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: tuple[float, ...]
+    b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=float, ndmin=1)
-        b = np.array(self.b, dtype=float, ndmin=1)
-        a.flags.writeable = b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = (np.array(v, dtype=float, ndmin=1) for v in (self.a, self.b))
         if a.ndim != 1 or b.ndim != 1:
             raise ValueError("plant coefficients a and b must be one-dimensional")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -54,31 +50,25 @@ class ArxParams:
             raise ValueError("need at least one input coefficient")
         if b[0] == 0.0:
             raise ValueError("leading input coefficient b[0] must be nonzero")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ArxParams):
-            return NotImplemented
-        return np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.a.tolist()), tuple(self.b.tolist())))
+        object.__setattr__(self, "a", tuple(a.tolist()))
+        object.__setattr__(self, "b", tuple(b.tolist()))
 
     @property
     def n(self) -> int:
-        return self.a.size
+        return len(self.a)
 
     @property
     def m(self) -> int:
-        return self.b.size
+        return len(self.b)
 
     @property
     def d(self) -> int:
-        return self.a.size + self.b.size
+        return len(self.a) + len(self.b)
 
 
 def parameter_vector(p: ArxParams) -> np.ndarray:
     """True parameters in regressor order [b_1..b_m, a_1..a_n]."""
-    return np.concatenate([p.b, p.a])
+    return np.array(p.b + p.a)
 
 
 def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
@@ -89,10 +79,11 @@ def bind_plant(p: ArxParams, u_now: np.ndarray, y_hist: np.ndarray):
     Both arrays are the caller's: the step only reads them, and the caller
     shifts each new output into ``y_hist`` between calls.  A call may pass
     an array ``out`` of the outputs' shape, which receives y(k+1) and is
-    returned; nothing else is written.
+    returned; nothing else is written.  The coefficient arrays are built
+    from ``p`` once, here.
     """
     add, vecdot = np.add, np.vecdot
-    b, a = p.b, p.a
+    b, a = np.array(p.b), np.array(p.a)
 
     def step(out=None):
         return add(vecdot(u_now, b), vecdot(y_hist, a), out=out)

@@ -41,12 +41,13 @@ class Checklist:
         assert not failed, f"criterion {self.number}: {len(failed)} checks failed: {failed}"
 
 
-def run_batch(cfgs, seeds):
-    """Traces of every config for ``seeds`` from one core call on one noise tape, one list per config.
+def run_batch(cfg, controllers, seeds):
+    """Traces of ``cfg`` under every controller for ``seeds`` from one core call on one noise tape, one list per
+    controller.
 
-    Row (config, seed) is bit for bit the ``run_episode`` trace of that config with that seed.
+    Row (controller, seed) is bit for bit the ``run_episode`` trace of ``cfg`` with that controller and seed.
     """
-    return harness._traces(cfgs, seeds)
+    return harness._traces(cfg, controllers, seeds)
 
 
 def split_quad(f, point):
@@ -239,7 +240,7 @@ def test_criterion_6_outlier_robustness():
         cfg = ac.preset_config(preset)
         wins = 0
         clean = 0
-        traces = run_batch([replace(cfg, controller=c) for c in ("ensemble", "rls")], list(range(runs)))
+        traces = run_batch(cfg, ["ensemble", "rls"], list(range(runs)))
         for tr_en, tr_rls in zip(*traces):
             m_en = ac.max_tracking_error(tr_en, (100, 1000))
             m_rls = ac.max_tracking_error(tr_rls, (100, 1000))
@@ -261,7 +262,7 @@ def test_criterion_7_posterior_behavior():
     finals = []
     simplex_ok = True
     floor_ok = True
-    for tr in run_batch([cfg], list(range(50)))[0]:
+    for tr in run_batch(cfg, [cfg.controller], list(range(50)))[0]:
         finals.append(tr.posteriors[-1, 0])
         simplex_ok &= bool(np.all(np.abs(tr.posteriors.sum(axis=1) - 1.0) <= 1e-9))
         floor_ok &= bool(np.all(tr.posteriors >= 1e-12))

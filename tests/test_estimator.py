@@ -76,15 +76,15 @@ class TestResidualWeight:
     def test_quantile_rule_holds_one_entry_per_hypothesis(self):
         hyps = (AldParams(0.9, 0.3, 0.2), AldParams(0.25, -1.0, 2.0))
         p_neg, p_pos, shift = quantile_rule(hyps)
-        assert p_neg.tolist() == [1.0 - 0.9, 1.0 - 0.25]
-        assert p_pos.tolist() == [0.9, 0.25]
-        assert shift.tolist() == [ald_mean(h) for h in hyps]
+        assert p_neg == (1.0 - 0.9, 1.0 - 0.25)
+        assert p_pos == (0.9, 0.25)
+        assert shift == tuple(ald_mean(h) for h in hyps)
 
     def test_rls_rule_is_read_only(self):
         for entry in RLS_RULE:
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 entry[0] = 0.5
-        assert [entry.tolist() for entry in RLS_RULE] == [[1.0], [1.0], [0.0]]
+        assert RLS_RULE == ((1.0,), (1.0,), (0.0,))
 
 
 class TestIqfStep:

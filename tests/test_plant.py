@@ -56,10 +56,11 @@ class TestArxParams:
         p = ArxParams(a=a, b=b)
         a[0] = 5.0
         b[0] = 2.0
-        assert p.a.tolist() == [-1.41, 0.9] and p.b.tolist() == [0.5]
-        with pytest.raises(ValueError, match="read-only"):
+        assert p.a == (-1.41, 0.9) and p.b == (0.5,)
+        assert all(type(v) is float for v in p.a + p.b)
+        with pytest.raises(TypeError):
             p.a[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             p.b[0] = 1.0
 
     def test_value_equality_and_hash(self):

@@ -1,8 +1,11 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import aldcontrol
 
@@ -55,3 +58,46 @@ def test_the_filter_step_returns_the_residuals_and_the_scoring_step_reads_them_a
     log_likelihood = aldcontrol.bind_log_likelihood(hyps, rows)
     assert list(inspect.signature(log_likelihood).parameters) == ["residual"]
     assert log_likelihood(r).shape == (rows, 2)
+
+
+def assert_python_values(value, path: str) -> None:
+    """``value`` is an int, float, str or None, a tuple of such values, or a frozen dataclass of them."""
+    if dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, path
+        for field in dataclasses.fields(value):
+            assert_python_values(getattr(value, field.name), f"{path}.{field.name}")
+    elif isinstance(value, tuple):
+        for i, entry in enumerate(value):
+            assert_python_values(entry, f"{path}[{i}]")
+    else:
+        assert value is None or type(value) in (int, float, str), f"{path}: {type(value).__name__}"
+
+
+def rls_y_bytes(cfg) -> bytes:
+    return aldcontrol.run_episode(replace(cfg, steps=50, controller="rls")).y.tobytes()
+
+
+@pytest.mark.parametrize("name", aldcontrol.PRESETS)
+def test_every_preset_is_python_values_and_hashable(name):
+    cfg = aldcontrol.preset_config(name)
+    assert_python_values(cfg, name)
+    assert hash(cfg) == hash(replace(cfg))
+
+
+def test_weight_rules_are_python_values():
+    hyps = aldcontrol.preset_config("noise1").hypotheses
+    for rule in (aldcontrol.RLS_RULE, aldcontrol.quantile_rule(hyps)):
+        assert_python_values(rule, "rule")
+        assert [len(entry) for entry in rule] == [len(rule[0])] * 3
+
+
+def test_shared_values_cannot_be_written_through():
+    # numpy lets any caller make a read-only array writeable again; a tuple has no such switch
+    base = aldcontrol.preset_config("base")
+    before, key = rls_y_bytes(base), hash(base)
+    for entry in (aldcontrol.RLS_RULE[0], base.plant.a):
+        with pytest.raises(AttributeError):
+            entry.flags.writeable = True
+        with pytest.raises(TypeError):
+            entry[0] = 0.5
+    assert rls_y_bytes(base) == before and hash(aldcontrol.preset_config("base")) == key
