@@ -19,6 +19,7 @@ from aldcontrol import (
     ArxParams,
     ConfigError,
     EpisodeTrace,
+    McSummary,
     MixtureComponent,
     NoiseModel,
     accumulated_error,
@@ -733,7 +734,7 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623
 
 def trace_of(y_r, y, z, u, posteriors, w_hat):
     steps = y_r.size
-    return EpisodeTrace("ensemble", 0, np.arange(1, steps + 1), y_r, y, z, u, posteriors, w_hat, np.zeros(steps))
+    return EpisodeTrace("ensemble", 0, y_r, y, z, u, posteriors, w_hat, np.zeros(steps))
 
 
 @st.composite
@@ -922,6 +923,10 @@ class TestTraceCsv:
             export_trace_csv(tr, missing)
 
 
+# seed bases from 0 to past 2**64, crowded around 2**63, where the seeds leave int64
+SEED_BASES = st.integers(0, 2**65) | st.integers(2**63 - 8, 2**63 + 8)
+
+
 class TestSummaryCsv:
     def test_round_trip(self, base, tmp_path):
         cfg = short(base, steps=60)
@@ -937,6 +942,39 @@ class TestSummaryCsv:
             agg = next(r for r in aggregate if r["controller"] == s.controller)
             assert agg["j_bar_mean"] == s.j_bar_mean
             assert agg["runs_ok"] == s.runs_ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        j_runs=arrays(
+            np.float64,
+            st.integers(1, 6),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([np.nan, np.inf, -np.inf]),
+        ),
+        seed_base=st.one_of(SEED_BASES, SEED_BASES.filter(lambda s: s < 2**63).map(np.int64)),
+    )
+    @example(j_runs=np.array([np.nan, np.inf]), seed_base=np.int64(2**63 - 1))
+    @example(j_runs=np.array([1.7976931348623157e308] * 2), seed_base=0)
+    def test_derived_values_follow_the_runs_and_round_trip(self, tmp_path_factory, j_runs, seed_base):
+        s = McSummary("ensemble", (1, 10), seed_base, j_runs)
+        expected_seeds = [int(seed_base) + i for i in range(j_runs.size)]
+        assert s.seeds.tolist() == expected_seeds
+        assert s.seeds.dtype == (np.int64 if expected_seeds[-1] < 2**63 else object)
+        finite = j_runs[np.isfinite(j_runs)]
+        assert (s.runs_ok, s.runs_failed) == (finite.size, j_runs.size - finite.size)
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(finite)) if finite.size else math.nan
+        assert s.j_bar_mean == mean or math.isnan(s.j_bar_mean) and math.isnan(mean)
+
+        path = tmp_path_factory.mktemp("summary") / "summary.csv"
+        export_summary_csv([s], path)
+        per_run, [aggregate] = read_summary_csv(path)
+        assert [(r["controller"], r["run"], r["seed"]) for r in per_run] == [
+            ("ensemble", i + 1, seed) for i, seed in enumerate(expected_seeds)
+        ]
+        assert np.array([r["j_bar_run"] for r in per_run]).tobytes() == j_runs.tobytes()
+        assert aggregate["controller"] == "ensemble"
+        assert (aggregate["runs_ok"], aggregate["runs_failed"]) == (s.runs_ok, s.runs_failed)
+        assert np.float64(aggregate["j_bar_mean"]).tobytes() == np.float64(s.j_bar_mean).tobytes()
 
     def test_empty_or_trace_file_rejected_with_path(self, base, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -987,7 +1025,7 @@ class TestSummaryCsv:
             export_summary_csv([], path)
         assert not path.exists()
         [summary] = compare_controllers(short(base, steps=20), ["rls"], 2, (1, 20))
-        empty = replace(summary, controller="oracle", seeds=summary.seeds[:0], j_runs=summary.j_runs[:0])
+        empty = replace(summary, controller="oracle", j_runs=summary.j_runs[:0])
         with pytest.raises(ValueError, match="summary for 'oracle' has no runs"):
             export_summary_csv([summary, empty], path)
         assert not path.exists()

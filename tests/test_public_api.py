@@ -44,6 +44,18 @@ def test_binder_signatures_are_pinned():
     assert actual == BINDER_PARAMETERS
 
 
+# The results' stored fields in order, the rest being derived: a new stored result field is a reviewed edit.
+RESULT_FIELDS = {
+    "EpisodeTrace": ["controller", "seed", "y_r", "y", "z", "u", "posteriors", "w_hat", "noise", "fail_step"],
+    "McSummary": ["controller", "window", "seed_base", "j_runs"],
+}
+
+
+def test_result_fields_are_pinned():
+    actual = {name: [field.name for field in dataclasses.fields(getattr(aldcontrol, name))] for name in RESULT_FIELDS}
+    assert actual == RESULT_FIELDS
+
+
 def test_every_exported_binder_is_pinned():
     assert {name for name in dir(aldcontrol) if name.startswith("bind_")} == set(BINDER_PARAMETERS)
 
