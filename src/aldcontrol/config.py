@@ -97,6 +97,8 @@ class RunConfig:
     u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self) -> None:
+        # a caller's list or array is stored as a tuple, so changing it later cannot bypass these checks
+        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         if not _is_integer(self.steps):
             raise ConfigError(f"run.steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
@@ -115,6 +117,7 @@ class RunConfig:
                 f"run.controller: single-ald index {index} out of range for {len(self.hypotheses)} hypotheses"
             )
         if self.w0 is not None:
+            object.__setattr__(self, "w0", tuple(np.array(self.w0, dtype=float, ndmin=1).tolist()))
             if len(self.w0) != self.plant.d:
                 raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
             if not all(math.isfinite(v) for v in self.w0):

@@ -159,10 +159,7 @@ def _noise_row(noise: NoiseModel, seed: int, steps: int) -> np.ndarray:
 
 def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
     """Measurement noise e(0)..e(steps) of each seed, one row per seed (``_noise_row``'s), in a new array."""
-    tape = np.empty((len(seeds), steps + 1))
-    for row, seed in zip(tape, seeds):
-        row[:] = _noise_row(noise, seed, steps)
-    return tape
+    return np.array([_noise_row(noise, seed, steps) for seed in seeds])
 
 
 def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: np.ndarray, recorder):

@@ -11,10 +11,12 @@ below mu decays with scale sigma/(1-tau), the side above with scale sigma/tau.
 The mean is ``mu + sigma*(1-2*tau)/(tau*(1-tau))``.
 
 Measurement noise is modelled as a finite mixture of ALD and Gaussian
-components with strictly positive weights summing to one.  Its scalar draw
-(one uniform to pick the component, then the component's draws) is the
-stream episodes are simulated on; a loop of such draws binds it to the
-generator once.
+components with strictly positive weights summing to one.  Every draw is
+one function bound to the generator once, which returns one value without a
+size and an array with one.  One value takes one uniform to pick the
+component, then the component's draws; it is the stream episodes are
+simulated on.  An array takes all its picking uniforms, then a block from
+each component in turn, so it consumes the stream differently.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ class MixtureComponent:
 class NoiseModel:
     """Weighted mixture of ALD and/or Gaussian components.
 
-    Weights must be strictly positive and sum to one within 1e-12.
+    Weights must be strictly positive and sum to one within 1e-12.  The
+    components are stored as a tuple, so the checked model never changes.
     """
 
     components: tuple[MixtureComponent, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) == 0:
             raise ValueError("noise model needs at least one component")
         total = math.fsum(c.weight for c in self.components)
@@ -125,14 +129,11 @@ def ald_sample(p: AldParams, rng: np.random.Generator, size: int | None = None):
 
     With probability tau the draw falls below mu (an exponential with rate
     (1-tau)/sigma subtracted from mu), otherwise above it (rate tau/sigma).
-    Each sample consumes one uniform and one standard-exponential draw, so the
-    sequence is fully determined by the generator state.
+    One value consumes one uniform and then one standard-exponential draw; an
+    array of ``size`` consumes all its uniforms, then all its exponentials.
+    Either way the draws are fully determined by the generator state.
     """
-    if size is None:
-        return _draw(p, rng)()
-    u = rng.random(size)
-    e = rng.exponential(1.0, size)
-    return np.where(u < p.tau, p.mu - e * p.sigma / (1.0 - p.tau), p.mu + e * p.sigma / p.tau)
+    return _draw(p, rng)(size)
 
 
 def gaussian_pdf(g: GaussianParams, x):
@@ -145,18 +146,13 @@ def gaussian_sample(g: GaussianParams, rng: np.random.Generator, size: int | Non
     return _draw(g, rng)(size)
 
 
-def _component_pdf(dist: AldParams | GaussianParams, x):
-    if isinstance(dist, AldParams):
-        return ald_pdf(dist, x)
-    return gaussian_pdf(dist, x)
-
-
 def _draw(dist: AldParams | GaussianParams, rng: np.random.Generator):
-    """One draw from the component ``dist``, bound to ``rng`` once: a function of no arguments.
+    """A draw from the component ``dist``, bound to ``rng`` once: ``draw(size=None)``.
 
-    An ALD draw is ``rng.random()`` then ``rng.standard_exponential()``, the
-    double that ``rng.exponential(1.0)`` multiplies by 1.0.  A Gaussian draw's
-    function also takes a size.
+    Without a size it returns one float, with one an array.  One ALD value
+    is ``rng.random()`` then ``rng.standard_exponential()``; an ALD array is
+    ``rng.random(size)`` then ``rng.standard_exponential(size)``, the doubles
+    that ``rng.exponential(1.0, size)`` multiplies by 1.0.
     """
     if isinstance(dist, GaussianParams):
         mean, scale, normal = dist.mean, math.sqrt(dist.variance), rng.standard_normal
@@ -164,72 +160,66 @@ def _draw(dist: AldParams | GaussianParams, rng: np.random.Generator):
     uniform, exponential = rng.random, rng.standard_exponential
     tau, mu, sigma, rest = dist.tau, dist.mu, dist.sigma, 1.0 - dist.tau
 
-    def draw():
-        if uniform() < tau:
-            return mu - exponential() * sigma / rest
-        return mu + exponential() * sigma / tau
+    def draw(size=None):
+        if size is None:
+            if uniform() < tau:
+                return mu - exponential() * sigma / rest
+            return mu + exponential() * sigma / tau
+        u, e = uniform(size), exponential(size)
+        return np.where(u < tau, mu - e * sigma / rest, mu + e * sigma / tau)
 
     return draw
 
 
 def _sampler(m: NoiseModel, rng: np.random.Generator):
-    """:func:`mixture_sample`'s scalar draw bound to ``rng`` once: a function of no arguments.
+    """:func:`mixture_sample` bound to ``rng`` once: ``sample(size=None)``.
 
     The weights are summed left to right and each component's constants and
     generator methods are taken here, so a draw pays for its arithmetic alone.
+    A value takes the first component whose running weight sum exceeds its
+    uniform, else the last, which also takes the uniforms above a total
+    weight rounded below 1.  An array takes its uniforms, then a block from
+    each component in turn, and applies that rule entry by entry.
     """
     uniform = rng.random
-    *picks, (_, last) = zip(accumulate(c.weight for c in m.components), [_draw(c.dist, rng) for c in m.components])
+    draws = [_draw(c.dist, rng) for c in m.components]
+    *picks, (_, last) = zip(accumulate(c.weight for c in m.components), draws)
 
-    def sample():
-        # the last component also takes the draws above a total weight rounded below 1
-        v = uniform()
-        for edge, draw in picks:
-            if v < edge:
-                return draw()
-        return last()
+    def sample(size=None):
+        if size is None:
+            v = uniform()
+            for edge, draw in picks:
+                if v < edge:
+                    return draw()
+            return last()
+        v = uniform(size)
+        blocks = [draw(size) for draw in draws]
+        # the first true condition picks; the last component's is always true
+        return np.select([*(v < edge for edge, _ in picks), True], blocks)
 
     return sample
-
-
-def _component_sample(dist: AldParams | GaussianParams, rng: np.random.Generator, size=None):
-    if isinstance(dist, AldParams):
-        return ald_sample(dist, rng, size)
-    return gaussian_sample(dist, rng, size)
 
 
 def mixture_pdf(m: NoiseModel, x):
     """Weighted sum of the component densities."""
     x = np.asarray(x, dtype=float)
-    out = sum(c.weight * _component_pdf(c.dist, x) for c in m.components)
+    out = sum(
+        c.weight * (ald_pdf if isinstance(c.dist, AldParams) else gaussian_pdf)(c.dist, x) for c in m.components
+    )
     return float(out) if np.ndim(out) == 0 else out
 
 
 def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = None):
     """Draw from the mixture: pick a component by weight, then draw from it.
 
-    The scalar path consumes one uniform plus the chosen component's draws:
-    the component is the first whose cumulative weight exceeds the uniform,
-    or the last.  Episode simulation draws its noise through this path bound
-    to a seed's generator once (``_sampler``).  The vectorized path draws
-    every component in blocks and selects, so it consumes the stream
-    differently.
+    The component is the first whose cumulative weight exceeds the picking
+    uniform, or the last.  One value consumes one uniform plus the chosen
+    component's draws; episode simulation draws its noise this way, bound to
+    a seed's generator once (``_sampler``).  An array of ``size`` consumes
+    all its uniforms, then a block of ``size`` draws from every component in
+    turn, and picks per entry, so it consumes the stream differently.
     """
-    if size is None:
-        return _sampler(m, rng)()
-
-    sel = rng.random(size)
-    edges = np.cumsum([c.weight for c in m.components])
-    # the last component also takes the draws above a total weight rounded below 1
-    edges[-1] = np.inf
-    out = np.empty(size, dtype=float)
-    lo = 0.0
-    for c, hi in zip(m.components, edges):
-        draws = _component_sample(c.dist, rng, size)
-        mask = (sel >= lo) & (sel < hi)
-        out[mask] = draws[mask]
-        lo = hi
-    return out
+    return _sampler(m, rng)(size)
 
 
 def pinball_loss(tau: float, u):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from aldcontrol import (
     AldParams,
@@ -12,6 +15,7 @@ from aldcontrol import (
     ald_mean,
     ald_pdf,
     ald_sample,
+    gaussian_pdf,
     gaussian_sample,
     mixture_pdf,
     mixture_sample,
@@ -77,6 +81,30 @@ class TestAldPdf:
             AldParams(0.5, math.nan, 1.0)
 
 
+GAUSSIANS = [GaussianParams(0.0, 1.0), GaussianParams(2.0, 0.01), GaussianParams(-1.5, 4.0)]
+
+
+class TestGaussianPdf:
+    @pytest.mark.parametrize("g", GAUSSIANS)
+    def test_peak_value(self, g):
+        assert gaussian_pdf(g, g.mean) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * g.variance), rel=1e-15)
+
+    @pytest.mark.parametrize("g", GAUSSIANS)
+    def test_symmetric_about_the_mean(self, g):
+        for a in (0.05, 0.7, 2.5, 10.0):
+            assert gaussian_pdf(g, g.mean + a) == pytest.approx(gaussian_pdf(g, g.mean - a), rel=1e-12)
+
+    @pytest.mark.parametrize("g", GAUSSIANS)
+    def test_normalizes(self, g):
+        assert quad_total(lambda x: gaussian_pdf(g, x), g.mean) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("g", GAUSSIANS)
+    def test_matches_scipy(self, g):
+        xs = g.mean + math.sqrt(g.variance) * np.linspace(-8.0, 8.0, 101)
+        want = norm.pdf(xs, loc=g.mean, scale=math.sqrt(g.variance))
+        assert np.allclose(gaussian_pdf(g, xs), want, rtol=1e-14, atol=0.0)
+
+
 class TestAldMean:
     def test_symmetric_mean_is_location(self):
         assert ald_mean(AldParams(0.5, 0.0, 1.0)) == 0.0
@@ -140,9 +168,9 @@ class TopOfUnitRng:
         self.calls.append(("random", size))
         return np.full(size if size is not None else (), np.nextafter(1.0, 0.0))
 
-    def exponential(self, scale=1.0, size=None):
-        self.calls.append(("exponential", size))
-        return scale * (np.arange(1.0, size + 1.0) if size is not None else 1.0)
+    def standard_exponential(self, size=None):
+        self.calls.append(("standard_exponential", size))
+        return np.arange(1.0, size + 1.0) if size is not None else 1.0
 
 
 class TestMixture:
@@ -284,6 +312,37 @@ def reference_draw(m: NoiseModel, rng) -> float:
     return d.mu + e * d.sigma / d.tau
 
 
+def reference_block(m: NoiseModel, rng, size) -> np.ndarray:
+    """``size`` mixture draws as plain loops: first every uniform that picks a
+    component, then a block of ``size`` draws from each component in order
+    (uniforms then exponentials for an ALD, normals for a Gaussian); each
+    entry takes the first component whose running weight sum exceeds its
+    uniform, else the last."""
+    v = rng.random(size)
+    blocks = []
+    for c in m.components:
+        d = c.dist
+        if isinstance(d, GaussianParams):
+            blocks.append(rng.standard_normal(size))
+        else:
+            blocks.append((rng.random(size), rng.exponential(1.0, size)))
+    out = np.empty(v.shape)
+    for i in np.ndindex(v.shape):
+        acc, pick = 0.0, len(m.components) - 1
+        for j, c in enumerate(m.components):
+            acc += c.weight
+            if float(v[i]) < acc:
+                pick = j
+                break
+        d = m.components[pick].dist
+        if isinstance(d, GaussianParams):
+            out[i] = d.mean + math.sqrt(d.variance) * float(blocks[pick][i])
+            continue
+        u, e = float(blocks[pick][0][i]), float(blocks[pick][1][i])
+        out[i] = d.mu - e * d.sigma / (1.0 - d.tau) if u < d.tau else d.mu + e * d.sigma / d.tau
+    return out
+
+
 SCALAR_MIXTURES = {
     "ald": NoiseModel((MixtureComponent(1.0, AldParams(0.85, 0.3, 0.5)),)),
     "gaussian": NoiseModel((MixtureComponent(1.0, GaussianParams(-1.0, 2.0)),)),
@@ -348,3 +407,57 @@ class TestBoundSampler:
         last = m.components[-1].dist
         expected = last.mu + 1.5 * last.sigma / last.tau  # above the location, since the uniform exceeds tau
         assert _sampler(m, ScalarTopOfUnitRng())() == reference_draw(m, ScalarTopOfUnitRng()) == expected
+
+    def test_one_value_draws_are_python_floats(self):
+        rng, m = np.random.default_rng(43), SCALAR_MIXTURES["three"]
+        assert type(mixture_sample(m, rng)) is float
+        for c in m.components:
+            sample = ald_sample if isinstance(c.dist, AldParams) else gaussian_sample
+            assert type(sample(c.dist, rng)) is float
+
+
+BLOCK_SIZES = [0, 1, 7, (3, 4), 100_000]
+
+
+def assert_same_block(got, want, ours, ref):
+    assert got.shape == want.shape and got.dtype == want.dtype == float
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+COMPONENT = st.one_of(
+    st.builds(AldParams, st.floats(0.01, 0.99), st.floats(-5.0, 5.0), st.floats(1e-3, 10.0)),
+    st.builds(GaussianParams, st.floats(-5.0, 5.0), st.floats(1e-3, 10.0)),
+)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("size", BLOCK_SIZES, ids=str)
+    @pytest.mark.parametrize("name", SCALAR_MIXTURES)
+    def test_mixture_blocks_equal_the_reference_bit_for_bit(self, name, size):
+        m = SCALAR_MIXTURES[name]
+        ours, ref = np.random.default_rng(47), np.random.default_rng(47)
+        assert_same_block(mixture_sample(m, ours, size), reference_block(m, ref, size), ours, ref)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES, ids=str)
+    def test_component_blocks_equal_the_reference_bit_for_bit(self, size):
+        ours, ref = np.random.default_rng(53), np.random.default_rng(53)
+        for c in SCALAR_MIXTURES["three"].components:
+            alone = NoiseModel((MixtureComponent(1.0, c.dist),))
+            sample = ald_sample if isinstance(c.dist, AldParams) else gaussian_sample
+            ours.random(size)  # the reference's pick of its only component
+            assert_same_block(sample(c.dist, ours, size), reference_block(alone, ref, size), ours, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dists=st.lists(COMPONENT, min_size=1, max_size=5),
+        data=st.data(),
+        size=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_mixture_blocks_equal_the_reference(self, dists, data, size, seed):
+        raw = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(dists), max_size=len(dists)))
+        total = math.fsum(raw)
+        m = NoiseModel(tuple(MixtureComponent(w / total, d) for w, d in zip(raw, dists)))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_block(mixture_sample(m, ours, size), reference_block(m, ref, size), ours, ref)

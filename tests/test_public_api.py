@@ -113,3 +113,33 @@ def test_shared_values_cannot_be_written_through():
         with pytest.raises(TypeError):
             entry[0] = 0.5
     assert rls_y_bytes(base) == before and hash(aldcontrol.preset_config("base")) == key
+
+
+def test_a_w0_list_changed_after_the_config_is_built_changes_nothing():
+    base = aldcontrol.preset_config("base")
+    w0 = [0.1] * base.plant.d
+    cfg = replace(base, w0=w0)
+    w0[0] = np.nan
+    assert rls_y_bytes(cfg) == rls_y_bytes(base) and cfg.w0 == base.w0
+
+
+def test_a_hypotheses_list_changed_after_the_config_is_built_changes_nothing():
+    base = aldcontrol.preset_config("base")
+    hyps = list(base.hypotheses)
+    cfg = replace(base, hypotheses=hyps, controller="single-ald:1", steps=50)
+    hyps.pop()
+    assert aldcontrol.run_episode(cfg).fail_step is None and cfg.hypotheses == base.hypotheses
+
+
+def test_a_components_list_changed_after_the_model_is_built_changes_nothing():
+    components = [aldcontrol.MixtureComponent(0.5, aldcontrol.GaussianParams(0.0, 1.0))] * 2
+    noise = aldcontrol.NoiseModel(components)
+    components.append(components[0])
+    assert [c.weight for c in noise.components] == [0.5, 0.5]
+
+
+def test_an_array_w0_is_stored_as_python_values():
+    base = aldcontrol.preset_config("base")
+    cfg = replace(base, w0=np.array([0.1] * 3))
+    assert cfg == base and hash(cfg) == hash(base)
+    assert_python_values(cfg, "base")
