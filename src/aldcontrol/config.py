@@ -31,7 +31,7 @@ import numpy as np
 
 from .controller import DEFAULT_EPS_B, DEFAULT_U_MAX
 from .noise import AldParams, GaussianParams, MixtureComponent, NoiseModel
-from .plant import ArxParams, TrajectorySpec
+from .plant import ArxParams, TrajectorySpec, _float_tuple
 
 __all__ = [
     "ConfigError",
@@ -117,11 +117,9 @@ class RunConfig:
                 f"run.controller: single-ald index {index} out of range for {len(self.hypotheses)} hypotheses"
             )
         if self.w0 is not None:
-            object.__setattr__(self, "w0", tuple(np.array(self.w0, dtype=float, ndmin=1).tolist()))
+            object.__setattr__(self, "w0", _float_tuple(self.w0, "estimator.w0", ConfigError))
             if len(self.w0) != self.plant.d:
                 raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
-            if not all(math.isfinite(v) for v in self.w0):
-                raise ConfigError(f"estimator.w0 entries must be finite, got {self.w0!r}")
         if not (math.isfinite(self.p0_scale) and self.p0_scale > 0.0):
             raise ConfigError("estimator.p0_scale must be positive")
         if not (math.isfinite(self.eps_b) and self.eps_b > 0.0):

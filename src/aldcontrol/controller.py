@@ -135,6 +135,14 @@ def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float =
     subsystems.  All three may change in place between calls.  A call may
     pass an array ``out`` of the result's shape, which receives the input
     and is returned.
+
+    Each law is clamped to [-u_max, u_max], but their weighted sum is not
+    clamped again.  Posteriors from :func:`bind_posterior` sum to one only
+    within rounding, so with every law saturated the input can pass u_max
+    by an ulp or two (1000.0000000000001 for u_max = 1000).  Its magnitude
+    stays below u_max*(1 + 2*S*eps), eps = 2**-52: the posteriors sum to
+    within about S*eps/2 of one, and the S products and S - 1 additions add
+    about S*eps/2 more.  Clamping the sum would add an operation to every call.
     """
     multiply, total = np.multiply, np.add.reduce
     laws = bind_ce_law(W, eta[..., None, :], eps_b, u_max)

@@ -1,4 +1,4 @@
-"""Online parameter estimation: one weighted least-squares filter step, and the batch oracle.
+"""Online parameter estimation: one weighted least-squares filter step.
 
 Every estimator is a bank of filters updated in place by the step that
 :func:`bind_filter` binds to its arrays, under a weight rule ``(p_neg, p_pos,
@@ -11,7 +11,9 @@ quantile filter of an asymmetric Laplace hypothesis has the rule
 ``(1, 1, 0)`` (:data:`RLS_RULE`).  With tau = 1/2 and a zero-mean hypothesis
 the quantile filter reduces to RLS at half the initial covariance.  A bank
 whose every entry has the unit rule skips the sign, the weight and the
-shift, which are exact no-ops there.
+shift, which are exact no-ops there.  The batch weighted least-squares
+solution that the recursion reproduces is a test oracle, kept with the tests
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "RLS_RULE",
     "quantile_rule",
     "bind_filter",
-    "batch_weighted_ls",
 ]
 
 # unit weight on either side and no innovation shift, for one filter
@@ -79,32 +80,3 @@ def bind_filter(W: np.ndarray, P: np.ndarray, x, rule):
         return r
 
     return step
-
-
-def batch_weighted_ls(X, z, offsets, weights, w0, P0) -> np.ndarray:
-    """Weighted least squares with a Gaussian-style prior (w0, P0).
-
-    Solves  (P0^-1 + X' W X) w = P0^-1 w0 + X' W (z - offsets)  with
-    W = diag(weights), every weight positive and finite.  ``X`` has one row
-    per sample and len(w0) columns, and ``z``, ``offsets`` and ``weights``
-    one entry per row of ``X``; a ValueError names any other shape or
-    weight.  Run with the weights and offsets that a sequence of
-    :func:`bind_filter` steps realized, the unit weights of :data:`RLS_RULE`
-    included, it reproduces the recursive estimate up to rounding, so it is
-    the filter's independent test oracle; with no rows it returns ``w0``.
-
-    Raises ``numpy.linalg.LinAlgError`` if the normal matrix is singular,
-    which cannot happen for a positive definite ``P0``.
-    """
-    X, z, offsets, weights, w0, P0 = (np.asarray(v, dtype=float) for v in (X, z, offsets, weights, w0, P0))
-    if X.ndim != 2 or X.shape[1:] != w0.shape:
-        raise ValueError(f"X has shape {X.shape}, but needs one column per entry of w0 (shape {w0.shape})")
-    for name, v in (("z", z), ("offsets", offsets), ("weights", weights)):
-        if v.shape != X.shape[:1]:
-            raise ValueError(f"{name} has shape {v.shape}, but needs one entry per row of X ({X.shape[0]})")
-    if not np.all(np.isfinite(weights) & (weights > 0.0)):
-        raise ValueError("weights must be positive and finite")
-    P0_inv = np.linalg.inv(P0)
-    normal = P0_inv + X.T @ (weights[:, None] * X)
-    rhs = P0_inv @ w0 + X.T @ (weights * (z - offsets))
-    return np.linalg.solve(normal, rhs)

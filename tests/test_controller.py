@@ -9,8 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from aldcontrol import (
     AldParams,
-    ald_pdf,
-    ald_sample,
     bind_ce_law,
     bind_ensemble_law,
     bind_filter,
@@ -21,6 +19,7 @@ from aldcontrol import (
     quantile_rule,
     run_episode,
 )
+from reference import ald_pdf, ald_sample
 
 
 def ce_input(w, eta, y_r_next, **kw):
@@ -269,6 +268,18 @@ class TestEnsembleControl:
         for _ in range(25):
             p[...] = rng.dirichlet(np.ones(3))
             assert law(1.3) == pytest.approx(float(p @ laws))
+
+    def test_saturated_laws_can_pass_u_max_by_the_rounding_of_the_posterior_sum(self):
+        # every law is clamped to +-u_max, their posterior-weighted sum is not: these
+        # posteriors of bind_posterior sum to one only within rounding
+        post = np.full((1, 2), 0.5)
+        bind_posterior(post)(np.array([[0.1, -0.1]]))
+        W = np.array([[[1e-9, 0.0], [1e-9, 0.0]]])  # |b1| < eps_b: each divisor is eps_b, each law saturates
+        law = bind_ensemble_law(post, W, np.zeros((1, 1)), 1e-6, 1000.0)
+        bound = 1000.0 * (1.0 + 2 * post.shape[1] * np.finfo(float).eps)
+        for y_r_next, u in ((1.0, 1000.0000000000001), (-1.0, -1000.0000000000001)):
+            assert law(np.array(y_r_next))[0] == u
+            assert abs(u) <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 4), n_sub=st.integers(1, 4), d=st.integers(1, 4), data=st.data())

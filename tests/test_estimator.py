@@ -10,11 +10,10 @@ from aldcontrol import (
     RLS_RULE,
     AldParams,
     ald_mean,
-    ald_sample,
-    batch_weighted_ls,
     bind_filter,
     quantile_rule,
 )
+from reference import ald_sample, batch_weighted_ls
 
 
 def bank(w0, P0, *lead):

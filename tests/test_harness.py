@@ -23,7 +23,6 @@ from aldcontrol import (
     MixtureComponent,
     NoiseModel,
     accumulated_error,
-    ald_pdf,
     config_from_dict,
     export_summary_csv,
     export_trace_csv,
@@ -37,6 +36,7 @@ from aldcontrol import (
     read_trace_csv,
     run_episode,
 )
+from reference import ald_pdf
 
 ZERO_NOISE = NoiseModel((MixtureComponent(1.0, AldParams(0.5, 0.0, 1e-12)),))
 

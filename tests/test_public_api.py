@@ -143,3 +143,32 @@ def test_an_array_w0_is_stored_as_python_values():
     cfg = replace(base, w0=np.array([0.1] * 3))
     assert cfg == base and hash(cfg) == hash(base)
     assert_python_values(cfg, "base")
+
+
+# test oracles that no run executes: they live in the tests' reference module
+MOVED_TO_TESTS = (
+    "pinball_loss",
+    "ald_pdf",
+    "gaussian_pdf",
+    "mixture_pdf",
+    "ald_sample",
+    "gaussian_sample",
+    "batch_weighted_ls",
+)
+
+
+@pytest.mark.parametrize("module", [aldcontrol, aldcontrol.noise, aldcontrol.estimator], ids=lambda m: m.__name__)
+def test_the_test_oracles_are_not_in_the_package(module):
+    assert [name for name in MOVED_TO_TESTS if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize(
+    "w0",
+    [np.zeros((3, 1)), np.zeros((1, 3)), [[0.1, 0.1, 0.1]]],
+    ids=["column", "row", "nested-list"],
+)
+def test_a_two_dimensional_w0_is_rejected_with_its_key_path(w0):
+    # a (3, 1) array raised numpy's TypeError, and the others "must have length 3, got 1"
+    message = r"^estimator\.w0 must be one-dimensional, got shape \((3, 1|1, 3)\)$"
+    with pytest.raises(aldcontrol.ConfigError, match=message):
+        replace(aldcontrol.preset_config("base"), w0=w0)
