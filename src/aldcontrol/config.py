@@ -12,8 +12,13 @@ A config document is JSON with the key paths
 
 The reader checks only the structure: every section is a mapping, every value
 has the right JSON type, and unknown or missing keys are rejected with their
-path.  Whether a value is valid is decided once, by the dataclass it builds;
-a dataclass error comes back as a :class:`ConfigError` carrying the key path.
+path.  A number is what ``plant._is_number`` accepts, an int or a float but
+not a bool, the same predicate the dataclasses apply.  Whether a value is
+valid is decided once, by the dataclass it builds; a dataclass error comes
+back as a :class:`ConfigError` carrying the key path.  ``RunConfig`` checks
+its own numbers with ``plant._number`` and raises :class:`ConfigError`
+naming the key path, also for a Python caller of :func:`dataclasses.replace`;
+its ``hypotheses`` must be :class:`AldParams` and its controller token a string.
 Presets ``base`` and ``noise1``..``noise4`` ship with the package; each is
 read once per process and shared.
 """
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,7 +35,7 @@ import numpy as np
 
 from .controller import DEFAULT_EPS_B, DEFAULT_U_MAX
 from .noise import AldParams, GaussianParams, MixtureComponent, NoiseModel
-from .plant import ArxParams, TrajectorySpec, _float_tuple
+from .plant import ArxParams, TrajectorySpec, _float_tuple, _is_number, _number
 
 __all__ = [
     "ConfigError",
@@ -68,7 +72,7 @@ def parse_controller(token: str) -> tuple[str, int]:
     """
     if token in ("ensemble", "rls", "oracle"):
         return token, 0
-    if token.startswith("single-ald:"):
+    if isinstance(token, str) and token.startswith("single-ald:"):
         digits = token[len("single-ald:") :]
         # int() would also take a sign, spaces, underscores and other scripts' digits
         if not (digits.isascii() and digits.isdigit()):
@@ -99,6 +103,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         # a caller's list or array is stored as a tuple, so changing it later cannot bypass these checks
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        if not all(isinstance(h, AldParams) for h in self.hypotheses):
+            raise ConfigError(f"hypotheses must be AldParams, got {self.hypotheses!r}")
         if not _is_integer(self.steps):
             raise ConfigError(f"run.steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
@@ -120,12 +126,9 @@ class RunConfig:
             object.__setattr__(self, "w0", _float_tuple(self.w0, "estimator.w0", ConfigError))
             if len(self.w0) != self.plant.d:
                 raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
-        if not (math.isfinite(self.p0_scale) and self.p0_scale > 0.0):
-            raise ConfigError("estimator.p0_scale must be positive")
-        if not (math.isfinite(self.eps_b) and self.eps_b > 0.0):
-            raise ConfigError("controller.eps_b must be positive")
-        if not (math.isfinite(self.u_max) and self.u_max > 0.0):
-            raise ConfigError("controller.u_max must be positive")
+        _number(self.p0_scale, "estimator.p0_scale", ConfigError, positive=True)
+        _number(self.eps_b, "controller.eps_b", ConfigError, positive=True)
+        _number(self.u_max, "controller.u_max", ConfigError, positive=True)
 
     def initial_w(self) -> np.ndarray:
         if self.w0 is None:
@@ -169,10 +172,6 @@ _COMPONENT_KEYS = {"weight": float, "kind": str} | {
     key: float for _, keys, _ in _DISTRIBUTIONS.values() for key in keys
 }
 _ALD_KINDS = dict.fromkeys(_DISTRIBUTIONS["ald"][1], float)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _value(value, path: str, kind: type):

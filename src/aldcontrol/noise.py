@@ -11,12 +11,16 @@ below mu decays with scale sigma/(1-tau), the side above with scale sigma/tau.
 The mean is ``mu + sigma*(1-2*tau)/(tau*(1-tau))``.
 
 Measurement noise is modelled as a finite mixture of ALD and Gaussian
-components with strictly positive weights summing to one.  Every draw is
-one function bound to the generator once, which returns one value without a
-size and an array with one.  One value takes one uniform to pick the
-component, then the component's draws; it is the stream episodes are
-simulated on.  An array takes all its picking uniforms, then a block from
-each component in turn, so it consumes the stream differently.
+components with strictly positive weights summing to one.  Every parameter
+is checked by the package's one number rule (``plant._number``): an int or a
+float, not a bool, finite, and positive for sigma, variance and weight; a
+component's ``dist`` must be an :class:`AldParams` or a :class:`GaussianParams`.
+
+Every draw is one function bound to the generator once, which returns one
+value without a size and an array with one.  One value takes one uniform to
+pick the component, then the component's draws; it is the stream episodes
+are simulated on.  An array takes all its picking uniforms, then a block
+from each component in turn, so it consumes the stream differently.
 
 A run scores residuals with :func:`~aldcontrol.controller.bind_log_likelihood`
 alone; the densities and the pinball loss are test oracles (``tests/reference.py``).
@@ -30,6 +34,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .plant import _number
+
 __all__ = [
     "AldParams",
     "GaussianParams",
@@ -38,11 +44,6 @@ __all__ = [
     "ald_mean",
     "mixture_sample",
 ]
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,10 @@ class AldParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        _require_finite("tau", self.tau)
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
-        if not 0.0 < self.tau < 1.0:
+        if not 0.0 < _number(self.tau, "tau") < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _number(self.mu, "mu")
+        _number(self.sigma, "sigma", positive=True)
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,8 @@ class GaussianParams:
     variance: float
 
     def __post_init__(self) -> None:
-        _require_finite("mean", self.mean)
-        _require_finite("variance", self.variance)
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        _number(self.mean, "mean")
+        _number(self.variance, "variance", positive=True)
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,9 @@ class MixtureComponent:
     dist: AldParams | GaussianParams
 
     def __post_init__(self) -> None:
-        _require_finite("weight", self.weight)
-        if not self.weight > 0.0:
-            raise ValueError(f"component weight must be strictly positive, got {self.weight}")
+        _number(self.weight, "weight", positive=True)
+        if not isinstance(self.dist, (AldParams, GaussianParams)):
+            raise ValueError(f"dist must be an AldParams or a GaussianParams, got {self.dist!r}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ with measurements z(k) = y(k) + e(k).  Histories are newest-first arrays owned
 by the caller, with any leading (run) dimensions.  :func:`bind_plant` binds
 the plant to them once and returns its step, which reads them and writes only
 the new outputs: the caller shifts each history itself.
+
+Every numeric config field of the package is checked here, by ``_number``:
+the value must be an int or a float, numpy's included, but not a bool; it
+must be finite, and above 0 where the field is a scale, a rate or a weight.
+A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must also be
+one-dimensional, each entry passing the same rule (``_float_tuple``).  The
+errors name the field, so a Python caller and the JSON reader get the same.
 """
 
 from __future__ import annotations
@@ -29,15 +36,33 @@ __all__ = [
 TRAJECTORY_KINDS = ("filtered_square", "triangle", "sine")
 
 
+def _is_number(value) -> bool:
+    """True for a Python or numpy int or float; a bool, a string or anything else is not a number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _number(value, name: str, error: type[ValueError] = ValueError, positive: bool = False) -> float:
+    """``value`` as a float, the rule of every numeric config field: a number, finite, and above 0 if ``positive``.
+
+    Any other value raises ``error`` naming ``name``.
+    """
+    if not _is_number(value):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise error(f"{name} must be {'finite and positive' if positive else 'finite'}, got {value!r}")
+    return float(value)
+
+
 def _float_tuple(values, name: str, error: type[ValueError] = ValueError) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, the shape rule of every such field: one dimension, every entry finite."""
-    array = np.array(values, dtype=float, ndmin=1)
+    """``values`` as a tuple of floats, the shape rule of every such field: one dimension, every entry a ``_number``.
+
+    The array is built with ``dtype=object``, so numpy converts no string
+    or bool, and each entry meets the rule as the caller gave it.
+    """
+    array = np.array(values, dtype=object, ndmin=1)
     if array.ndim != 1:
         raise error(f"{name} must be one-dimensional, got shape {array.shape}")
-    out = tuple(array.tolist())
-    if not np.all(np.isfinite(array)):
-        raise error(f"{name} entries must be finite, got {out!r}")
-    return out
+    return tuple(_number(value, f"{name} entries", error) for value in array)
 
 
 @dataclass(frozen=True)
@@ -110,12 +135,9 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"trajectory kind must be one of {TRAJECTORY_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0.0):
-            raise ValueError("frequency_hz must be positive")
-        if not (math.isfinite(self.sample_period_s) and self.sample_period_s > 0.0):
-            raise ValueError("sample_period_s must be positive")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
+        _number(self.frequency_hz, "frequency_hz", positive=True)
+        _number(self.sample_period_s, "sample_period_s", positive=True)
+        _number(self.amplitude, "amplitude")
 
 
 def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:

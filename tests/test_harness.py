@@ -661,7 +661,7 @@ class TestMetrics:
         assert summary.runs_failed == 2
         assert math.isnan(summary.j_bar_mean)
 
-    @pytest.mark.parametrize("token", ["pid", "single-ald:2"])
+    @pytest.mark.parametrize("token", ["pid", "single-ald:2", 3])
     def test_compare_controllers_checks_every_token_before_any_episode(self, base, monkeypatch, token):
         calls = []
         batch = harness._run_batch
