@@ -10,21 +10,24 @@ A config document is JSON with the key paths
     estimator.{w0, p0_scale}
     controller.{eps_b, u_max}
 
-The reader checks only the structure: every section is a mapping, every value
-has the right JSON type, and unknown or missing keys are rejected with their
-path.  A number is what ``plant._is_number`` accepts, an int or a float but
-not a bool, the same predicate the dataclasses apply.  Whether a value is
-valid is decided once, by the dataclass it builds; a dataclass error comes
-back as a :class:`ConfigError` carrying the key path.  ``RunConfig`` checks
-its own numbers with ``plant._number`` and raises :class:`ConfigError`
-naming the key path, also for a Python caller of :func:`dataclasses.replace`;
-its ``hypotheses`` must be :class:`AldParams` and its controller token a string.
+The reader checks only the shape of the document: every section is a mapping
+or a list, unknown or missing keys and null values are rejected with their
+path, and a component's ``kind`` picks its distribution.  The keys of the
+plant, hypothesis, component and trajectory sections are the fields of the
+dataclass each builds; those of ``run``, ``estimator`` and ``controller`` are
+``RunConfig`` fields.  Every value goes unconverted to its dataclass, which
+checks and converts it once; a dataclass error comes back as a
+:class:`ConfigError` carrying the key path.  ``RunConfig`` checks its own
+numbers with ``plant._number`` and raises :class:`ConfigError` naming the key
+path, also for a Python caller of :func:`dataclasses.replace`; its parts must
+be of their classes and its controller token a string.
 Presets ``base`` and ``noise1``..``noise4`` ship with the package; each is
 read once per process and shared.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ import numpy as np
 
 from .controller import DEFAULT_EPS_B, DEFAULT_U_MAX
 from .noise import AldParams, GaussianParams, MixtureComponent, NoiseModel
-from .plant import ArxParams, TrajectorySpec, _float_tuple, _is_number, _number
+from .plant import ArxParams, TrajectorySpec, _float_tuple, _number, _store
 
 __all__ = [
     "ConfigError",
@@ -101,8 +104,11 @@ class RunConfig:
     u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self) -> None:
+        for name, cls in (("plant", ArxParams), ("noise", NoiseModel), ("trajectory", TrajectorySpec)):
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be {cls.__name__}, got {getattr(self, name)!r}")
         # a caller's list or array is stored as a tuple, so changing it later cannot bypass these checks
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        _store(self, hypotheses=tuple(self.hypotheses))
         if not all(isinstance(h, AldParams) for h in self.hypotheses):
             raise ConfigError(f"hypotheses must be AldParams, got {self.hypotheses!r}")
         if not _is_integer(self.steps):
@@ -123,12 +129,15 @@ class RunConfig:
                 f"run.controller: single-ald index {index} out of range for {len(self.hypotheses)} hypotheses"
             )
         if self.w0 is not None:
-            object.__setattr__(self, "w0", _float_tuple(self.w0, "estimator.w0", ConfigError))
+            _store(self, w0=_float_tuple(self.w0, "estimator.w0", ConfigError))
             if len(self.w0) != self.plant.d:
                 raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
-        _number(self.p0_scale, "estimator.p0_scale", ConfigError, positive=True)
-        _number(self.eps_b, "controller.eps_b", ConfigError, positive=True)
-        _number(self.u_max, "controller.u_max", ConfigError, positive=True)
+        _store(
+            self,
+            p0_scale=_number(self.p0_scale, "estimator.p0_scale", ConfigError, positive=True),
+            eps_b=_number(self.eps_b, "controller.eps_b", ConfigError, positive=True),
+            u_max=_number(self.u_max, "controller.u_max", ConfigError, positive=True),
+        )
 
     def initial_w(self) -> np.ndarray:
         if self.w0 is None:
@@ -139,69 +148,45 @@ class RunConfig:
         return self.p0_scale * np.eye(self.plant.d)
 
 
-# JSON value kinds of the reader: float is any number, tuple a list of numbers
-_EXPECTED = {
-    float: "a number",
-    int: "an integer",
-    str: "a string",
-    tuple: "a list of numbers",
-    list: "a list",
-    dict: "a mapping",
-}
-_SECTIONS = {
-    "plant": dict,
-    "noise": dict,
-    "hypotheses": list,
-    "trajectory": dict,
-    "run": dict,
-    "estimator": dict,
-    "controller": dict,
-}
-# sections whose keys are RunConfig fields of the same name
+# the document's sections: the first four build the parts, and the keys of
+# the other three are the RunConfig fields of the same names
 _RUN_SECTIONS = {
-    "run": {"steps": int, "seed": int, "controller": str, "feedback": str},
-    "estimator": {"w0": tuple, "p0_scale": float},
-    "controller": {"eps_b": float, "u_max": float},
+    "run": ("steps", "seed", "controller", "feedback"),
+    "estimator": ("w0", "p0_scale"),
+    "controller": ("eps_b", "u_max"),
 }
-# noise component kinds: the distribution, its keys, and how errors name it
-_DISTRIBUTIONS = {
-    "ald": (AldParams, ("tau", "mu", "sigma"), "an ald component"),
-    "gaussian": (GaussianParams, ("mean", "variance"), "a gaussian component"),
-}
-_COMPONENT_KEYS = {"weight": float, "kind": str} | {
-    key: float for _, keys, _ in _DISTRIBUTIONS.values() for key in keys
-}
-_ALD_KINDS = dict.fromkeys(_DISTRIBUTIONS["ald"][1], float)
+_SECTIONS = ("plant", "noise", "hypotheses", "trajectory", *_RUN_SECTIONS)
+# noise component kinds: the distribution, and how errors name it
+_DISTRIBUTIONS = {"ald": (AldParams, "an ald component"), "gaussian": (GaussianParams, "a gaussian component")}
 
 
-def _value(value, path: str, kind: type):
-    """``value`` checked to have JSON type ``kind``; numbers come back as floats."""
-    if kind is float:
-        if _is_number(value):
-            return float(value)
-    elif kind is tuple:
-        if isinstance(value, list) and all(map(_is_number, value)):
-            return tuple(map(float, value))
-    elif isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}")
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
-def _section(obj, path: str, kinds: dict, required=()) -> dict:
-    """Mapping ``obj`` read key by key with :func:`_value`.
+def _list(obj, path: str) -> list:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list")
+    return obj
 
-    ``kinds`` maps every allowed key to its kind; any other key is rejected as
-    an unknown key, and a missing ``required`` key is rejected too.
+
+def _section(obj, path: str, keys, required=(), unknown: str = "unknown key") -> dict:
+    """A copy of the mapping ``obj``, checked for its shape alone.
+
+    A key outside ``keys`` is rejected as ``unknown``, and a null value or a
+    missing ``required`` key is rejected too; no value is converted.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    for key in obj:
-        if key not in kinds:
-            raise ConfigError(f"{path}.{key}: unknown key")
+    for key, value in obj.items():
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: {unknown}")
+        if value is None:
+            raise ConfigError(f"{path}.{key}: expected a value, got null")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}.{key}: missing required key")
-    return {key: _value(value, f"{path}.{key}", kinds[key]) for key, value in obj.items()}
+    return dict(obj)
 
 
 def _build(path: str, ctor, *args, **kwargs):
@@ -212,50 +197,43 @@ def _build(path: str, ctor, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _hypothesis(obj, path: str) -> AldParams:
-    return _build(path, AldParams, **_section(obj, path, _ALD_KINDS, _ALD_KINDS))
+def _record(cls, obj, path: str, unknown: str = "unknown key"):
+    """The dataclass ``cls`` read from the mapping ``obj``, whose keys are exactly its fields."""
+    keys = _fields(cls)
+    return _build(path, cls, **_section(obj, path, keys, keys, unknown))
 
 
 def _component(obj, path: str) -> MixtureComponent:
-    """A noise component, read once; a key of the other kind is not valid for this one."""
-    fields = _section(obj, path, _COMPONENT_KEYS, ("weight", "kind"))
+    """A noise component: its ``kind`` picks the distribution, whose fields are the keys beside ``weight``."""
+    keys = {"weight", "kind"}.union(*(_fields(ctor) for ctor, _ in _DISTRIBUTIONS.values()))
+    fields = _section(obj, path, keys, ("weight", "kind"))
     weight, kind = fields.pop("weight"), fields.pop("kind")
-    if kind not in _DISTRIBUTIONS:
+    # a kind that is not a string, a list say, is not looked up: it may be unhashable
+    if not (isinstance(kind, str) and kind in _DISTRIBUTIONS):
         raise ConfigError(f"{path}.kind: expected 'ald' or 'gaussian', got {kind!r}")
-    ctor, keys, name = _DISTRIBUTIONS[kind]
-    for key in fields:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}: not valid for {name}")
-    for key in keys:
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}: missing required key")
-    return _build(path, MixtureComponent, weight, _build(path, ctor, **fields))
+    ctor, name = _DISTRIBUTIONS[kind]
+    return _build(path, MixtureComponent, weight, _record(ctor, fields, path, f"not valid for {name}"))
 
 
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
     """Read a parsed document into a :class:`RunConfig`, naming ``source`` in every error."""
     doc = _section(doc, source, _SECTIONS, ("plant", "noise"))
-
-    path = f"{source}.plant"
-    plant = _build(path, ArxParams, **_section(doc["plant"], path, {"a": tuple, "b": tuple}, ("a", "b")))
+    plant = _record(ArxParams, doc["plant"], f"{source}.plant")
 
     path = f"{source}.noise"
-    comps = _section(doc["noise"], path, {"components": list}, ("components",))["components"]
-    components = tuple(_component(c, f"{path}.components[{i}]") for i, c in enumerate(comps))
-    noise = _build(path, NoiseModel, components)
+    comps = _list(_section(doc["noise"], path, ("components",), ("components",))["components"], f"{path}.components")
+    noise = _build(path, NoiseModel, [_component(c, f"{path}.components[{i}]") for i, c in enumerate(comps)])
 
-    hypotheses = tuple(
-        _hypothesis(h, f"{source}.hypotheses[{i}]") for i, h in enumerate(doc.get("hypotheses", []))
-    )
+    path = f"{source}.hypotheses"
+    hypotheses = [_record(AldParams, h, f"{path}[{i}]") for i, h in enumerate(_list(doc.get("hypotheses", []), path))]
 
     path = f"{source}.trajectory"
-    traj_kinds = {"kind": str, "frequency_hz": float, "amplitude": float, "sample_period_s": float}
-    traj = {"kind": "sine", **_section(doc.get("trajectory", {}), path, traj_kinds)}
+    traj = {"kind": "sine", **_section(doc.get("trajectory", {}), path, _fields(TrajectorySpec))}
     trajectory = _build(path, TrajectorySpec, **traj)
 
     options = {}
-    for name, kinds in _RUN_SECTIONS.items():
-        options |= _section(doc.get(name, {}), f"{source}.{name}", kinds)
+    for name, keys in _RUN_SECTIONS.items():
+        options |= _section(doc.get(name, {}), f"{source}.{name}", keys)
     return _build(
         source, RunConfig, plant=plant, noise=noise, hypotheses=hypotheses, trajectory=trajectory, **options
     )
@@ -272,7 +250,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not a text file: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(doc, str(path))
 

@@ -13,8 +13,9 @@ The mean is ``mu + sigma*(1-2*tau)/(tau*(1-tau))``.
 Measurement noise is modelled as a finite mixture of ALD and Gaussian
 components with strictly positive weights summing to one.  Every parameter
 is checked by the package's one number rule (``plant._number``): an int or a
-float, not a bool, finite, and positive for sigma, variance and weight; a
-component's ``dist`` must be an :class:`AldParams` or a :class:`GaussianParams`.
+float, not a bool, finite, and positive for sigma, variance and weight; it is
+stored as the Python float that rule returns.  A component's ``dist`` must be
+an :class:`AldParams` or a :class:`GaussianParams`.
 
 Every draw is one function bound to the generator once, which returns one
 value without a size and an array with one.  One value takes one uniform to
@@ -34,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .plant import _number
+from .plant import _number, _store
 
 __all__ = [
     "AldParams",
@@ -55,10 +56,10 @@ class AldParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < _number(self.tau, "tau") < 1.0:
+        tau = _number(self.tau, "tau")
+        if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        _number(self.mu, "mu")
-        _number(self.sigma, "sigma", positive=True)
+        _store(self, tau=tau, mu=_number(self.mu, "mu"), sigma=_number(self.sigma, "sigma", positive=True))
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ class GaussianParams:
     variance: float
 
     def __post_init__(self) -> None:
-        _number(self.mean, "mean")
-        _number(self.variance, "variance", positive=True)
+        _store(self, mean=_number(self.mean, "mean"), variance=_number(self.variance, "variance", positive=True))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class MixtureComponent:
     dist: AldParams | GaussianParams
 
     def __post_init__(self) -> None:
-        _number(self.weight, "weight", positive=True)
+        _store(self, weight=_number(self.weight, "weight", positive=True))
         if not isinstance(self.dist, (AldParams, GaussianParams)):
             raise ValueError(f"dist must be an AldParams or a GaussianParams, got {self.dist!r}")
 
@@ -95,7 +95,7 @@ class NoiseModel:
     components: tuple[MixtureComponent, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+        _store(self, components=tuple(self.components))
         if len(self.components) == 0:
             raise ValueError("noise model needs at least one component")
         total = math.fsum(c.weight for c in self.components)

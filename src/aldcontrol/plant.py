@@ -9,12 +9,15 @@ by the caller, with any leading (run) dimensions.  :func:`bind_plant` binds
 the plant to them once and returns its step, which reads them and writes only
 the new outputs: the caller shifts each history itself.
 
-Every numeric config field of the package is checked here, by ``_number``:
-the value must be an int or a float, numpy's included, but not a bool; it
-must be finite, and above 0 where the field is a scale, a rate or a weight.
-A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must also be
-one-dimensional, each entry passing the same rule (``_float_tuple``).  The
-errors name the field, so a Python caller and the JSON reader get the same.
+Every numeric config field of the package is checked and converted here, by
+``_number``: the value must be an int or a float, numpy's included, but not a
+bool; it must be finite, and above 0 where the field is a scale, a rate or a
+weight.  A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must
+also be one-dimensional, each entry passing the same rule (``_float_tuple``).
+Each dataclass stores the Python floats these return (``_store``), so two
+configs that compare equal run the same episode.  The errors name the field,
+and the JSON reader passes every value through unconverted, so a Python
+caller and a JSON document get the same.
 """
 
 from __future__ import annotations
@@ -48,21 +51,35 @@ def _number(value, name: str, error: type[ValueError] = ValueError, positive: bo
     """
     if not _is_number(value):
         raise error(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and (value > 0 or not positive)):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the largest float, whose repr may exceed Python's digit limit
+        raise error(f"{name} must be finite, got an int too large for a float") from None
+    if not (math.isfinite(number) and (number > 0 or not positive)):
         raise error(f"{name} must be {'finite and positive' if positive else 'finite'}, got {value!r}")
-    return float(value)
+    return number
 
 
 def _float_tuple(values, name: str, error: type[ValueError] = ValueError) -> tuple[float, ...]:
     """``values`` as a tuple of floats, the shape rule of every such field: one dimension, every entry a ``_number``.
 
     The array is built with ``dtype=object``, so numpy converts no string
-    or bool, and each entry meets the rule as the caller gave it.
+    or bool, and each entry meets the rule as the caller gave it.  A scalar
+    is not one-dimensional, nor are nested arrays of unequal shapes.
     """
-    array = np.array(values, dtype=object, ndmin=1)
+    try:
+        array = np.array(values, dtype=object)
+    except ValueError:  # numpy's "could not broadcast": nested arrays of unequal shapes
+        raise error(f"{name} must be one-dimensional, got nested arrays of unequal shapes") from None
     if array.ndim != 1:
         raise error(f"{name} must be one-dimensional, got shape {array.shape}")
     return tuple(_number(value, f"{name} entries", error) for value in array)
+
+
+def _store(obj, **values) -> None:
+    """Set ``values`` on the frozen dataclass ``obj``: its ``__post_init__`` keeps what it checked and converted."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -82,8 +99,7 @@ class ArxParams:
             raise ValueError("need at least one input coefficient")
         if b[0] == 0.0:
             raise ValueError("leading input coefficient b[0] must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _store(self, a=a, b=b)
 
     @property
     def n(self) -> int:
@@ -135,9 +151,12 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"trajectory kind must be one of {TRAJECTORY_KINDS}, got {self.kind!r}")
-        _number(self.frequency_hz, "frequency_hz", positive=True)
-        _number(self.sample_period_s, "sample_period_s", positive=True)
-        _number(self.amplitude, "amplitude")
+        _store(
+            self,
+            frequency_hz=_number(self.frequency_hz, "frequency_hz", positive=True),
+            sample_period_s=_number(self.sample_period_s, "sample_period_s", positive=True),
+            amplitude=_number(self.amplitude, "amplitude"),
+        )
 
 
 def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:

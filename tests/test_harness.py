@@ -1149,6 +1149,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="broken.json"):
             load_config(path)
 
+    def test_load_config_reports_path_on_an_integer_over_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError for it, which escaped without the path
+        path = tmp_path / "huge.json"
+        path.write_text('{"plant": {"a": [1' + "0" * 5000 + '], "b": [0.5]}}')
+        with pytest.raises(ConfigError, match="huge.json: invalid JSON"):
+            load_config(path)
+
     def test_load_config_reports_path_on_a_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin.json"
         path.write_bytes(b'{"run": {"controller": "\xff"}}')
@@ -1165,19 +1172,21 @@ def base_doc():
 PRESET_EDITS = [
     # wrong type
     (("plant",), [], r"preset:base\.plant: expected a mapping"),
-    (("plant", "a"), [-1.41, "0.9"], r"preset:base\.plant\.a: expected a list of numbers"),
+    (("plant", "a"), [-1.41, "0.9"], r"preset:base\.plant: plant coefficients a and b entries must be a number"),
     (("noise", "components"), {}, r"preset:base\.noise\.components: expected a list"),
-    (("noise", "components", 0, "tau"), "0.95", r"preset:base\.noise\.components\[0\]\.tau: expected a number"),
+    (("noise", "components", 0, "tau"), "0.95", r"preset:base\.noise\.components\[0\]: tau must be a number"),
     (("noise", "components", 1, "kind"), "cauchy", r"preset:base\.noise\.components\[1\]\.kind: expected 'ald'"),
     (("hypotheses",), {}, r"preset:base\.hypotheses: expected a list"),
-    (("hypotheses", 1, "sigma"), [0.01], r"preset:base\.hypotheses\[1\]\.sigma: expected a number"),
-    (("trajectory", "kind"), 3, r"preset:base\.trajectory\.kind: expected a string"),
-    (("run", "steps"), 10.5, r"preset:base\.run\.steps: expected an integer"),
-    (("run", "seed"), True, r"preset:base\.run\.seed: expected an integer"),
-    (("run", "controller"), ["ensemble"], r"preset:base\.run\.controller: expected a string"),
-    (("estimator", "w0"), 0.1, r"preset:base\.estimator\.w0: expected a list of numbers"),
-    (("controller", "u_max"), "1000", r"preset:base\.controller\.u_max: expected a number"),
+    (("hypotheses", 1, "sigma"), [0.01], r"preset:base\.hypotheses\[1\]: sigma must be a number"),
+    (("trajectory", "kind"), 3, r"preset:base\.trajectory: trajectory kind must be one of"),
+    (("run", "steps"), 10.5, r"preset:base: run\.steps must be an integer"),
+    (("run", "seed"), True, r"preset:base: run\.seed must be an integer"),
+    (("run", "controller"), ["ensemble"], r"preset:base: run\.controller: unknown controller"),
+    (("estimator", "w0"), 0.1, r"preset:base: estimator\.w0 must be one-dimensional"),
+    (("controller", "u_max"), "1000", r"preset:base: controller\.u_max must be a number"),
     (("noise", "components", 0), 0.8, r"preset:base\.noise\.components\[0\]: expected a mapping"),
+    (("noise", "components", 0, "kind"), ["ald"], r"preset:base\.noise\.components\[0\]\.kind: expected 'ald'"),
+    (("estimator", "w0"), None, r"preset:base\.estimator\.w0: expected a value, got null"),
     # out of range
     (("plant", "b"), [0.0], r"preset:base\.plant: .*\bb\[0\]"),
     (("plant", "a"), [-1.41, math.inf], r"preset:base\.plant: .*\bfinite\b"),
@@ -1207,6 +1216,7 @@ PRESET_EDITS = [
     (("estimator", "p0_scale"), 0.0, r"preset:base: estimator\.p0_scale\b"),
     (("controller", "eps_b"), -1e-6, r"preset:base: controller\.eps_b\b"),
     (("controller", "u_max"), math.inf, r"preset:base: controller\.u_max\b"),
+    (("hypotheses", 0, "sigma"), 10**400, r"preset:base\.hypotheses\[0\]: sigma must be finite, got an int too large"),
     # unknown key
     (("seed",), 0, r"preset:base\.seed: unknown key"),
     (("plant", "c"), [1.0], r"preset:base\.plant\.c: unknown key"),
@@ -1221,13 +1231,16 @@ PRESET_EDITS = [
 ]
 
 
-def edited_base_doc(keys, value=None):
-    """The base preset document with the key at path ``keys`` set to ``value``, or deleted for None."""
+DELETED = object()
+
+
+def edited_base_doc(keys, value=DELETED):
+    """The base preset document with the key at path ``keys`` set to ``value``, or deleted without one."""
     doc = base_doc()
     node = doc
     for key in keys[:-1]:
         node = node[key]
-    if value is None:
+    if value is DELETED:
         del node[keys[-1]]
     else:
         node[keys[-1]] = value

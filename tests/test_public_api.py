@@ -184,7 +184,7 @@ def build(ctor, field, value):
     """
     if ctor is aldcontrol.RunConfig:
         plant = aldcontrol.ArxParams(a=(), b=(0.5,))
-        return replace(aldcontrol.preset_config("base"), plant=plant, **{"w0": (0.1,), field: value})
+        return replace(aldcontrol.preset_config("base"), **{"plant": plant, "w0": (0.1,), field: value})
     valid = {
         aldcontrol.AldParams: {"tau": 0.5, "mu": 0.0, "sigma": 1.0},
         aldcontrol.GaussianParams: {"mean": 0.0, "variance": 1.0},
@@ -217,8 +217,12 @@ TUPLE_FIELDS = [
 ]
 # (constructor, field, name, bad value): a new numeric field is one more row
 BAD_NUMBERS = [
-    *((*row, value) for row in SCALAR_FIELDS for value in ("1", None, True, np.nan, np.inf)),
-    *((*row, value) for row in TUPLE_FIELDS for value in ("abc", [[1], [2, 3]], ["0.5"], [True])),
+    *((*row, value) for row in SCALAR_FIELDS for value in ("1", None, True, np.nan, np.inf, 10**400)),
+    *(
+        (*row, value)
+        for row in TUPLE_FIELDS
+        for value in ("abc", [[1], [2, 3]], ["0.5"], [True], 0.5, [np.zeros((2, 2)), np.zeros((2, 3))])
+    ),
 ]
 
 
@@ -228,10 +232,95 @@ BAD_NUMBERS = [
     ids=[f"{ctor.__name__}.{field}={value!r}" for ctor, field, _, value in BAD_NUMBERS],
 )
 def test_every_numeric_field_rejects_what_is_not_a_finite_number_by_name(ctor, field, name, value):
-    # a numeric string or a bool was converted or accepted, and other strings raised errors naming no field
+    # a numeric string or a bool was converted or accepted, and other strings raised errors naming no field;
+    # 10**400 raised OverflowError, a scalar tuple field was read as one entry, ragged arrays raised numpy's error
     error = aldcontrol.ConfigError if ctor is aldcontrol.RunConfig else ValueError
     with pytest.raises(error, match=rf"^{re.escape(name)}\b"):
         build(ctor, field, value)
+
+
+# (constructor, field, a valid value that a float32 holds exactly): each numeric field once
+EXACT_VALUES = [
+    (aldcontrol.AldParams, "tau", 0.75),
+    (aldcontrol.AldParams, "mu", 0.0),
+    (aldcontrol.AldParams, "sigma", 0.015625),
+    (aldcontrol.GaussianParams, "mean", 1.0),
+    (aldcontrol.GaussianParams, "variance", 2.0),
+    (aldcontrol.MixtureComponent, "weight", 1.0),
+    (aldcontrol.TrajectorySpec, "frequency_hz", 0.0078125),
+    (aldcontrol.TrajectorySpec, "sample_period_s", 1.0),
+    (aldcontrol.TrajectorySpec, "amplitude", 2.0),
+    (aldcontrol.ArxParams, "a", (-1.40625, 0.90625)),
+    (aldcontrol.ArxParams, "b", (1.0,)),
+    (aldcontrol.RunConfig, "p0_scale", 64.0),
+    (aldcontrol.RunConfig, "eps_b", 2.0**-20),
+    (aldcontrol.RunConfig, "u_max", 1000.0),
+    (aldcontrol.RunConfig, "w0", (0.0, 1.0, 0.0)),
+]
+# where each constructor's part sits in a RunConfig: attribute names and tuple indices
+PARTS = {
+    aldcontrol.AldParams: ("hypotheses", 0),
+    aldcontrol.GaussianParams: ("noise", "components", 0, "dist"),
+    aldcontrol.MixtureComponent: ("noise", "components", 0),
+    aldcontrol.TrajectorySpec: ("trajectory",),
+    aldcontrol.ArxParams: ("plant",),
+    aldcontrol.RunConfig: (),
+}
+
+
+def with_field(obj, path, field, value):
+    """``obj`` rebuilt with ``field`` of its part at ``path`` set to ``value``, every dataclass on the way by replace."""
+    if not path:
+        return replace(obj, **{field: value})
+    head, *rest = path
+    if isinstance(head, int):
+        return (*obj[:head], with_field(obj[head], rest, field, value), *obj[head + 1 :])
+    return replace(obj, **{head: with_field(getattr(obj, head), rest, field, value)})
+
+
+def stored(cfg, ctor, field):
+    part = cfg
+    for key in PARTS[ctor]:
+        part = part[key] if isinstance(key, int) else getattr(part, key)
+    return getattr(part, field)
+
+
+def same_values(value):
+    """``value`` as float32 entries, and as int and np.int64 entries too where every entry is whole."""
+    entries = value if isinstance(value, tuple) else (value,)
+    kinds = [np.float32, *((int, np.int64) if all(v.is_integer() for v in entries) else ())]
+    return [tuple(map(kind, value)) if isinstance(value, tuple) else kind(value) for kind in kinds]
+
+
+@pytest.mark.parametrize(
+    "ctor,field,value", EXACT_VALUES, ids=[f"{ctor.__name__}.{field}" for ctor, field, _ in EXACT_VALUES]
+)
+def test_a_config_that_compares_equal_runs_the_same_episode(ctor, field, value):
+    # the dataclasses stored the caller's object, so a float32 field drew float32 noise or posteriors
+    noise = aldcontrol.NoiseModel((aldcontrol.MixtureComponent(1.0, aldcontrol.GaussianParams(0.0, 1e-4)),))
+    base = replace(aldcontrol.preset_config("noise4"), steps=40, noise=noise)
+    expected = with_field(base, PARTS[ctor], field, value)
+    trace = aldcontrol.run_episode(expected)
+    arrays = [name for name, v in vars(trace).items() if isinstance(v, np.ndarray)]
+    for same in same_values(value):
+        cfg = with_field(base, PARTS[ctor], field, same)
+        kept = stored(cfg, ctor, field)
+        assert {type(v) for v in (kept if isinstance(kept, tuple) else (kept,))} == {float}
+        assert cfg == expected and hash(cfg) == hash(expected)
+        other = aldcontrol.run_episode(cfg)
+        assert [name for name in arrays if getattr(other, name).tobytes() != getattr(trace, name).tobytes()] == []
+
+
+def test_a_float32_sigma_is_not_the_float_it_rounds():
+    # np.float32(0.01) compared equal to 0.01, yet its episode drew a float32 noise tape
+    assert aldcontrol.AldParams(0.95, 0.0, np.float32(0.01)) != aldcontrol.AldParams(0.95, 0.0, 0.01)
+    assert aldcontrol.AldParams(0.95, 0.0, np.float32(0.01)).sigma == float(np.float32(0.01))
+
+
+def test_an_int_over_the_digit_limit_is_rejected_by_name():
+    # its repr raises ValueError past 4300 digits, so the message does not quote it
+    with pytest.raises(ValueError, match=r"^sigma must be finite, got an int too large for a float$"):
+        aldcontrol.AldParams(0.5, 0.0, 10**5000)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +329,9 @@ def test_every_numeric_field_rejects_what_is_not_a_finite_number_by_name(ctor, f
         (aldcontrol.MixtureComponent, "dist", "x", ValueError),
         (aldcontrol.RunConfig, "hypotheses", [0.5], aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "controller", 3, aldcontrol.ConfigError),
+        (aldcontrol.RunConfig, "plant", (1, 2), aldcontrol.ConfigError),
+        (aldcontrol.RunConfig, "noise", None, aldcontrol.ConfigError),
+        (aldcontrol.RunConfig, "trajectory", "sine", aldcontrol.ConfigError),
     ],
 )
 def test_a_part_of_the_wrong_type_is_rejected_by_name(ctor, field, value, error):
@@ -270,3 +362,9 @@ def test_the_number_rule_has_one_home(module):
     assert [ast.unparse(call) for call in calls_in(tree) if is_finite_check(call) and id(call) not in in_rule] == []
     for function in (f for f in functions if f.name == "__post_init__"):
         assert [ast.unparse(call) for call in calls_in(function) if is_float_array(call)] == []
+    if module is aldcontrol.config:
+        # the reader passes every value unconverted: only RunConfig checks and converts its own numbers
+        run_config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+        own = {id(call) for f in run_config.body if getattr(f, "name", "") == "__post_init__" for call in calls_in(f)}
+        converting = [call for call in calls_in(tree) if ast.unparse(call.func) in ("float", "_is_number", "_number")]
+        assert [ast.unparse(call) for call in converting if id(call) not in own] == []
