@@ -18,9 +18,10 @@ dataclass each builds; those of ``run``, ``estimator`` and ``controller`` are
 ``RunConfig`` fields.  Every value goes unconverted to its dataclass, which
 checks and converts it once; a dataclass error comes back as a
 :class:`ConfigError` carrying the key path.  ``RunConfig`` checks its own
-numbers with ``plant._number`` and raises :class:`ConfigError` naming the key
-path, also for a Python caller of :func:`dataclasses.replace`; its parts must
-be of their classes and its controller token a string.
+values by the rules of ``plant`` (``_number``, ``_integer`` for ``steps`` and
+``seed``, ``_items`` for ``hypotheses``) and raises :class:`ConfigError`
+naming the key path, also for a Python caller of :func:`dataclasses.replace`;
+its parts must be of their classes and its controller token a string.
 Presets ``base`` and ``noise1``..``noise4`` ship with the package; each is
 read once per process and shared.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from .controller import DEFAULT_EPS_B, DEFAULT_U_MAX
 from .noise import AldParams, GaussianParams, MixtureComponent, NoiseModel
-from .plant import ArxParams, TrajectorySpec, _float_tuple, _number, _store
+from .plant import ArxParams, TrajectorySpec, _float_tuple, _integer, _items, _number, _store
 
 __all__ = [
     "ConfigError",
@@ -61,11 +62,6 @@ DEFAULT_W0_ENTRY = 0.1
 
 class ConfigError(ValueError):
     """Configuration schema violation, tagged with the field path."""
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool, a float or anything else is not a count or a seed."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def parse_controller(token: str) -> tuple[str, int]:
@@ -107,18 +103,17 @@ class RunConfig:
         for name, cls in (("plant", ArxParams), ("noise", NoiseModel), ("trajectory", TrajectorySpec)):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be {cls.__name__}, got {getattr(self, name)!r}")
-        # a caller's list or array is stored as a tuple, so changing it later cannot bypass these checks
-        _store(self, hypotheses=tuple(self.hypotheses))
-        if not all(isinstance(h, AldParams) for h in self.hypotheses):
-            raise ConfigError(f"hypotheses must be AldParams, got {self.hypotheses!r}")
-        if not _is_integer(self.steps):
-            raise ConfigError(f"run.steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ConfigError(f"run.steps must be at least 2, got {self.steps}")
-        if not _is_integer(self.seed):
-            raise ConfigError(f"run.seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
+        # each value is kept as its rule returns it: a caller's list or iterator of hypotheses as a
+        # tuple, so changing the list later cannot bypass these checks
+        _store(
+            self,
+            hypotheses=_items(self.hypotheses, "hypotheses", AldParams, ConfigError),
+            steps=_integer(self.steps, "run.steps", ConfigError, least=2),
+            seed=_integer(self.seed, "run.seed", ConfigError, least=0),
+            p0_scale=_number(self.p0_scale, "estimator.p0_scale", ConfigError, positive=True),
+            eps_b=_number(self.eps_b, "controller.eps_b", ConfigError, positive=True),
+            u_max=_number(self.u_max, "controller.u_max", ConfigError, positive=True),
+        )
         if self.feedback not in FEEDBACK_KINDS:
             raise ConfigError(f"run.feedback must be one of {FEEDBACK_KINDS}, got {self.feedback!r}")
         kind, index = parse_controller(self.controller)
@@ -132,12 +127,6 @@ class RunConfig:
             _store(self, w0=_float_tuple(self.w0, "estimator.w0", ConfigError))
             if len(self.w0) != self.plant.d:
                 raise ConfigError(f"estimator.w0 must have length {self.plant.d}, got {len(self.w0)}")
-        _store(
-            self,
-            p0_scale=_number(self.p0_scale, "estimator.p0_scale", ConfigError, positive=True),
-            eps_b=_number(self.eps_b, "controller.eps_b", ConfigError, positive=True),
-            u_max=_number(self.u_max, "controller.u_max", ConfigError, positive=True),
-        )
 
     def initial_w(self) -> np.ndarray:
         if self.w0 is None:

@@ -40,18 +40,17 @@ Any error raised while stepping propagates.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _is_integer, parse_controller
+from .config import RunConfig, parse_controller
 from .controller import bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
-from .plant import bind_plant, parameter_vector, reference_trajectory
+from .plant import _integer, _items, bind_plant, parameter_vector, reference_trajectory
 
 __all__ = [
     "EpisodeTrace",
@@ -352,7 +351,7 @@ def _traces(cfg: RunConfig, controllers: list[str], seeds: list[int]) -> list[li
     """
     tape = _noise_tape(cfg.noise, seeds, cfg.steps)
     return [
-        [EpisodeTrace(controller=token, seed=int(seed), **fields) for seed, fields in zip(seeds, block)]
+        [EpisodeTrace(controller=token, seed=seed, **fields) for seed, fields in zip(seeds, block)]
         for token, block in zip(controllers, _run_batch(cfg, controllers, seeds, tape, _trace_recorder))
     ]
 
@@ -363,14 +362,12 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
 
 
 def _window_slice(steps: int, window: tuple[int, int]) -> slice:
-    """Trace rows of the inclusive window (k_lo, k_hi); its bounds are integers, numpy ones included, bools not."""
+    """Trace rows of the inclusive window (k_lo, k_hi), whose bounds the integer rule (``plant._integer``) checks."""
     try:
         lo, hi = window
     except (TypeError, ValueError):
         raise ValueError(f"window {window!r} must be a (k_lo, k_hi) pair") from None
-    if not (_is_integer(lo) and _is_integer(hi)):
-        raise ValueError(f"window {window!r} bounds must be integers")
-    lo, hi = int(lo), int(hi)
+    lo, hi = (_integer(k, f"window {window!r} bound") for k in (lo, hi))
     if lo > hi:
         raise ValueError(f"empty window {window!r}")
     if lo < 1 or hi > steps:
@@ -451,13 +448,15 @@ def compare_controllers(
 ) -> list[McSummary]:
     """Monte Carlo for several controllers under paired noise (same seeds per run).
 
-    The controller list (which must not be empty), every controller's
-    config, the run count and the window are checked before the first
-    batch.  The runs go in chunks of seeds, and each chunk is one core call
-    that steps every controller with every seed of the chunk.  A chunk
-    holds at most max(``_BATCH_RUNS``, C) (controller, seed) rows for C
-    controllers, one seed per chunk when C exceeds ``_BATCH_RUNS``, so
-    memory stays bounded for any run count.  Its noise tape is drawn once
+    The controllers may come as any iterable of tokens but a string (the
+    sequence rule ``plant._items``), which must not be empty.  They, every
+    controller's config, the run count (an integer, at least 1) and the
+    window are checked before the first batch.  The runs go in chunks of
+    seeds, and each chunk is one core call that steps every controller with
+    every seed of the chunk.  A chunk holds at most max(``_BATCH_RUNS``, C)
+    (controller, seed) rows for C controllers, one seed per chunk when C
+    exceeds ``_BATCH_RUNS``, so memory stays bounded for any run count.
+    Its noise tape is drawn once
     and shared by every controller, so run i sees the same noise under every
     controller.  A chunk records through ``_error_recorder``: it keeps y and
     u per step and no trace, and gets each run's :func:`accumulated_error`
@@ -468,17 +467,15 @@ def compare_controllers(
     errors alone: its seeds, counts and mean derive from it (see
     :class:`McSummary`).
     """
+    # each token checked against cfg (a single-ald index against its hypotheses)
+    controllers = [replace(cfg, controller=token).controller for token in _items(controllers, "controllers", str)]
     if not controllers:
         raise ValueError("no controllers given")
-    # each token checked against cfg (a single-ald index against its hypotheses)
-    controllers = [replace(cfg, controller=token).controller for token in controllers]
-    if not _is_integer(runs):
-        raise ValueError(f"runs must be an integer, got {runs!r}")
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    record_errors = _error_recorder(_window_slice(cfg.steps, window))
+    runs = _integer(runs, "runs", least=1)
+    rows = _window_slice(cfg.steps, window)
+    record_errors = _error_recorder(rows)
     # Python ints, so that every seed run_episode takes works here too
-    seeds = [int(cfg.seed) + i for i in range(runs)]
+    seeds = [cfg.seed + i for i in range(runs)]
     j_runs = np.empty((len(controllers), runs))
     chunk = max(1, _BATCH_RUNS // len(controllers))
     for lo in range(0, runs, chunk):
@@ -486,7 +483,7 @@ def compare_controllers(
         tape = _noise_tape(cfg.noise, batch, cfg.steps)
         j_runs[:, lo : lo + chunk] = _run_batch(cfg, controllers, batch, tape, record_errors)
     j_runs[~np.isfinite(j_runs)] = np.nan  # a run whose error overflows counts as failed too
-    window = (int(window[0]), int(window[1]))
+    window = (rows.start + 1, rows.stop)
     return [McSummary(token, window, cfg.seed, j) for token, j in zip(controllers, j_runs)]
 
 
@@ -541,44 +538,50 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             raise ValueError(f"{path}: not a text file: {exc}") from None
 
 
-def _parse_row(path, line: int, row: list[str], types) -> list:
-    """The fields of one data row converted by ``types``; a ValueError names the path and line."""
-    if len(row) != len(types):
-        raise ValueError(f"{path}: line {line}: expected {len(types)} fields, got {len(row)}")
+def _parse_row(path, line: int, row: list[str], width: int, convert) -> list:
+    """``convert(row)``, the values of one data row, the row check of both readers: ``width`` fields, then the
+    conversion; a ValueError of either names the path and line."""
+    if len(row) != width:
+        raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
     try:
-        return [convert(v) for convert, v in zip(types, row)]
+        return convert(row)
     except ValueError as exc:
         raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
+def _floats(row: list[str]) -> list[float]:
+    return list(map(float, row))
+
+
+def _summary_values(row: list[str]) -> list:
+    """The fields of a line of either summary block: (controller, count, count, value)."""
+    return [row[0], int(row[1]), int(row[2]), float(row[3])]
+
+
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Parse a trace CSV back into arrays keyed k, y_r, y, z, u, posteriors, w_hat."""
+    """Parse a trace CSV back into arrays keyed k, y_r, y, z, u, posteriors, w_hat.
+
+    Each data row is read once, in file order, by the row check that
+    :func:`read_summary_csv` uses: its length, then its fields, every one a
+    float.  Then the format's own rule: data row j has k = j.  The first
+    line that breaks one of these raises a ValueError naming the path and
+    the line.
+    """
     header, data = _read_rows(path)
     n_sub = sum(1 for name in header if name.startswith("pi_"))
     dim = (len(header) - 5 - n_sub) // max(n_sub, 1)
     if n_sub < 1 or dim < 1 or header != _trace_header(n_sub, dim):
         raise ValueError(f"{path}: not a trace CSV (header is not k,y_r,y,z,u,pi_1..pi_S,w_hat_1_1..w_hat_S_d, S,d >= 1)")
     width = len(header)
-    values = None
-    # One flat parse of every field first, kept apart from the row-by-row path:
-    # that path alone lost 1-5% of the CLI's simulate-and-read-back throughput
-    # in each of 3 paired runs (195.5-201.3 against 203.1-206.0 episodes/s).
-    if all(len(row) == width for _, row in data):
-        with contextlib.suppress(ValueError):
-            values = [float(v) for _, row in data for v in row]
-    if values is None:
-        # row by row in file order, so the error names the first bad line
-        types = [float] * width
-        values = [v for line, row in data for v in _parse_row(path, line, row, types)]
+    values = []
+    for j, (line, row) in enumerate(data, 1):
+        fields = _parse_row(path, line, row, width, _floats)
+        if fields[0] != j:
+            raise ValueError(f"{path}: line {line}: expected k = {j}, got {row[0]!r}")
+        values.append(fields)
     table = np.array(values).reshape(len(data), width)
-    k = table[:, 0]
-    # an integer that int64 holds: NaN, infinities and fractions compare False
-    bad = ~((k == np.trunc(k)) & (np.abs(k) < 2.0**63))
-    if bad.any():
-        line, row = data[int(np.argmax(bad))]
-        raise ValueError(f"{path}: line {line}: k {row[0]!r} is not an integer")
     return {
-        "k": k.astype(int),
+        "k": np.arange(1, len(data) + 1),
         "y_r": table[:, 1],
         "y": table[:, 2],
         "z": table[:, 3],
@@ -591,9 +594,12 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 def export_summary_csv(summaries: list[McSummary], path, force: bool = False) -> None:
     """Write per-run rows then an aggregate block, one line per controller (17 significant digits).
 
+    The summaries may come as any iterable of :class:`McSummary` (the
+    sequence rule ``plant._items``), read once; there must be at least one.
     Every controller is checked to be a valid token, which no field of the
     CSV needs to quote, before the file is opened.
     """
+    summaries = _items(summaries, "summaries", McSummary)
     if not summaries:
         raise ValueError("nothing to export: no summaries")
     for s in summaries:
@@ -616,11 +622,11 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
         raise ValueError(f"{path}: not a summary CSV (empty or missing the controller,run,seed,j_bar_run header)")
     per_run: list[dict] = []
     aggregate: list[dict] = []
-    # both blocks have the fields (controller, count, count, value), keyed by their header
+    # both blocks have the fields of _summary_values, keyed by their header
     keys, block = _RUN_HEADER, per_run
     for line, row in data:
         if row == _AGGREGATE_HEADER:
             keys, block = _AGGREGATE_HEADER, aggregate
         else:
-            block.append(dict(zip(keys, _parse_row(path, line, row, (str, int, int, float)))))
+            block.append(dict(zip(keys, _parse_row(path, line, row, len(keys), _summary_values))))
     return per_run, aggregate

@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .plant import _number, _store
+from .plant import _items, _number, _store
 
 __all__ = [
     "AldParams",
@@ -89,13 +89,15 @@ class NoiseModel:
     """Weighted mixture of ALD and/or Gaussian components.
 
     Weights must be strictly positive and sum to one within 1e-12.  The
-    components are stored as a tuple, so the checked model never changes.
+    components may come as any iterable of :class:`MixtureComponent` (the
+    sequence rule ``plant._items``); they are stored as a tuple, so the
+    checked model never changes.
     """
 
     components: tuple[MixtureComponent, ...]
 
     def __post_init__(self) -> None:
-        _store(self, components=tuple(self.components))
+        _store(self, components=_items(self.components, "components", MixtureComponent))
         if len(self.components) == 0:
             raise ValueError("noise model needs at least one component")
         total = math.fsum(c.weight for c in self.components)

@@ -9,20 +9,29 @@ by the caller, with any leading (run) dimensions.  :func:`bind_plant` binds
 the plant to them once and returns its step, which reads them and writes only
 the new outputs: the caller shifts each history itself.
 
-Every numeric config field of the package is checked and converted here, by
-``_number``: the value must be an int or a float, numpy's included, but not a
-bool; it must be finite, and above 0 where the field is a scale, a rate or a
-weight.  A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must
-also be one-dimensional, each entry passing the same rule (``_float_tuple``).
-Each dataclass stores the Python floats these return (``_store``), so two
-configs that compare equal run the same episode.  The errors name the field,
-and the JSON reader passes every value through unconverted, so a Python
-caller and a JSON document get the same.
+Every value that reaches the package from outside is checked and converted
+here, one rule per kind, and each error names its field:
+
+- a number (``_number``): an int or a float, numpy's included, but not a
+  bool; finite, and above 0 where the field is a scale, a rate or a weight.
+  A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must also be
+  one-dimensional, each entry passing the same rule (``_float_tuple``);
+- an integer (``_integer``): a Python or numpy int, not a bool, at least a
+  bound where one is given ("run.seed must be at least 0, got -1");
+- a sequence of parts (``_items``): any iterable but a string, bytes or a
+  mapping, read once into a tuple whose entries are all of one class
+  ("hypotheses must be a sequence of AldParams, got None").
+
+Each dataclass stores the Python values these return (``_store``), so two
+configs that compare equal run the same episode.  The JSON reader passes
+every value through unconverted, so a Python caller and a JSON document get
+the same errors.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +48,22 @@ __all__ = [
 TRAJECTORY_KINDS = ("filtered_square", "triangle", "sine")
 
 
-def _is_number(value) -> bool:
-    """True for a Python or numpy int or float; a bool, a string or anything else is not a number."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _is_integer(value) -> bool:
+    """True for a Python or numpy int; a bool is not one, though Python reads True as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, error: type[ValueError] = ValueError, least: int | None = None) -> int:
+    """``value`` as an int, the rule of every count, seed and step number: an integer, at least ``least`` if given.
+
+    Any other value raises ``error`` naming ``name``.
+    """
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    number = int(value)
+    if least is not None and number < least:
+        raise error(f"{name} must be at least {least}, got {number}")
+    return number
 
 
 def _number(value, name: str, error: type[ValueError] = ValueError, positive: bool = False) -> float:
@@ -49,7 +71,7 @@ def _number(value, name: str, error: type[ValueError] = ValueError, positive: bo
 
     Any other value raises ``error`` naming ``name``.
     """
-    if not _is_number(value):
+    if not (isinstance(value, (float, np.floating)) or _is_integer(value)):
         raise error(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
@@ -74,6 +96,22 @@ def _float_tuple(values, name: str, error: type[ValueError] = ValueError) -> tup
     if array.ndim != 1:
         raise error(f"{name} must be one-dimensional, got shape {array.shape}")
     return tuple(_number(value, f"{name} entries", error) for value in array)
+
+
+def _items(values, name: str, cls: type, error: type[ValueError] = ValueError) -> tuple:
+    """``values`` read once into a tuple, the rule of every sequence of parts: each entry is a ``cls``.
+
+    Any iterable is taken but a string, bytes or a mapping, whose entries
+    are characters, integers or keys.  Any other value raises ``error``
+    naming ``name``.
+    """
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise error(f"{name} must be a sequence of {cls.__name__}, got {values!r}")
+    items = tuple(values)
+    for item in items:
+        if not isinstance(item, cls):
+            raise error(f"{name} entries must be {cls.__name__}, got {item!r}")
+    return items
 
 
 def _store(obj, **values) -> None:
@@ -160,7 +198,7 @@ class TrajectorySpec:
 
 
 def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:
-    """Reference values r(0) .. r(count-1).
+    """Reference values r(0) .. r(count-1); ``count`` must be an integer, at least 0 (``_integer``).
 
     sine:            A*sin(2*pi*f*k*dt)
     triangle:        symmetric, period 1/f, starts at 0 rising, peak +A at the
@@ -169,8 +207,7 @@ def reference_trajectory(spec: TrajectorySpec, count: int) -> np.ndarray:
                      exact zero-order-hold discretization of 1/(s+1):
                      r(k+1) = exp(-dt)*r(k) + (1-exp(-dt))*q(k), r(0) = 0
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _integer(count, "count", least=0)
     k = np.arange(count, dtype=float)
     phase = np.mod(k * spec.sample_period_s * spec.frequency_hz, 1.0)
     if spec.kind == "sine":

@@ -103,7 +103,7 @@ class TestSimulate:
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         assert run_cli("simulate", "--preset", "base", "--seed", "-1", "--out", str(out)) == 2
-        assert "run.seed must be nonnegative" in capsys.readouterr().err
+        assert "run.seed must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_w0_in_config_fails_cleanly(self, tmp_path, capsys):
@@ -200,7 +200,7 @@ class TestMonteCarlo:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = run_cli("montecarlo", "--preset", "base", "--seed", "-3", "--out", str(tmp_path / "s.csv"))
         assert code == 2
-        assert "run.seed must be nonnegative" in capsys.readouterr().err
+        assert "run.seed must be at least 0, got -3" in capsys.readouterr().err
 
     def test_unwritable_out_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
         calls = spy(monkeypatch, "compare_controllers")

@@ -661,28 +661,45 @@ class TestMetrics:
         assert summary.runs_failed == 2
         assert math.isnan(summary.j_bar_mean)
 
-    @pytest.mark.parametrize("token", ["pid", "single-ald:2", 3])
-    def test_compare_controllers_checks_every_token_before_any_episode(self, base, monkeypatch, token):
+    @pytest.mark.parametrize(
+        "controllers, error, message",
+        [
+            (["ensemble", "rls", "pid"], ConfigError, r"run\.controller"),
+            (["ensemble", "rls", "single-ald:2"], ConfigError, r"run\.controller"),
+            # a token that is not a string is rejected by the sequence rule before any token is parsed
+            (["ensemble", "rls", 3], ValueError, r"^controllers entries must be str, got 3$"),
+            # a string was read as the tokens 'r', 'l' and 's'
+            ("rls", ValueError, r"^controllers must be a sequence of str, got 'rls'$"),
+            (None, ValueError, r"^controllers must be a sequence of str, got None$"),
+            ({"rls": 1}, ValueError, r"^controllers must be a sequence of str, got \{'rls': 1\}$"),
+        ],
+        ids=["pid", "single-ald:2", "3", "a-string", "none", "a-mapping"],
+    )
+    def test_compare_controllers_checks_every_token_before_any_episode(
+        self, base, monkeypatch, controllers, error, message
+    ):
         calls = []
         batch = harness._run_batch
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args) or batch(*args))
-        with pytest.raises(ConfigError, match="run.controller"):
-            compare_controllers(short(base, steps=20), ["ensemble", "rls", token], 2, (1, 20))
+        with pytest.raises(error, match=message):
+            compare_controllers(short(base, steps=20), controllers, 2, (1, 20))
         assert calls == []
 
-    def test_compare_controllers_rejects_an_empty_controller_list(self, base, monkeypatch):
+    # an empty iterator passed the emptiness check, then divided the batch bound by zero
+    @pytest.mark.parametrize("controllers", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_compare_controllers_rejects_an_empty_controller_list(self, base, monkeypatch, controllers):
         calls = []
         monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="no controllers"):
-            compare_controllers(short(base, steps=20), [], 3, (1, 20))
+            compare_controllers(short(base, steps=20), controllers, 3, (1, 20))
         assert calls == []
 
     @pytest.mark.parametrize("runs", [0, -3])
     def test_compare_controllers_rejects_no_runs_before_any_episode(self, base, monkeypatch, runs):
         calls = []
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match=f"need at least one run, got {runs}"):
+        with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
             monte_carlo(short(base, steps=20), runs, (1, 20))
         assert calls == []
 
@@ -746,6 +763,19 @@ def extreme_traces(draw):
         return draw(arrays(np.float64, shape, elements=values))
 
     return trace_of(*(column(steps) for _ in range(4)), column(steps, n_sub), column(steps, n_sub, dim))
+
+
+NOT_INTEGERS = ("1.5", "nan", "inf", "-inf", "1e19")
+# (the k fields of the first data rows, the line named, its message): data row j has k = j
+K_COLUMNS = [
+    *((["1", "2", "3", k], 5, f"expected k = 4, got {k!r}") for k in NOT_INTEGERS),
+    # integers that the writer never writes were read as they stood
+    (["2", "1"], 2, "expected k = 1, got '2'"),
+    (["1", "1"], 3, "expected k = 2, got '1'"),
+    (["0", "1", "2"], 2, "expected k = 1, got '0'"),
+    (["1", "2", "3", "5"], 5, "expected k = 4, got '5'"),
+]
+K_COLUMN_IDS = [*NOT_INTEGERS, "reordered", "duplicated", "from-0", "skipping"]
 
 
 class TestTraceCsv:
@@ -899,14 +929,15 @@ class TestTraceCsv:
             for name, values in expected.items():
                 assert back[name].tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("k", ["1.5", "nan", "inf", "-inf", "1e19"])
-    def test_k_that_is_not_an_integer_rejected_with_path_and_line(self, base, tmp_path, k):
+    @pytest.mark.parametrize("ks, line, message", K_COLUMNS, ids=K_COLUMN_IDS)
+    def test_k_that_is_not_an_integer_rejected_with_path_and_line(self, base, tmp_path, ks, line, message):
         path = tmp_path / "trace.csv"
         export_trace_csv(run_episode(short(base, steps=10)), path)
         lines = path.read_text().splitlines()
-        lines[4] = k + lines[4][lines[4].index(",") :]
+        for i, k in enumerate(ks, 1):
+            lines[i] = k + lines[i][lines[i].index(",") :]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"trace.csv: line 5: k '{k}' is not an integer"):
+        with pytest.raises(ValueError, match=f"trace.csv: line {line}: {message}"):
             read_trace_csv(path)
 
     def test_file_that_is_not_utf8_rejected_with_path(self, base, tmp_path):
@@ -933,6 +964,9 @@ class TestSummaryCsv:
         summaries = compare_controllers(cfg, ["ensemble", "rls"], 3, (10, 60))
         path = tmp_path / "summary.csv"
         export_summary_csv(summaries, path)
+        # an iterator was used up by the check of its summaries, which left a file of two headers
+        export_summary_csv(iter(summaries), tmp_path / "from_iterator.csv")
+        assert (tmp_path / "from_iterator.csv").read_bytes() == path.read_bytes()
         per_run, aggregate = read_summary_csv(path)
         assert len(per_run) == 6
         assert [row["controller"] for row in aggregate] == ["ensemble", "rls"]
@@ -1023,8 +1057,14 @@ class TestSummaryCsv:
         path = tmp_path / "summary.csv"
         with pytest.raises(ValueError):
             export_summary_csv([], path)
+        # an empty iterator passed the emptiness check and wrote both headers
+        with pytest.raises(ValueError, match="nothing to export: no summaries"):
+            export_summary_csv(iter([]), path)
         assert not path.exists()
         [summary] = compare_controllers(short(base, steps=20), ["rls"], 2, (1, 20))
+        with pytest.raises(ValueError, match=r"^summaries entries must be McSummary, got 'rls'$"):
+            export_summary_csv([summary, "rls"], path)
+        assert not path.exists()
         empty = replace(summary, controller="oracle", j_runs=summary.j_runs[:0])
         with pytest.raises(ValueError, match="summary for 'oracle' has no runs"):
             export_summary_csv([summary, empty], path)
@@ -1204,7 +1244,7 @@ PRESET_EDITS = [
     (("trajectory", "sample_period_s"), 0.0, r"preset:base\.trajectory: .*\bsample_period_s\b"),
     (("trajectory", "amplitude"), math.nan, r"preset:base\.trajectory: .*\bamplitude\b"),
     (("run", "steps"), 1, r"preset:base: run\.steps\b"),
-    (("run", "seed"), -1, r"preset:base: run\.seed must be nonnegative"),
+    (("run", "seed"), -1, r"preset:base: run\.seed must be at least 0, got -1"),
     (("run", "controller"), "pid", r"preset:base: run\.controller\b"),
     (("run", "controller"), "single-ald:2", r"preset:base: run\.controller\b"),
     (("run", "controller"), "single-ald:x", r"preset:base: run\.controller: bad single-ald index"),

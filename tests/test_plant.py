@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,3 +237,22 @@ class TestReference:
             TrajectorySpec("sine", 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             reference_trajectory(TrajectorySpec("sine", 0.01, 1.0, 1.0), -1)
+
+    @pytest.mark.parametrize("kind", ["sine", "triangle", "filtered_square"])
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (2.5, "count must be an integer, got 2.5"),
+            (True, "count must be an integer, got True"),
+            (np.float64(3.0), "count must be an integer"),
+            ("3", "count must be an integer, got '3'"),
+            (-1, "count must be at least 0, got -1"),
+        ],
+        ids=["float", "bool", "numpy-float", "str", "negative"],
+    )
+    def test_count_is_an_integer_by_the_integer_rule(self, kind, count, message):
+        # sine and triangle took 2.5 as 3 values and True as 1, and filtered_square raised numpy's slice TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            reference_trajectory(TrajectorySpec(kind, 0.01, 1.0, 1.0), count)
+        spec = TrajectorySpec(kind, 0.01, 1.0, 1.0)
+        assert reference_trajectory(spec, np.int64(7)).tobytes() == reference_trajectory(spec, 7).tobytes()

@@ -176,6 +176,9 @@ def test_a_two_dimensional_w0_is_rejected_with_its_key_path(w0):
         replace(aldcontrol.preset_config("base"), w0=w0)
 
 
+COMPONENT = aldcontrol.MixtureComponent(1.0, aldcontrol.GaussianParams(0.0, 1.0))
+
+
 def build(ctor, field, value):
     """``ctor`` built from valid values with ``field`` set to ``value``.
 
@@ -191,6 +194,7 @@ def build(ctor, field, value):
         aldcontrol.MixtureComponent: {"weight": 1.0, "dist": aldcontrol.GaussianParams(0.0, 1.0)},
         aldcontrol.TrajectorySpec: {"kind": "sine", "frequency_hz": 0.01, "amplitude": 1.0, "sample_period_s": 1.0},
         aldcontrol.ArxParams: {"a": (-1.41, 0.9), "b": (0.5,)},
+        aldcontrol.NoiseModel: {"components": (COMPONENT,)},
     }[ctor]
     return ctor(**valid | {field: value})
 
@@ -256,6 +260,8 @@ EXACT_VALUES = [
     (aldcontrol.RunConfig, "eps_b", 2.0**-20),
     (aldcontrol.RunConfig, "u_max", 1000.0),
     (aldcontrol.RunConfig, "w0", (0.0, 1.0, 0.0)),
+    (aldcontrol.RunConfig, "steps", 40),
+    (aldcontrol.RunConfig, "seed", 3),
 ]
 # where each constructor's part sits in a RunConfig: attribute names and tuple indices
 PARTS = {
@@ -286,7 +292,10 @@ def stored(cfg, ctor, field):
 
 
 def same_values(value):
-    """``value`` as float32 entries, and as int and np.int64 entries too where every entry is whole."""
+    """``value`` as numpy ints for an int; else as float32 entries, and as int and np.int64 entries too where every
+    entry is whole."""
+    if isinstance(value, int):
+        return [np.int64(value), np.int32(value), np.uint8(value)]
     entries = value if isinstance(value, tuple) else (value,)
     kinds = [np.float32, *((int, np.int64) if all(v.is_integer() for v in entries) else ())]
     return [tuple(map(kind, value)) if isinstance(value, tuple) else kind(value) for kind in kinds]
@@ -296,16 +305,18 @@ def same_values(value):
     "ctor,field,value", EXACT_VALUES, ids=[f"{ctor.__name__}.{field}" for ctor, field, _ in EXACT_VALUES]
 )
 def test_a_config_that_compares_equal_runs_the_same_episode(ctor, field, value):
-    # the dataclasses stored the caller's object, so a float32 field drew float32 noise or posteriors
+    # the dataclasses stored the caller's object, so a float32 field drew float32 noise or posteriors,
+    # and an np.int64 steps or seed was kept as one
     noise = aldcontrol.NoiseModel((aldcontrol.MixtureComponent(1.0, aldcontrol.GaussianParams(0.0, 1e-4)),))
     base = replace(aldcontrol.preset_config("noise4"), steps=40, noise=noise)
     expected = with_field(base, PARTS[ctor], field, value)
     trace = aldcontrol.run_episode(expected)
+    kind = int if isinstance(value, int) else float
     arrays = [name for name, v in vars(trace).items() if isinstance(v, np.ndarray)]
     for same in same_values(value):
         cfg = with_field(base, PARTS[ctor], field, same)
         kept = stored(cfg, ctor, field)
-        assert {type(v) for v in (kept if isinstance(kept, tuple) else (kept,))} == {float}
+        assert {type(v) for v in (kept if isinstance(kept, tuple) else (kept,))} == {kind}
         assert cfg == expected and hash(cfg) == hash(expected)
         other = aldcontrol.run_episode(cfg)
         assert [name for name in arrays if getattr(other, name).tobytes() != getattr(trace, name).tobytes()] == []
@@ -328,6 +339,10 @@ def test_an_int_over_the_digit_limit_is_rejected_by_name():
     [
         (aldcontrol.MixtureComponent, "dist", "x", ValueError),
         (aldcontrol.RunConfig, "hypotheses", [0.5], aldcontrol.ConfigError),
+        (aldcontrol.RunConfig, "hypotheses", None, aldcontrol.ConfigError),
+        (aldcontrol.NoiseModel, "components", None, ValueError),
+        (aldcontrol.NoiseModel, "components", [1], ValueError),
+        (aldcontrol.NoiseModel, "components", {COMPONENT: 1.0}, ValueError),
         (aldcontrol.RunConfig, "controller", 3, aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "plant", (1, 2), aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "noise", None, aldcontrol.ConfigError),
@@ -335,7 +350,8 @@ def test_an_int_over_the_digit_limit_is_rejected_by_name():
     ],
 )
 def test_a_part_of_the_wrong_type_is_rejected_by_name(ctor, field, value, error):
-    # each was accepted, then raised AttributeError inside the episode or the token parser
+    # each was accepted, then raised AttributeError inside the episode or the token parser; a None raised
+    # TypeError, an int component AttributeError, and a mapping's keys were read as the components
     with pytest.raises(error, match=rf"\b{field}\b"):
         build(ctor, field, value)
 
@@ -353,18 +369,36 @@ def is_float_array(call: ast.Call) -> bool:
     return ast.unparse(call.func) in ("np.array", "np.asarray") and dtype == ["float"]
 
 
-@pytest.mark.parametrize("module", [aldcontrol.noise, aldcontrol.plant, aldcontrol.config], ids=lambda m: m.__name__)
+def is_integer_check(node) -> bool:
+    """``np.integer`` anywhere, or an ``isinstance`` whose classes name ``int``."""
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) == "np.integer"
+    classes = node.args[1:] if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" else []
+    return any(ast.unparse(n) in ("int", "numbers.Integral") for arg in classes for n in ast.walk(arg))
+
+
+@pytest.mark.parametrize("module", submodules(), ids=lambda m: m.__name__)
 def test_the_number_rule_has_one_home(module):
-    # a numeric field is checked by plant._number; a sixth idiom beside it is a reviewed edit here
+    # a numeric field is checked by plant._number, and an integer is told by plant._is_integer alone, the
+    # predicate of plant._integer: a second idiom beside either is a reviewed edit here
     tree = ast.parse(inspect.getsource(module))
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    rule = [f for f in functions if f.name == "_is_integer" and module is aldcontrol.plant]
+    in_integer_rule = {id(node) for f in rule for node in ast.walk(f)}
+    checks = [node for node in ast.walk(tree) if is_integer_check(node) and id(node) not in in_integer_rule]
+    assert [ast.unparse(node) for node in checks] == []
+    predicates = {"_is_integer", "_integer"} if module is aldcontrol.plant else set()
+    assert {f.name for f in functions if "integer" in f.name} == predicates
+    if module not in (aldcontrol.noise, aldcontrol.plant, aldcontrol.config):
+        return
     in_rule = {id(call) for f in functions if f.name == "_number" for call in calls_in(f)}
     assert [ast.unparse(call) for call in calls_in(tree) if is_finite_check(call) and id(call) not in in_rule] == []
     for function in (f for f in functions if f.name == "__post_init__"):
         assert [ast.unparse(call) for call in calls_in(function) if is_float_array(call)] == []
     if module is aldcontrol.config:
-        # the reader passes every value unconverted: only RunConfig checks and converts its own numbers
+        # the reader passes every value unconverted: only RunConfig checks and converts its own values
         run_config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
         own = {id(call) for f in run_config.body if getattr(f, "name", "") == "__post_init__" for call in calls_in(f)}
-        converting = [call for call in calls_in(tree) if ast.unparse(call.func) in ("float", "_is_number", "_number")]
+        rules = ("float", "_number", "_integer", "_items")
+        converting = [call for call in calls_in(tree) if ast.unparse(call.func) in rules]
         assert [ast.unparse(call) for call in converting if id(call) not in own] == []
