@@ -17,10 +17,12 @@ shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
 and each binding skips the exact no-ops its batch allows: an all-``rls``
 batch skips the sign and weight, and an ``oracle``-only batch forms the
-control's divisor once.  The measurement noise comes from a tape drawn from each
-seed's own stream, so a run does not depend on its batch.  The last seed's
-row is kept, so paired episodes (several controllers run one after another
-on one seed) draw it once.
+control's divisor once.  A batch of one row (:func:`run_episode`) gets the
+controller's one-row steps, which score, update the posteriors and form
+the control on Python floats with the same bits.  The measurement noise
+comes from a tape drawn from each seed's own stream, so a run does not
+depend on its batch.  The last seed's row is kept, so paired episodes
+(several controllers run one after another on one seed) draw it once.
 
 The loop keeps y and u per step: the plant and the law write them straight
 into the step's column of their records.  Recording is a sixth phase, bound
@@ -50,7 +52,7 @@ from .config import RunConfig, parse_controller
 from .controller import bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
-from .plant import _integer, _items, bind_plant, parameter_vector, reference_trajectory
+from .plant import _integer, _items, _shown, _store, bind_plant, parameter_vector, reference_trajectory
 
 __all__ = [
     "EpisodeTrace",
@@ -361,17 +363,26 @@ def run_episode(cfg: RunConfig) -> EpisodeTrace:
     return _traces(cfg, [cfg.controller], [cfg.seed])[0][0]
 
 
-def _window_slice(steps: int, window: tuple[int, int]) -> slice:
-    """Trace rows of the inclusive window (k_lo, k_hi), whose bounds the integer rule (``plant._integer``) checks."""
+def _window(window: tuple[int, int]) -> tuple[int, int]:
+    """The inclusive window (k_lo, k_hi) as two ints, 1 <= k_lo <= k_hi, checked by the integer rule (``_integer``)."""
+    shown = _shown(window)
     try:
         lo, hi = window
     except (TypeError, ValueError):
-        raise ValueError(f"window {window!r} must be a (k_lo, k_hi) pair") from None
-    lo, hi = (_integer(k, f"window {window!r} bound") for k in (lo, hi))
+        raise ValueError(f"window {shown} must be a (k_lo, k_hi) pair") from None
+    lo, hi = (_integer(k, f"window {shown} bound") for k in (lo, hi))
     if lo > hi:
-        raise ValueError(f"empty window {window!r}")
-    if lo < 1 or hi > steps:
-        raise ValueError(f"window {window!r} outside trace steps 1..{steps}")
+        raise ValueError(f"empty window {shown}")
+    if lo < 1:
+        raise ValueError(f"window {shown} starts before trace step 1")
+    return lo, hi
+
+
+def _window_slice(steps: int, window: tuple[int, int]) -> slice:
+    """Trace rows of the inclusive window (k_lo, k_hi) (see ``_window``), which must end by trace step ``steps``."""
+    lo, hi = _window(window)
+    if hi > steps:
+        raise ValueError(f"window {_shown(window)} outside trace steps 1..{steps}")
     return slice(lo - 1, hi)
 
 
@@ -405,7 +416,10 @@ class McSummary:
     Everything else is derived from those two fields: ``seeds``, the
     ``runs_ok`` finite runs and ``runs_failed`` others (NaN or infinite),
     and ``j_bar_mean``, the mean over the finite runs (NaN when there are
-    none).
+    none).  ``seed_base`` and the window are stored as Python ints, checked
+    as :func:`run_episode` checks a seed (an integer, at least 0) and as
+    :func:`accumulated_error` checks a window (two integers,
+    1 <= k_lo <= k_hi).
     """
 
     controller: str
@@ -413,10 +427,13 @@ class McSummary:
     seed_base: int
     j_runs: np.ndarray
 
+    def __post_init__(self) -> None:
+        _store(self, window=_window(self.window), seed_base=_integer(self.seed_base, "seed_base", least=0))
+
     @property
     def seeds(self) -> np.ndarray:
         """Run i's seed ``seed_base + i``: int64 while the last seed fits, Python ints past it."""
-        seeds = range(int(self.seed_base), int(self.seed_base) + self.j_runs.size)
+        seeds = range(self.seed_base, self.seed_base + self.j_runs.size)
         return np.array(seeds, dtype=np.int64 if seeds.stop <= 2**63 else object)
 
     @property

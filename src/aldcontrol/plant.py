@@ -18,9 +18,12 @@ here, one rule per kind, and each error names its field:
   one-dimensional, each entry passing the same rule (``_float_tuple``);
 - an integer (``_integer``): a Python or numpy int, not a bool, at least a
   bound where one is given ("run.seed must be at least 0, got -1");
-- a sequence of parts (``_items``): any iterable but a string, bytes or a
-  mapping, read once into a tuple whose entries are all of one class
-  ("hypotheses must be a sequence of AldParams, got None").
+- a sequence of parts (``_items``): any iterable but a string, bytes, a
+  mapping or a 0-d array, read once into a tuple whose entries are all of
+  one class ("hypotheses must be a sequence of AldParams, got None").
+
+A message shows the value it rejects by ``_shown``, which names the type
+alone of a value holding an int too long for Python to print.
 
 Each dataclass stores the Python values these return (``_store``), so two
 configs that compare equal run the same episode.  The JSON reader passes
@@ -53,16 +56,28 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or its type's name where Python will not print an int in it.
+
+    Python converts an int of more than 4300 digits (``sys.set_int_max_str_digits``) to a string only by raising
+    ValueError, which would name no field.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _integer(value, name: str, error: type[ValueError] = ValueError, least: int | None = None) -> int:
     """``value`` as an int, the rule of every count, seed and step number: an integer, at least ``least`` if given.
 
     Any other value raises ``error`` naming ``name``.
     """
     if not _is_integer(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     number = int(value)
     if least is not None and number < least:
-        raise error(f"{name} must be at least {least}, got {number}")
+        raise error(f"{name} must be at least {least}, got {_shown(number)}")
     return number
 
 
@@ -72,7 +87,7 @@ def _number(value, name: str, error: type[ValueError] = ValueError, positive: bo
     Any other value raises ``error`` naming ``name``.
     """
     if not (isinstance(value, (float, np.floating)) or _is_integer(value)):
-        raise error(f"{name} must be a number, got {value!r}")
+        raise error(f"{name} must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the largest float, whose repr may exceed Python's digit limit
@@ -102,15 +117,17 @@ def _items(values, name: str, cls: type, error: type[ValueError] = ValueError) -
     """``values`` read once into a tuple, the rule of every sequence of parts: each entry is a ``cls``.
 
     Any iterable is taken but a string, bytes or a mapping, whose entries
-    are characters, integers or keys.  Any other value raises ``error``
-    naming ``name``.
+    are characters, integers or keys, and a 0-d array, which numpy calls
+    iterable but will not iterate.  Any other value raises ``error`` naming
+    ``name``.
     """
-    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
-        raise error(f"{name} must be a sequence of {cls.__name__}, got {values!r}")
+    zero_d = isinstance(values, np.ndarray) and values.ndim == 0
+    if isinstance(values, (str, bytes, Mapping)) or zero_d or not isinstance(values, Iterable):
+        raise error(f"{name} must be a sequence of {cls.__name__}, got {_shown(values)}")
     items = tuple(values)
     for item in items:
         if not isinstance(item, cls):
-            raise error(f"{name} entries must be {cls.__name__}, got {item!r}")
+            raise error(f"{name} entries must be {cls.__name__}, got {_shown(item)}")
     return items
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aldcontrol import (
+    POSTERIOR_FLOOR,
     AldParams,
     bind_ce_law,
     bind_ensemble_law,
@@ -331,3 +332,121 @@ class TestEnsembleCollapse:
             x_k[:, 0] = x
             update(log_likelihood(step(z[:, None])))
         assert np.median(post[:, 0]) > 0.9
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, NaN at the same places and every other entry the same bits, so that -0.0 is not 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes()
+    )
+
+
+# both zeros, both infinities and NaN beside ordinary values
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+HYPOTHESES = st.builds(
+    AldParams, st.floats(0.01, 0.99), st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0), st.floats(1e-3, 1e3)
+)
+# a law's constants: a divisor floor that b1 values of LAW_VALUES fall below, and bounds that saturate or never do
+EPS_B, U_MAX = st.sampled_from([1e-6, 0.5]), st.sampled_from([1e3, 1.0, math.inf])
+# S from 1 to 9 crosses the S <= 7 bound of the one-row posterior and ensemble steps
+N_SUB = st.integers(1, 9)
+
+
+VALUES = LAW_VALUES | st.floats(-1e300, 1e300)
+
+
+def stack_and_row(data, shape):
+    """A stack of 2..4 rows of ``shape`` drawn from VALUES, and the index of one of its rows."""
+    rows = data.draw(st.integers(2, 4))
+    return data.draw(arrays(float, (rows, *shape), elements=VALUES)), data.draw(st.integers(0, rows - 1))
+
+
+def references(data):
+    """A reference as the episode loop passes it, a (1,) array, or as a scalar or 0-d array, which broadcast."""
+    y_r = data.draw(SPECIAL | st.floats(-1e6, 1e6))
+    return data.draw(st.sampled_from([np.array([y_r]), np.array(y_r), y_r]))
+
+
+class TestOneRowSteps:
+    """A binder bound to one row steps it on Python floats: the bits are those of the row within a stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hyps=st.lists(HYPOTHESES, min_size=1, max_size=9), data=st.data())
+    def test_scoring(self, hyps, data):
+        residual, i = stack_and_row(data, (len(hyps),))
+        one, stacked = bind_log_likelihood(hyps, 1), bind_log_likelihood(hyps, len(residual))
+        assert one.__code__ is not stacked.__code__
+        with np.errstate(all="ignore"):
+            assert same_bits(one(residual[i : i + 1]), stacked(residual)[i : i + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_sub=N_SUB, data=st.data())
+    def test_posterior(self, n_sub, data):
+        # priors with zeros, whose total can be 0.0, and at the floor
+        elements = st.sampled_from([0.0, POSTERIOR_FLOOR, 1.0]) | st.floats(0.0, 1.0)
+        post, i = stack_and_row(data, (n_sub,))
+        post[...] = data.draw(arrays(float, post.shape, elements=elements))
+        row = post[i : i + 1].copy()
+        one, stacked = bind_posterior(row), bind_posterior(post)
+        assert (one.__code__ is stacked.__code__) == (n_sub > 7)
+        for _ in range(data.draw(st.integers(1, 3))):
+            log_lik = data.draw(arrays(float, post.shape, elements=VALUES))
+            with np.errstate(all="ignore"):
+                one(log_lik[i : i + 1])
+                stacked(log_lik)
+            assert same_bits(row, post[i : i + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_sub=N_SUB, d=st.integers(1, 4), eps_b=EPS_B, u_max=U_MAX, data=st.data())
+    def test_ensemble_law(self, n_sub, d, eps_b, u_max, data):
+        W, i = stack_and_row(data, (n_sub, d))
+        eta = data.draw(arrays(float, (len(W), d - 1), elements=LAW_VALUES))
+        post = data.draw(arrays(float, (len(W), n_sub), elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+        rows = post[i : i + 1].copy(), W[i : i + 1].copy(), eta[i : i + 1].copy()
+        one, stacked = bind_ensemble_law(*rows, eps_b, u_max), bind_ensemble_law(post, W, eta, eps_b, u_max)
+        assert (one.__code__ is stacked.__code__) == (n_sub > 7)
+        y_r_next, out = references(data), np.empty(1)
+        with np.errstate(all="ignore"):
+            assert same_bits(one(y_r_next), stacked(y_r_next)[i : i + 1])
+            assert one(y_r_next, out) is out and same_bits(out, stacked(y_r_next)[i : i + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), eps_b=EPS_B, u_max=U_MAX, frozen=st.booleans(), data=st.data())
+    def test_ce_law(self, d, eps_b, u_max, frozen, data):
+        w, i = stack_and_row(data, (d,))
+        eta = data.draw(arrays(float, (len(w), d - 1), elements=LAW_VALUES))
+        one = bind_ce_law(w[i : i + 1].copy(), eta[i : i + 1].copy(), eps_b, u_max, frozen=frozen)
+        stacked = bind_ce_law(w, eta, eps_b, u_max, frozen=frozen)
+        assert one.__code__ is not stacked.__code__
+        y_r_next, out = references(data), np.empty(1)
+        with np.errstate(all="ignore"):
+            assert same_bits(one(y_r_next), stacked(y_r_next)[i : i + 1])
+            assert one(y_r_next, out) is out and same_bits(out, stacked(y_r_next)[i : i + 1])
+
+    def test_a_sum_of_three_folds_left_as_numpy_does(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001 and 0.1 + (0.2 + 0.3) is 0.6
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        weights = np.array([[0.1, 0.2, 0.3], [0.5, 0.25, 0.25]])
+        row, stack = weights[:1].copy(), weights.copy()
+        # zero log-likelihoods leave the priors as the products the posterior step sums
+        bind_posterior(row)(np.zeros((1, 3)))
+        bind_posterior(stack)(np.zeros((2, 3)))
+
+        def normalized(p, total):
+            for _ in range(2):
+                p_sum = total(p)
+                p = [max(v / p_sum, POSTERIOR_FLOOR) for v in p]
+            return p
+
+        left = normalized([0.1, 0.2, 0.3], lambda p: (p[0] + p[1]) + p[2])
+        assert left != normalized([0.1, 0.2, 0.3], lambda p: p[0] + (p[1] + p[2]))
+        assert row.tolist() == [left] and same_bits(row, stack[:1])
+        # every law gives 1.0, so the ensemble input is the sum of the weights
+        W = np.zeros((2, 3, 2))
+        W[..., 0] = 1.0
+        one = bind_ensemble_law(weights[:1], W[:1], np.zeros((1, 1)))(np.array([1.0]))
+        assert one[0] == 0.6000000000000001 and same_bits(one, bind_ensemble_law(weights, W, np.zeros((2, 1)))(1.0)[:1])

@@ -193,6 +193,7 @@ OFTEN_HUGE = NoiseModel(
 )
 
 TOKENS = ["ensemble", "rls", "oracle", "single-ald:0", "single-ald:1"]
+HYPOTHESES = st.builds(AldParams, st.floats(0.05, 0.95), st.floats(-0.5, 0.5), st.floats(0.01, 2.0))
 PLANTS = [None, ArxParams([0.5], [1.0, 0.3]), ArxParams([], [0.8]), ArxParams([0.3, -0.2, 0.1], [0.6])]
 
 
@@ -209,10 +210,16 @@ class TestBatchedCore:
         token=st.sampled_from(TOKENS),
         steps=st.integers(2, 150),
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+        hypotheses=st.none() | st.lists(HYPOTHESES, min_size=2, max_size=9),
         data=st.data(),
     )
-    def test_rows_equal_single_runs_and_follow_the_seeds(self, preset, plant, feedback, token, steps, seeds, data):
+    def test_rows_equal_single_runs_and_follow_the_seeds(
+        self, preset, plant, feedback, token, steps, seeds, hypotheses, data
+    ):
+        # up to 9 hypotheses: run_episode's one-row posterior and ensemble steps sum on Python floats up to 7
         cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback, controller=token), plant)
+        if hypotheses is not None:
+            cfg = replace(cfg, hypotheses=hypotheses)
         [traces] = run_batch(cfg, [token], seeds)
         for seed, trace in zip(seeds, traces):
             assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
@@ -222,6 +229,15 @@ class TestBatchedCore:
         cut = data.draw(st.integers(2, steps))
         for trace, whole in zip(run_batch(replace(cfg, steps=cut), [token], seeds)[0], traces):
             assert_prefix(trace, whole)
+
+    @pytest.mark.parametrize("n_hyp", [7, 8, 9])
+    def test_ensemble_rows_equal_single_runs_on_both_sides_of_the_one_row_bound(self, base, n_hyp):
+        # run_episode's posterior and ensemble steps sum on Python floats for S <= 7 and as a batch does above
+        taus, sigmas = np.linspace(0.1, 0.9, n_hyp), np.geomspace(0.01, 2.0, n_hyp)
+        cfg = short(base, hypotheses=[AldParams(t, 0.0, s) for t, s in zip(taus, sigmas)], steps=300)
+        [traces] = run_batch(cfg, ["ensemble"], [3, 4])
+        for seed, trace in zip([3, 4], traces):
+            assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -956,6 +972,30 @@ class TestTraceCsv:
 
 # seed bases from 0 to past 2**64, crowded around 2**63, where the seeds leave int64
 SEED_BASES = st.integers(0, 2**65) | st.integers(2**63 - 8, 2**63 + 8)
+
+
+class TestSummaryFields:
+    @pytest.mark.parametrize(
+        "seed_base, window, message",
+        [
+            # each was stored: 1.5 and True gave the seeds [1 2], -5 gave [-5 -4]
+            (1.5, (1, 10), r"^seed_base must be an integer, got 1\.5$"),
+            (True, (1, 10), r"^seed_base must be an integer, got True$"),
+            (-5, (1, 10), r"^seed_base must be at least 0, got -5$"),
+            (0, (10, 1), r"^empty window \(10, 1\)$"),
+            (0, (0, 10), r"^window \(0, 10\) starts before trace step 1$"),
+            (0, (1, 2.5), r"^window \(1, 2\.5\) bound must be an integer, got 2\.5$"),
+            (0, (1,), r"^window \(1,\) must be a \(k_lo, k_hi\) pair$"),
+        ],
+    )
+    def test_seed_base_and_window_are_checked(self, seed_base, window, message):
+        with pytest.raises(ValueError, match=message):
+            McSummary("ensemble", window, seed_base, np.zeros(2))
+
+    def test_seed_base_and_window_are_stored_as_python_ints(self):
+        s = McSummary("ensemble", (np.int64(1), np.int32(10)), np.int64(3), np.zeros(2))
+        assert (s.window, s.seed_base) == ((1, 10), 3)
+        assert all(type(v) is int for v in (*s.window, s.seed_base))
 
 
 class TestSummaryCsv:

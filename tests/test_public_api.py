@@ -177,6 +177,7 @@ def test_a_two_dimensional_w0_is_rejected_with_its_key_path(w0):
 
 
 COMPONENT = aldcontrol.MixtureComponent(1.0, aldcontrol.GaussianParams(0.0, 1.0))
+HYPOTHESIS = aldcontrol.AldParams(0.5, 0.0, 1.0)
 
 
 def build(ctor, field, value):
@@ -335,6 +336,26 @@ def test_an_int_over_the_digit_limit_is_rejected_by_name():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg: replace(cfg, seed=-(10**5000)), r"^run\.seed must be at least 0, got <int too long to print>$"),
+        (
+            lambda cfg: aldcontrol.compare_controllers(cfg, ["rls"], -(10**5000), (1, 10)),
+            r"^runs must be at least 1, got <int too long to print>$",
+        ),
+        (
+            lambda cfg: aldcontrol.accumulated_error(aldcontrol.run_episode(cfg), (1, 10**5000)),
+            r"^window <tuple too long to print> outside trace steps 1\.\.10$",
+        ),
+    ],
+)
+def test_an_integer_over_the_digit_limit_is_named_by_its_field(call, message):
+    # the integer rule and the window check print the value with repr, which raises ValueError past 4300 digits
+    with pytest.raises(ValueError, match=message):
+        call(replace(aldcontrol.preset_config("base"), steps=10))
+
+
+@pytest.mark.parametrize(
     "ctor,field,value,error",
     [
         (aldcontrol.MixtureComponent, "dist", "x", ValueError),
@@ -343,6 +364,9 @@ def test_an_int_over_the_digit_limit_is_rejected_by_name():
         (aldcontrol.NoiseModel, "components", None, ValueError),
         (aldcontrol.NoiseModel, "components", [1], ValueError),
         (aldcontrol.NoiseModel, "components", {COMPONENT: 1.0}, ValueError),
+        # a 0-d array passes the Iterable test but numpy will not iterate it
+        (aldcontrol.NoiseModel, "components", np.array(COMPONENT, dtype=object), ValueError),
+        (aldcontrol.RunConfig, "hypotheses", np.array(HYPOTHESIS, dtype=object), aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "controller", 3, aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "plant", (1, 2), aldcontrol.ConfigError),
         (aldcontrol.RunConfig, "noise", None, aldcontrol.ConfigError),
