@@ -16,10 +16,11 @@ history of a row is a column block of one array, which the loop alone
 shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
 and each binding skips the exact no-ops its batch allows: an all-``rls``
-batch skips the sign and weight, and an ``oracle``-only batch forms the
-control's divisor once.  A batch of one row (:func:`run_episode`) gets the
-controller's one-row steps, which score, update the posteriors and form
-the control on Python floats with the same bits.  The measurement noise
+batch skips the sign and weight.  A batch of one row (:func:`run_episode`)
+with at most ``_FOLD_TERMS`` = 7 subsystems takes its Bayes and law steps
+from ``controller._bind_one_row`` instead, which score, update the
+posteriors and form the control on Python floats with the same bits;
+``_run_batch`` is the only place that picks them.  The measurement noise
 comes from a tape drawn from each seed's own stream, so a run does not
 depend on its batch.  The last seed's row is kept, so paired episodes
 (several controllers run one after another on one seed) draw it once.
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
+from .controller import _FOLD_TERMS, _bind_one_row, bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import _integer, _items, _shown, _store, bind_plant, parameter_vector, reference_trajectory
@@ -238,34 +239,37 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
     step_plant = bind_plant(plant, u_now, hist[:, width - n :])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
-    log_likelihood = bind_log_likelihood(cfg.hypotheses, n_scored) if n_scored else None
-    update_post = bind_posterior(post[:n_scored])
-    # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
-    # 1.0*u is u: its control is subsystem 0's law itself; with no row
-    # learning W is frozen, and the law forms its divisor once
-    control = (
-        bind_ce_law(W[:, 0], eta, cfg.eps_b, cfg.u_max, frozen=not n_learn)
-        if S == 1
-        else bind_ensemble_law(post, W, eta, cfg.eps_b, cfg.u_max)
-    )
+    limits = cfg.eps_b, cfg.u_max
+    if rows == 1 and S <= _FOLD_TERMS:
+        # an episode of its own: the Bayes and law steps on Python floats, with the array steps' bits
+        bayes, control = _bind_one_row(cfg.hypotheses, post, W, eta, *limits)
+    else:
+        log_likelihood, update_post = bind_log_likelihood(cfg.hypotheses, n_scored), bind_posterior(post[:n_scored])
+
+        def bayes(residual):
+            update_post(log_likelihood(residual))
+
+        # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
+        # 1.0*u is u: its control is subsystem 0's law itself
+        control = bind_ce_law(W[:, 0], eta, *limits) if S == 1 else bind_ensemble_law(post, W, eta, *limits)
     add = np.add
 
     # a diverging run overflows; the recorder diagnoses it after the loop
     with np.errstate(all="ignore"):
         # step 0 only feeds back z(0) (shifting the zero histories changes nothing) and forms u(0)
         fed[...] = z if feedback_z else y
-        # the references y_r(1)..y_r(steps + 1) as (1,) rows of one view
-        y_r_rows = iter(refs[1:, None])
-        u_new[...] = control(next(y_r_rows))
+        # the references y_r(1)..y_r(steps + 1) as Python floats, which the array laws take with the same bits
+        y_rs = iter(refs[1:].tolist())
+        control(next(y_rs), u_new)
         # per step: the noise, the next reference and the step's column of y
         # and u, into which the plant and the law write their outputs
-        for e, y_r_next, y_k, u_k in zip(tape.T[1:], y_r_rows, y_arr.T, u_arr.T):
+        for e, y_r_next, y_k, u_k in zip(tape.T[1:], y_rs, y_arr.T, u_arr.T):
             y = step_plant(y_k)
             add(y, e, z)
             if n_learn:
                 r = step_filter(z_learn)
                 if n_scored:
-                    update_post(log_likelihood(r[:n_scored]))
+                    bayes(r[:n_scored])
             # shift every history by one and put the newest values in front
             older[...] = newer
             if feedback_z:
@@ -416,10 +420,13 @@ class McSummary:
     Everything else is derived from those two fields: ``seeds``, the
     ``runs_ok`` finite runs and ``runs_failed`` others (NaN or infinite),
     and ``j_bar_mean``, the mean over the finite runs (NaN when there are
-    none).  ``seed_base`` and the window are stored as Python ints, checked
-    as :func:`run_episode` checks a seed (an integer, at least 0) and as
+    none).  The controller is checked as a config's is (a valid token).
+    ``seed_base`` and the window are stored as Python ints, checked as
+    :func:`run_episode` checks a seed (an integer, at least 0) and as
     :func:`accumulated_error` checks a window (two integers,
-    1 <= k_lo <= k_hi).
+    1 <= k_lo <= k_hi).  ``j_runs`` is stored as a read-only float64 copy
+    of a one-dimensional array of real numbers, so a later write into the
+    caller's array changes nothing here.
     """
 
     controller: str
@@ -428,7 +435,19 @@ class McSummary:
     j_runs: np.ndarray
 
     def __post_init__(self) -> None:
-        _store(self, window=_window(self.window), seed_base=_integer(self.seed_base, "seed_base", least=0))
+        parse_controller(self.controller)
+        window, seed_base = _window(self.window), _integer(self.seed_base, "seed_base", least=0)
+        try:
+            j_runs = np.array(self.j_runs)
+        except ValueError:  # numpy's "inhomogeneous shape": nested sequences of unequal lengths
+            raise ValueError("j_runs must be one-dimensional, got nested sequences of unequal lengths") from None
+        if j_runs.ndim != 1:
+            raise ValueError(f"j_runs must be one-dimensional, got shape {j_runs.shape}")
+        if j_runs.dtype.kind not in "iuf":  # no bool, string or object
+            raise ValueError(f"j_runs entries must be real numbers, got dtype {j_runs.dtype}")
+        j_runs = j_runs.astype(float, copy=False)
+        j_runs.flags.writeable = False
+        _store(self, window=window, seed_base=seed_base, j_runs=j_runs)
 
     @property
     def seeds(self) -> np.ndarray:
@@ -612,15 +631,14 @@ def export_summary_csv(summaries: list[McSummary], path, force: bool = False) ->
     """Write per-run rows then an aggregate block, one line per controller (17 significant digits).
 
     The summaries may come as any iterable of :class:`McSummary` (the
-    sequence rule ``plant._items``), read once; there must be at least one.
-    Every controller is checked to be a valid token, which no field of the
-    CSV needs to quote, before the file is opened.
+    sequence rule ``plant._items``), read once; there must be at least one,
+    and each must have runs.  Each summary's controller is a valid token
+    (see :class:`McSummary`), which no field of the CSV needs to quote.
     """
     summaries = _items(summaries, "summaries", McSummary)
     if not summaries:
         raise ValueError("nothing to export: no summaries")
     for s in summaries:
-        parse_controller(s.controller)
         if s.j_runs.size == 0:
             raise ValueError(f"summary for {s.controller!r} has no runs")
     with _writable_path(path, force).open("w", newline="") as fh:

@@ -20,6 +20,7 @@ from aldcontrol import (
     quantile_rule,
     run_episode,
 )
+from aldcontrol.controller import _bind_one_row
 from reference import ald_pdf, ald_sample
 
 
@@ -63,29 +64,14 @@ LAW_VALUES = st.one_of(
 )
 
 
-class TestFrozenLaw:
+class TestCeLawOut:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 4), d=st.integers(1, 4), data=st.data())
-    def test_frozen_law_equals_the_moving_law_bit_for_bit(self, rows, d, data):
-        # a frozen bank's divisor is formed once; the moving law forms it at every call
-        w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
-        eta = np.zeros((rows, d - 1))
-        frozen, moving = bind_ce_law(w, eta, 1e-6, 1e3, frozen=True), bind_ce_law(w, eta, 1e-6, 1e3)
-        for _ in range(data.draw(st.integers(1, 5))):
-            eta[...] = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
-            y_r_next = np.array(data.draw(LAW_VALUES))
-            with np.errstate(all="ignore"):
-                # both bound laws see eta's in-place change, as a law bound now to a copy does
-                u, u_moving = frozen(y_r_next), moving(y_r_next)
-                assert u.tobytes() == u_moving.tobytes() == ce_input(w, eta.copy(), y_r_next).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(1, 4), d=st.integers(1, 4), frozen=st.booleans(), data=st.data())
-    def test_out_receives_the_same_bits_and_is_returned(self, rows, d, frozen, data):
+    def test_out_receives_the_same_bits_and_is_returned(self, rows, d, data):
         # the episode loop passes the step's column of its (rows, steps) input record
         w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
         eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
-        law, record = bind_ce_law(w, eta, 1e-6, 1e3, frozen=frozen), np.empty((rows, 3))
+        law, record = bind_ce_law(w, eta, 1e-6, 1e3), np.empty((rows, 3))
         for out in record.T:
             y_r_next = data.draw(arrays(float, data.draw(st.sampled_from([(), (1,)])), elements=LAW_VALUES))
             with np.errstate(all="ignore"):
@@ -352,89 +338,81 @@ HYPOTHESES = st.builds(
 )
 # a law's constants: a divisor floor that b1 values of LAW_VALUES fall below, and bounds that saturate or never do
 EPS_B, U_MAX = st.sampled_from([1e-6, 0.5]), st.sampled_from([1e3, 1.0, math.inf])
-# S from 1 to 9 crosses the S <= 7 bound of the one-row posterior and ensemble steps
-N_SUB = st.integers(1, 9)
+# the banks the one-row step serves: S <= 7, where np.add.reduce sums left to right
+N_SUB = st.integers(1, 7)
+# what the episode loop's posteriors hold: every entry at least the floor, or NaN
+POSTERIORS = st.sampled_from([POSTERIOR_FLOOR, 1.0, math.nan]) | st.floats(POSTERIOR_FLOOR, 1.0)
 
 
 VALUES = LAW_VALUES | st.floats(-1e300, 1e300)
 
 
-def stack_and_row(data, shape):
-    """A stack of 2..4 rows of ``shape`` drawn from VALUES, and the index of one of its rows."""
+def stack_and_row(data, shape, elements=VALUES):
+    """A stack of 2..4 rows of ``shape`` drawn from ``elements``, and the index of one of its rows."""
     rows = data.draw(st.integers(2, 4))
-    return data.draw(arrays(float, (rows, *shape), elements=VALUES)), data.draw(st.integers(0, rows - 1))
+    return data.draw(arrays(float, (rows, *shape), elements=elements)), data.draw(st.integers(0, rows - 1))
 
 
-def references(data):
-    """A reference as the episode loop passes it, a (1,) array, or as a scalar or 0-d array, which broadcast."""
-    y_r = data.draw(SPECIAL | st.floats(-1e6, 1e6))
-    return data.draw(st.sampled_from([np.array([y_r]), np.array(y_r), y_r]))
+def array_law(post, W, eta, eps_b, u_max):
+    """The array law the episode loop binds for a stack: subsystem 0's own law for S = 1, else the ensemble law."""
+    if W.shape[1] == 1:
+        return bind_ce_law(W[:, 0], eta, eps_b, u_max)
+    return bind_ensemble_law(post, W, eta, eps_b, u_max)
 
 
-class TestOneRowSteps:
-    """A binder bound to one row steps it on Python floats: the bits are those of the row within a stack."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(hyps=st.lists(HYPOTHESES, min_size=1, max_size=9), data=st.data())
-    def test_scoring(self, hyps, data):
-        residual, i = stack_and_row(data, (len(hyps),))
-        one, stacked = bind_log_likelihood(hyps, 1), bind_log_likelihood(hyps, len(residual))
-        assert one.__code__ is not stacked.__code__
-        with np.errstate(all="ignore"):
-            assert same_bits(one(residual[i : i + 1]), stacked(residual)[i : i + 1])
+class TestOneRowStep:
+    """The episode loop's one-row step on Python floats gives the bits of the row within a stack of array steps."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_sub=N_SUB, data=st.data())
-    def test_posterior(self, n_sub, data):
-        # priors with zeros, whose total can be 0.0, and at the floor
-        elements = st.sampled_from([0.0, POSTERIOR_FLOOR, 1.0]) | st.floats(0.0, 1.0)
-        post, i = stack_and_row(data, (n_sub,))
-        post[...] = data.draw(arrays(float, post.shape, elements=elements))
+    def test_bayes(self, n_sub, data):
+        hyps = data.draw(st.lists(HYPOTHESES, min_size=n_sub, max_size=n_sub))
+        post, i = stack_and_row(data, (n_sub,), POSTERIORS)
         row = post[i : i + 1].copy()
-        one, stacked = bind_posterior(row), bind_posterior(post)
-        assert (one.__code__ is stacked.__code__) == (n_sub > 7)
+        bayes, _ = _bind_one_row(hyps, row, np.zeros((1, n_sub, 1)), np.zeros((1, 0)), 1e-6, 1e3)
+        log_likelihood, update = bind_log_likelihood(hyps, len(post)), bind_posterior(post)
         for _ in range(data.draw(st.integers(1, 3))):
-            log_lik = data.draw(arrays(float, post.shape, elements=VALUES))
+            residual = data.draw(arrays(float, post.shape, elements=VALUES))
             with np.errstate(all="ignore"):
-                one(log_lik[i : i + 1])
-                stacked(log_lik)
+                bayes(residual[i : i + 1])
+                update(log_likelihood(residual))
             assert same_bits(row, post[i : i + 1])
 
     @settings(max_examples=150, deadline=None)
     @given(n_sub=N_SUB, d=st.integers(1, 4), eps_b=EPS_B, u_max=U_MAX, data=st.data())
-    def test_ensemble_law(self, n_sub, d, eps_b, u_max, data):
+    def test_law(self, n_sub, d, eps_b, u_max, data):
         W, i = stack_and_row(data, (n_sub, d))
         eta = data.draw(arrays(float, (len(W), d - 1), elements=LAW_VALUES))
-        post = data.draw(arrays(float, (len(W), n_sub), elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
-        rows = post[i : i + 1].copy(), W[i : i + 1].copy(), eta[i : i + 1].copy()
-        one, stacked = bind_ensemble_law(*rows, eps_b, u_max), bind_ensemble_law(post, W, eta, eps_b, u_max)
-        assert (one.__code__ is stacked.__code__) == (n_sub > 7)
-        y_r_next, out = references(data), np.empty(1)
+        post = data.draw(arrays(float, (len(W), n_sub), elements=POSTERIORS))
+        rows = post[i : i + 1], W[i : i + 1], eta[i : i + 1]
+        _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, *rows, eps_b, u_max)
+        stacked = array_law(post, W, eta, eps_b, u_max)
+        # the loop passes the reference as a Python float to either law
+        y_r, out = data.draw(SPECIAL | st.floats(-1e6, 1e6)), np.empty(1)
         with np.errstate(all="ignore"):
-            assert same_bits(one(y_r_next), stacked(y_r_next)[i : i + 1])
-            assert one(y_r_next, out) is out and same_bits(out, stacked(y_r_next)[i : i + 1])
+            assert law(y_r, out) is out
+            assert same_bits(out, stacked(y_r)[i : i + 1])
 
-    @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(1, 4), eps_b=EPS_B, u_max=U_MAX, frozen=st.booleans(), data=st.data())
-    def test_ce_law(self, d, eps_b, u_max, frozen, data):
-        w, i = stack_and_row(data, (d,))
-        eta = data.draw(arrays(float, (len(w), d - 1), elements=LAW_VALUES))
-        one = bind_ce_law(w[i : i + 1].copy(), eta[i : i + 1].copy(), eps_b, u_max, frozen=frozen)
-        stacked = bind_ce_law(w, eta, eps_b, u_max, frozen=frozen)
-        assert one.__code__ is not stacked.__code__
-        y_r_next, out = references(data), np.empty(1)
-        with np.errstate(all="ignore"):
-            assert same_bits(one(y_r_next), stacked(y_r_next)[i : i + 1])
-            assert one(y_r_next, out) is out and same_bits(out, stacked(y_r_next)[i : i + 1])
+    def test_one_subsystem_keeps_the_sign_of_a_zero_input(self):
+        # a sum from +0.0 would give +0.0: the input is subsystem 0's law itself, as bind_ce_law gives it
+        W, eta = np.array([[[1.0, 0.0]]]), np.zeros((1, 1))
+        _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)], np.ones((1, 1)), W, eta, 1e-6, 1e3)
+        assert math.copysign(1.0, law(-0.0, np.empty(1))[0]) == -1.0
+        assert same_bits(law(-0.0, np.empty(1)), bind_ce_law(W[:, 0], eta)(-0.0))
 
     def test_a_sum_of_three_folds_left_as_numpy_does(self):
         # (0.1 + 0.2) + 0.3 is 0.6000000000000001 and 0.1 + (0.2 + 0.3) is 0.6
         assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
         weights = np.array([[0.1, 0.2, 0.3], [0.5, 0.25, 0.25]])
         row, stack = weights[:1].copy(), weights.copy()
-        # zero log-likelihoods leave the priors as the products the posterior step sums
-        bind_posterior(row)(np.zeros((1, 3)))
-        bind_posterior(stack)(np.zeros((2, 3)))
+        # every law gives 1.0, so the ensemble input is the sum of the weights
+        W, eta = np.zeros((2, 3, 2)), np.zeros((2, 1))
+        W[..., 0] = 1.0
+        # equal residuals under equal hypotheses leave the priors as the products the posterior step sums
+        hyps = [AldParams(0.5, 0.0, 1.0)] * 3
+        bayes, _ = _bind_one_row(hyps, row, W[:1], eta[:1], 1e-6, 1e3)
+        bayes(np.zeros((1, 3)))
+        bind_posterior(stack)(bind_log_likelihood(hyps, 2)(np.zeros((2, 3))))
 
         def normalized(p, total):
             for _ in range(2):
@@ -445,8 +423,22 @@ class TestOneRowSteps:
         left = normalized([0.1, 0.2, 0.3], lambda p: (p[0] + p[1]) + p[2])
         assert left != normalized([0.1, 0.2, 0.3], lambda p: p[0] + (p[1] + p[2]))
         assert row.tolist() == [left] and same_bits(row, stack[:1])
-        # every law gives 1.0, so the ensemble input is the sum of the weights
-        W = np.zeros((2, 3, 2))
-        W[..., 0] = 1.0
-        one = bind_ensemble_law(weights[:1], W[:1], np.zeros((1, 1)))(np.array([1.0]))
-        assert one[0] == 0.6000000000000001 and same_bits(one, bind_ensemble_law(weights, W, np.zeros((2, 1)))(1.0)[:1])
+        _, law = _bind_one_row(hyps, weights[:1], W[:1], eta[:1], 1e-6, 1e3)
+        one = law(1.0, np.empty(1))
+        assert one[0] == 0.6000000000000001 and same_bits(one, bind_ensemble_law(weights, W, eta)(1.0)[:1])
+
+
+@pytest.mark.parametrize(
+    "bind",
+    [
+        lambda post, W, eta: bind_log_likelihood([AldParams(0.5, 0.0, 1.0)] * 3, len(post)),
+        lambda post, W, eta: bind_posterior(post),
+        lambda post, W, eta: bind_ce_law(W[:, 0], eta),
+        lambda post, W, eta: bind_ensemble_law(post, W, eta),
+    ],
+    ids=["bind_log_likelihood", "bind_posterior", "bind_ce_law", "bind_ensemble_law"],
+)
+def test_a_public_binder_has_one_step_for_every_row_count(bind):
+    # the one-row step is chosen by the episode loop alone, never by a binder from its shapes
+    one, three = (bind(np.full((rows, 3), 1.0 / 3.0), np.ones((rows, 3, 3)), np.zeros((rows, 2))) for rows in (1, 3))
+    assert one.__code__ is three.__code__

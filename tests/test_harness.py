@@ -311,9 +311,8 @@ class TestBatchedCore:
         # Without an ensemble a batch is unscored, and its posteriors are
         # written once after the loop; an rls batch alone has the unit rule,
         # and an oracle batch alone is frozen, its W written once after the
-        # loop and its divisor formed once.  Beside an ensemble every row
-        # takes the general path: a stacked weight rule, a moving law and
-        # records copied every step.  OFTEN_HUGE's 1e300 draws make runs fail.
+        # loop.  Beside an ensemble every row takes the general path: a
+        # stacked weight rule and records copied every step.  OFTEN_HUGE's 1e300 draws make runs fail.
         cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback), plant)
         cfg = cfg if noise is None else replace(cfg, noise=noise)
         stacked = run_batch(cfg, ["ensemble", *tokens], seeds)[1:]
@@ -562,6 +561,14 @@ class TestSummaryConsumer:
         monkeypatch.setattr(harness, "bind_plant", recording(harness.bind_plant, ys))
         for name in ("bind_ce_law", "bind_ensemble_law"):
             monkeypatch.setattr(harness, name, recording(getattr(harness, name), us))
+        one_row = harness._bind_one_row
+
+        def recording_one_row(*args):
+            # run_episode's control is the one-row step's law
+            bayes, law = one_row(*args)
+            return bayes, recording(lambda: law, us)()
+
+        monkeypatch.setattr(harness, "_bind_one_row", recording_one_row)
         trace = run_episode(cfg)
         assert (trace.failed, trace.fail_step) == (True, k)
         # ys[k - 1] is y(k) and us[k] is u(k), after u(0)
@@ -996,6 +1003,49 @@ class TestSummaryFields:
         s = McSummary("ensemble", (np.int64(1), np.int32(10)), np.int64(3), np.zeros(2))
         assert (s.window, s.seed_base) == ((1, 10), 3)
         assert all(type(v) is int for v in (*s.window, s.seed_base))
+
+    def test_a_list_of_runs_is_stored_as_an_array(self):
+        # a list was stored: .seeds raised AttributeError "'list' object has no attribute 'size'"
+        s = McSummary("ensemble", (1, 10), 0, [0.1, 0.2, math.nan])
+        assert s.seeds.tolist() == [0, 1, 2] and (s.runs_ok, s.runs_failed) == (2, 1)
+        assert s.j_runs.dtype == np.float64 and s.j_runs.tolist()[:2] == [0.1, 0.2]
+
+    @pytest.mark.parametrize(
+        "j_runs, message",
+        [
+            # a (1, 2) array was stored, and its seeds were [0 1]
+            (np.zeros((1, 2)), r"^j_runs must be one-dimensional, got shape \(1, 2\)$"),
+            (np.float64(0.5), r"^j_runs must be one-dimensional, got shape \(\)$"),
+            ([[0.1], [0.2, 0.3]], r"^j_runs must be one-dimensional, got nested sequences of unequal lengths$"),
+            ([True, False], r"^j_runs entries must be real numbers, got dtype bool$"),
+            (["0.5"], r"^j_runs entries must be real numbers, got dtype <U3$"),
+        ],
+        ids=["two-dimensional", "scalar", "ragged", "bools", "strings"],
+    )
+    def test_runs_that_are_not_a_row_of_numbers_are_rejected(self, j_runs, message):
+        with pytest.raises(ValueError, match=message):
+            McSummary("ensemble", (1, 10), 0, j_runs)
+
+    def test_an_unknown_controller_is_rejected(self):
+        # "pid" was stored, and only export_summary_csv parsed it
+        with pytest.raises(ConfigError, match=r"unknown controller 'pid'"):
+            McSummary("pid", (1, 10), 0, np.zeros(2))
+
+    def test_the_runs_are_a_read_only_copy(self):
+        # a later write into the caller's array changed runs_ok
+        j_runs = np.array([0.1, 0.2])
+        s = McSummary("rls", (1, 10), 0, j_runs)
+        j_runs[0] = np.nan
+        assert s.runs_ok == 2 and s.j_runs.tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError, match="read-only"):
+            s.j_runs[0] = np.nan
+
+    def test_two_dimensional_runs_never_reach_a_file(self, tmp_path):
+        # export_summary_csv wrote the header, then raised TypeError on the (2, 1) array's rows
+        path = tmp_path / "summary.csv"
+        with pytest.raises(ValueError, match="one-dimensional"):
+            export_summary_csv([McSummary("rls", (1, 10), 0, np.zeros((2, 1)))], path)
+        assert not path.exists()
 
 
 class TestSummaryCsv:

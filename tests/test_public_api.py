@@ -36,7 +36,7 @@ BINDER_PARAMETERS = {
     "bind_filter": ["W", "P", "x", "rule"],
     "bind_log_likelihood": ["hyps", "rows"],
     "bind_posterior": ["post"],
-    "bind_ce_law": ["w", "eta", "eps_b", "u_max", "frozen"],
+    "bind_ce_law": ["w", "eta", "eps_b", "u_max"],
     "bind_ensemble_law": ["post", "W", "eta", "eps_b", "u_max"],
 }
 
