@@ -3,12 +3,15 @@
 Each noise hypothesis defines a subsystem with its own quantile-filter
 estimate and posterior probability.  The ensemble control signal is the
 posterior-weighted sum of the per-subsystem certainty-equivalence laws.
-Every function works over leading dimensions, with the subsystem axis S
-last, so one call serves a whole batch of runs.  The posterior update and
-the two laws are bound to their arrays once (:func:`bind_posterior`,
-:func:`bind_ce_law`, :func:`bind_ensemble_law`) and then stepped, and so is
-the scoring of residuals under the hypotheses (:func:`bind_log_likelihood`),
-which reads the residuals alone and builds its per-row constants once.
+A one-subsystem controller (rls, oracle, single-ald) has that law with one
+term at posterior 1.0: the sum starts from -0.0, so it is the subsystem's
+certainty-equivalence input bit for bit.  Every function works over leading
+dimensions, with the subsystem axis S last, so one call serves a whole
+batch of runs.  The posterior update and the law are bound to their arrays
+once (:func:`bind_posterior`, :func:`bind_ensemble_law`) and then stepped,
+and so is the scoring of residuals under the hypotheses
+(:func:`bind_log_likelihood`), which reads the residuals alone and builds
+its per-row constants once.
 
 An episode of its own, one row of S <= ``_FOLD_TERMS`` subsystems, is
 stepped by :func:`_bind_one_row` instead, which the episode loop selects.
@@ -27,9 +30,11 @@ call.  The semantics they rely on:
 - ``x/0.0`` raises, but no divisor is zero: |b1| is raised to the config's
   eps_b > 0, and every posterior entry the loop holds is at least
   :data:`POSTERIOR_FLOOR` or NaN, so a posterior total is > 0 or NaN;
-- ``np.add.reduce`` sums a row of fewer than 8 terms left to right from
-  +0.0, and a longer one pairwise.  The one-row steps sum left to right
-  (``_fold``), hence the bound S <= ``_FOLD_TERMS`` = 7.
+- ``np.add.reduce`` sums a row of fewer than 8 terms left to right, and a
+  longer one pairwise.  The one-row steps sum left to right (``_fold``),
+  hence the bound S <= ``_FOLD_TERMS`` = 7.  Both start from -0.0, which
+  the law passes as ``initial``: numpy's default start, +0.0, would turn a
+  sum of -0.0 terms into +0.0.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
     "DEFAULT_EPS_B",
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
-    "bind_ce_law",
     "bind_log_likelihood",
     "bind_posterior",
     "bind_ensemble_law",
@@ -60,34 +64,6 @@ POSTERIOR_FLOOR = 1e-12
 # The most terms np.add.reduce sums left to right, as _fold does: from 8 terms
 # on it sums pairwise, which differs from a left fold in a quarter to two thirds of rows.
 _FOLD_TERMS = 7
-
-
-def bind_ce_law(w, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_MAX):
-    """The certainty-equivalence law bound to the estimates ``w`` and regressors ``eta``: a function of ``y_r_next``.
-
-    Each call returns the input (y_r_next - eta'alpha)/b1 for the estimates
-    w = [b1, alpha...]; ``w`` (..., d), ``eta`` (..., d-1), the regressor
-    without u(k), and ``y_r_next`` broadcast.  Divisors smaller than
-    ``eps_b`` in magnitude are replaced by ``eps_b*sign(b1)`` with
-    sign(0) = +1, and the result is clamped to [-u_max, u_max].  Non-finite
-    inputs give a non-finite or clamped result.  ``w`` and ``eta`` may
-    change in place between calls; the views into them and the numpy
-    callables are taken here once.  A call may pass an array ``out`` of the
-    result's shape, which receives the input and is returned.
-    """
-    absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
-    maximum, minimum, vecdot = np.maximum, np.minimum, np.vecdot
-    b1_hat, alpha = w[..., 0], w[..., 1:]
-    # 0-d arrays, which numpy takes faster than Python floats
-    zero, eps_b, u_min, u_max = np.array(0.0), np.array(eps_b, dtype=float), np.array(-u_max), np.array(u_max)
-
-    def law(y_r_next, out=None):
-        # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
-        b1 = copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
-        u = divide(subtract(y_r_next, vecdot(eta, alpha)), b1)
-        return minimum(maximum(u, u_min), u_max, out=out)
-
-    return law
 
 
 def bind_log_likelihood(hyps: tuple[AldParams, ...], rows: int):
@@ -146,40 +122,58 @@ def bind_posterior(post: np.ndarray):
 def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float = DEFAULT_U_MAX):
     """The ensemble law bound to its arrays: a function of ``y_r_next``.
 
-    Each call returns the posterior-weighted sum of the certainty-equivalence
-    laws (:func:`bind_ce_law`) of the estimates ``W`` (..., S, d) under the
-    posteriors ``post`` (..., S); ``eta`` (..., d-1) is shared by the S
-    subsystems.  All three may change in place between calls.  A call may
-    pass an array ``out`` of the result's shape, which receives the input
-    and is returned.
+    Each call returns the posterior-weighted sum, under the posteriors
+    ``post`` (..., S), of the certainty-equivalence inputs
+    (y_r_next - eta'alpha)/b1 of the estimates w = [b1, alpha...] in ``W``
+    (..., S, d); ``eta`` (..., d-1), the regressor without u(k), is shared
+    by the S subsystems, and ``y_r_next`` broadcast.  Divisors smaller than
+    ``eps_b`` in magnitude are replaced by ``eps_b*sign(b1)`` with
+    sign(0) = +1, and each input is clamped to [-u_max, u_max].  Non-finite
+    inputs give a non-finite or clamped result.  The sum starts from -0.0,
+    so one subsystem at posterior 1.0 gives its input bit for bit, -0.0
+    included.  All three arrays may change in place between calls; the
+    views into them and the numpy callables are taken here once.  A call
+    may pass an array ``out`` of the result's shape, which receives the
+    input and is returned.
 
-    Each law is clamped to [-u_max, u_max], but their weighted sum is not
-    clamped again.  Posteriors from :func:`bind_posterior` sum to one only
-    within rounding, so with every law saturated the input can pass u_max
-    by an ulp or two (1000.0000000000001 for u_max = 1000).  Its magnitude
-    stays below u_max*(1 + 2*S*eps), eps = 2**-52: the posteriors sum to
-    within about S*eps/2 of one, and the S products and S - 1 additions add
-    about S*eps/2 more.  Clamping the sum would add an operation to every call.
+    The weighted sum is not clamped again.  Posteriors from
+    :func:`bind_posterior` sum to one only within rounding, so with every
+    input saturated the sum can pass u_max by an ulp or two
+    (1000.0000000000001 for u_max = 1000).  Its magnitude stays below
+    u_max*(1 + 2*S*eps), eps = 2**-52: the posteriors sum to within about
+    S*eps/2 of one, and the S products and S - 1 additions add about S*eps/2
+    more.  Clamping the sum would add an operation to every call.
     """
-    multiply, total = np.multiply, np.add.reduce
-    laws = bind_ce_law(W, eta[..., None, :], eps_b, u_max)
+    absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
+    maximum, minimum, multiply, vecdot, total = np.maximum, np.minimum, np.multiply, np.vecdot, np.add.reduce
+    b1_hat, alpha, eta_s = W[..., 0], W[..., 1:], eta[..., None, :]
+    # 0-d arrays, which numpy takes faster than Python floats
+    zero, eps_b, u_min, u_max = np.array(0.0), np.array(eps_b, dtype=float), np.array(-u_max), np.array(u_max)
 
     def law(y_r_next, out=None):
-        return total(multiply(post, laws(y_r_next)), -1, out=out)
+        # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
+        b1 = copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
+        u = minimum(maximum(divide(subtract(y_r_next, vecdot(eta_s, alpha)), b1), u_min), u_max)
+        return total(multiply(post, u), -1, out=out, initial=-0.0)
 
     return law
 
 
 def _fold(values) -> float:
-    """The sum of ``values`` left to right from +0.0: ``np.add.reduce``'s bits for up to ``_FOLD_TERMS`` terms."""
-    total = 0.0
+    """The sum of ``values`` left to right from -0.0: ``np.add.reduce``'s bits for up to ``_FOLD_TERMS`` terms.
+
+    That is the law's reduce, which starts from -0.0 too.  The posterior
+    step's reduce starts from +0.0, but its terms are never -0.0, and then
+    either start gives the same bits.
+    """
+    total = -0.0
     for value in values:
         total += value
     return total
 
 
 def _ce_input(target: float, b1: float, eps_b: float, u_max: float) -> float:
-    """The certainty-equivalence input ``target``/b1 on Python floats, with :func:`bind_ce_law`'s divisor and clamp.
+    """The certainty-equivalence input ``target``/b1 on Python floats, as :func:`bind_ensemble_law` divides and clamps.
 
     The divisor copysign(max(|b1|, eps_b), b1 + 0.0) is, case by case, b1
     itself unless |b1| < eps_b, and then eps_b with the sign of b1, + for
@@ -200,10 +194,8 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     ``hyps`` and updates ``post`` in place, as :func:`bind_log_likelihood`
     and :func:`bind_posterior` do; every entry of ``post`` must be at least
     :data:`POSTERIOR_FLOOR` or NaN.  ``law(y_r, out)`` writes the input for
-    the reference ``y_r``, a float, into ``out[0]`` and returns ``out``: with
-    S = 1 subsystem 0's certainty-equivalence input itself, as
-    :func:`bind_ce_law` gives it, and otherwise the posterior-weighted sum
-    that :func:`bind_ensemble_law` forms.
+    the reference ``y_r``, a float, into ``out[0]`` and returns ``out``: the
+    posterior-weighted sum that :func:`bind_ensemble_law` forms.
     """
     exp, peak, vecdot = np.exp, np.maximum.reduce, np.vecdot
     mus = [h.mu for h in hyps]
@@ -225,7 +217,8 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     def law(y_r: float, out):
         (dots,), (b1s,) = vecdot(eta_s, alpha).tolist(), b1_hat.tolist()
         inputs = [_ce_input(y_r - dot, b1, eps_b, u_max) for dot, b1 in zip(dots, b1s)]
-        # one subsystem's input is its law's: a sum from +0.0 would turn its -0.0 into +0.0
+        # one subsystem's posterior is 1.0 and -0.0 + 1.0*u is u, so skipping the product and the
+        # sum keeps the bits; it saves about 5% of a one-row oracle episode
         out[0] = _fold(map(mul, post.tolist()[0], inputs)) if weighted else inputs[0]
         return out
 

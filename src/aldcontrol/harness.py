@@ -11,7 +11,7 @@ per batch: ``bind_plant``, ``bind_filter``, ``bind_log_likelihood`` (to the
 hypotheses of the batch's scored ensemble and its scored rows, a prefix of
 the learning rows: it scores that prefix of the residuals the filter step
 returns, and reads nothing else), ``bind_posterior``, and
-``bind_ensemble_law`` or ``bind_ce_law``, to the state arrays.  Every
+``bind_ensemble_law``, to the state arrays.  Every
 history of a row is a column block of one array, which the loop alone
 shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
@@ -33,9 +33,11 @@ one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
 each run's windowed error.
 
 Only banks of two or more subsystems are scored; a one-subsystem posterior
-is the constant 1.0.  A run fails at step i + 1 when row i is the first whose
-output, measurement, control or estimates are not finite (a NaN posterior
-makes the weighted control NaN at its step); from there on its rows are NaN.
+is the constant 1.0, so the ensemble law gives such a bank its subsystem's
+certainty-equivalence input bit for bit.  A run fails at step i + 1 when
+row i is the first whose output, measurement, control or estimates are not
+finite (a NaN posterior makes the weighted control NaN at its step); from
+there on its rows are NaN.
 Monte Carlo summaries count failures and average the successes; their runs
 fail by the same rule, read from the final estimates (see ``_error_recorder``).
 Any error raised while stepping propagates.
@@ -50,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import _FOLD_TERMS, _bind_one_row, bind_ce_law, bind_ensemble_law, bind_log_likelihood, bind_posterior
+from .controller import _FOLD_TERMS, _bind_one_row, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import _integer, _items, _shown, _store, bind_plant, parameter_vector, reference_trajectory
@@ -249,9 +251,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
         def bayes(residual):
             update_post(log_likelihood(residual))
 
-        # an S = 1 bank is unscored, so its posterior is the constant 1.0 and
-        # 1.0*u is u: its control is subsystem 0's law itself
-        control = bind_ce_law(W[:, 0], eta, *limits) if S == 1 else bind_ensemble_law(post, W, eta, *limits)
+        control = bind_ensemble_law(post, W, eta, *limits)
     add = np.add
 
     # a diverging run overflows; the recorder diagnoses it after the loop

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from aldcontrol import (
     POSTERIOR_FLOOR,
     AldParams,
-    bind_ce_law,
     bind_ensemble_law,
     bind_filter,
     bind_log_likelihood,
@@ -24,9 +23,14 @@ from aldcontrol.controller import _bind_one_row
 from reference import ald_pdf, ald_sample
 
 
+def ce_law(w, eta, *limits, **kw):
+    """The certainty-equivalence law of ``w`` (..., d): the ensemble law of one subsystem at posterior 1.0."""
+    return bind_ensemble_law(np.ones((*w.shape[:-1], 1)), w[..., None, :], eta, *limits, **kw)
+
+
 def ce_input(w, eta, y_r_next, **kw):
     """The certainty-equivalence input of one call, from a law bound for it alone."""
-    return bind_ce_law(w, eta, **kw)(y_r_next)
+    return ce_law(w, eta, **kw)(y_r_next)
 
 
 class TestCeControl:
@@ -71,7 +75,7 @@ class TestCeLawOut:
         # the episode loop passes the step's column of its (rows, steps) input record
         w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
         eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
-        law, record = bind_ce_law(w, eta, 1e-6, 1e3), np.empty((rows, 3))
+        law, record = ce_law(w, eta, 1e-6, 1e3), np.empty((rows, 3))
         for out in record.T:
             y_r_next = data.draw(arrays(float, data.draw(st.sampled_from([(), (1,)])), elements=LAW_VALUES))
             with np.errstate(all="ignore"):
@@ -353,13 +357,6 @@ def stack_and_row(data, shape, elements=VALUES):
     return data.draw(arrays(float, (rows, *shape), elements=elements)), data.draw(st.integers(0, rows - 1))
 
 
-def array_law(post, W, eta, eps_b, u_max):
-    """The array law the episode loop binds for a stack: subsystem 0's own law for S = 1, else the ensemble law."""
-    if W.shape[1] == 1:
-        return bind_ce_law(W[:, 0], eta, eps_b, u_max)
-    return bind_ensemble_law(post, W, eta, eps_b, u_max)
-
-
 class TestOneRowStep:
     """The episode loop's one-row step on Python floats gives the bits of the row within a stack of array steps."""
 
@@ -383,10 +380,11 @@ class TestOneRowStep:
     def test_law(self, n_sub, d, eps_b, u_max, data):
         W, i = stack_and_row(data, (n_sub, d))
         eta = data.draw(arrays(float, (len(W), d - 1), elements=LAW_VALUES))
-        post = data.draw(arrays(float, (len(W), n_sub), elements=POSTERIORS))
+        # one subsystem's posterior is the constant the loop holds, 1.0
+        post = np.ones((len(W), 1)) if n_sub == 1 else data.draw(arrays(float, (len(W), n_sub), elements=POSTERIORS))
         rows = post[i : i + 1], W[i : i + 1], eta[i : i + 1]
         _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, *rows, eps_b, u_max)
-        stacked = array_law(post, W, eta, eps_b, u_max)
+        stacked = bind_ensemble_law(post, W, eta, eps_b, u_max)
         # the loop passes the reference as a Python float to either law
         y_r, out = data.draw(SPECIAL | st.floats(-1e6, 1e6)), np.empty(1)
         with np.errstate(all="ignore"):
@@ -394,11 +392,25 @@ class TestOneRowStep:
             assert same_bits(out, stacked(y_r)[i : i + 1])
 
     def test_one_subsystem_keeps_the_sign_of_a_zero_input(self):
-        # a sum from +0.0 would give +0.0: the input is subsystem 0's law itself, as bind_ce_law gives it
+        # a sum from +0.0 would give +0.0: the sum from -0.0 of one input at posterior 1.0 is the input itself
         W, eta = np.array([[[1.0, 0.0]]]), np.zeros((1, 1))
         _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)], np.ones((1, 1)), W, eta, 1e-6, 1e3)
         assert math.copysign(1.0, law(-0.0, np.empty(1))[0]) == -1.0
-        assert same_bits(law(-0.0, np.empty(1)), bind_ce_law(W[:, 0], eta)(-0.0))
+        assert same_bits(law(-0.0, np.empty(1)), ce_law(W[:, 0], eta)(-0.0))
+        # and so does every row of a stack
+        stack = bind_ensemble_law(np.ones((3, 1)), np.tile(W, (3, 1, 1)), np.zeros((3, 1)))(-0.0)
+        assert same_bits(stack, np.full(3, -0.0))
+
+    @pytest.mark.parametrize("n_sub", [3, 9], ids=["left-fold", "pairwise"])
+    def test_a_sum_of_negative_zeros_is_negative_zero(self, n_sub):
+        # every input is -0.0 and every weight positive, so every weighted input is -0.0;
+        # numpy's reduce from +0.0 gave +0.0, and so did the fold
+        W, eta = np.tile([1.0, 0.0], (1, n_sub, 1)), np.zeros((1, 1))
+        post = np.full((1, n_sub), 1.0 / n_sub)
+        assert same_bits(bind_ensemble_law(post, W, eta)(-0.0), np.array([-0.0]))
+        if n_sub <= 7:
+            _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, post, W, eta, 1e-6, 1e3)
+            assert same_bits(law(-0.0, np.empty(1)), np.array([-0.0]))
 
     def test_a_sum_of_three_folds_left_as_numpy_does(self):
         # (0.1 + 0.2) + 0.3 is 0.6000000000000001 and 0.1 + (0.2 + 0.3) is 0.6
@@ -433,10 +445,9 @@ class TestOneRowStep:
     [
         lambda post, W, eta: bind_log_likelihood([AldParams(0.5, 0.0, 1.0)] * 3, len(post)),
         lambda post, W, eta: bind_posterior(post),
-        lambda post, W, eta: bind_ce_law(W[:, 0], eta),
         lambda post, W, eta: bind_ensemble_law(post, W, eta),
     ],
-    ids=["bind_log_likelihood", "bind_posterior", "bind_ce_law", "bind_ensemble_law"],
+    ids=["bind_log_likelihood", "bind_posterior", "bind_ensemble_law"],
 )
 def test_a_public_binder_has_one_step_for_every_row_count(bind):
     # the one-row step is chosen by the episode loop alone, never by a binder from its shapes

@@ -1,9 +1,10 @@
 """Byte-level regression gate on episode traces.
 
 The digests are sha256 hashes of ``export_trace_csv`` output for every preset,
-both feedback modes and every controller token, at 300 steps and seed 0.  The
-CSV carries each float to 17 significant digits, so any change to the
-arithmetic of the episode loop, including its order, changes a digest.
+both feedback modes and every controller token, at 300 steps and seed 0, and
+of two ``montecarlo`` summary CSVs, whose multi-row batches the episodes do
+not step.  The CSVs carry each float to 17 significant digits, so any change
+to the arithmetic of the episode loop, including its order, changes a digest.
 Regenerate them only in a change that is meant to alter the traces, and say
 so in its notes.
 """
@@ -14,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from aldcontrol import PRESETS, export_trace_csv, preset_config, run_episode
+from aldcontrol.cli import main
 
 TRACE_SHA256 = {
     ('base', 'output', 'ensemble'): "a901441d5ff98f5b2d889f6d9891b72055293573063166e2cc0ec077b5375647",
@@ -94,3 +96,21 @@ def test_divergent_rls_episode_fails_at_pinned_step():
     cfg = replace(preset_config("base"), steps=1400, controller="rls", u_max=1e-12)
     tr = run_episode(cfg)
     assert (tr.failed, tr.fail_step) == (True, 1160)
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["--runs", "300"], "f9b91e6b8be8c8e89f5c4532956a96dbfa799575be142f64eb78080f1766fd1d"),
+        # every bank has one subsystem, so no row is scored
+        (
+            ["--controllers", "rls,oracle,single-ald:0", "--runs", "100"],
+            "76db00a0a305b21bece5147a6400cf34b95fda7c00206d35d348c3ee2f72f17d",
+        ),
+    ],
+    ids=["noise1", "noise1-one-subsystem"],
+)
+def test_monte_carlo_summary_bytes_are_pinned(args, digest, tmp_path):
+    path = tmp_path / "summary.csv"
+    assert main(["montecarlo", "--preset", "noise1", *args, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -559,8 +559,7 @@ class TestSummaryConsumer:
         ys, us = [], []
         monkeypatch.setattr(harness, "bind_filter", injecting)
         monkeypatch.setattr(harness, "bind_plant", recording(harness.bind_plant, ys))
-        for name in ("bind_ce_law", "bind_ensemble_law"):
-            monkeypatch.setattr(harness, name, recording(getattr(harness, name), us))
+        monkeypatch.setattr(harness, "bind_ensemble_law", recording(harness.bind_ensemble_law, us))
         one_row = harness._bind_one_row
 
         def recording_one_row(*args):

@@ -15,7 +15,7 @@ from aldcontrol import (
     MixtureComponent,
     NoiseModel,
     TrajectorySpec,
-    bind_ce_law,
+    bind_ensemble_law,
     bind_plant,
     mixture_sample,
     parameter_vector,
@@ -110,9 +110,10 @@ class TestPlantStep:
         # [z(k), z(k-1)], so each input pins the shifted measurement history
         cfg = replace(preset_config("base"), controller="oracle", feedback="measurement", steps=60)
         tr = run_episode(cfg)
-        w = parameter_vector(cfg.plant)
+        # the certainty-equivalence law: the ensemble law of one subsystem at posterior 1.0
+        W = parameter_vector(cfg.plant)[None, :]
         for i in range(1, cfg.steps - 1):
-            assert tr.u[i] == bind_ce_law(w, np.array([tr.z[i], tr.z[i - 1]]))(tr.y_r[i + 1])
+            assert tr.u[i] == bind_ensemble_law(np.ones(1), W, np.array([tr.z[i], tr.z[i - 1]]))(tr.y_r[i + 1])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 3), m=st.integers(1, 3), rows=st.integers(1, 3), data=st.data())

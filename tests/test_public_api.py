@@ -36,7 +36,6 @@ BINDER_PARAMETERS = {
     "bind_filter": ["W", "P", "x", "rule"],
     "bind_log_likelihood": ["hyps", "rows"],
     "bind_posterior": ["post"],
-    "bind_ce_law": ["w", "eta", "eps_b", "u_max"],
     "bind_ensemble_law": ["post", "W", "eta", "eps_b", "u_max"],
 }
 
@@ -60,6 +59,16 @@ def test_result_fields_are_pinned():
 
 def test_every_exported_binder_is_pinned():
     assert {name for name in dir(aldcontrol) if name.startswith("bind_")} == set(BINDER_PARAMETERS)
+
+
+def test_the_core_binds_every_exported_binder():
+    # the public step API is the set of steps the core binds: a binder that _run_batch stops calling leaves it
+    tree = ast.parse(inspect.getsource(aldcontrol.harness))
+    run_batch = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run_batch")
+    bound = {ast.unparse(call.func) for call in calls_in(run_batch)}
+    assert {name for name in bound if name.startswith("bind_")} == {
+        name for name in dir(aldcontrol) if name.startswith("bind_")
+    }
 
 
 def test_the_filter_step_returns_the_residuals_and_the_scoring_step_reads_them_alone():
