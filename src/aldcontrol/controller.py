@@ -4,24 +4,29 @@ Each noise hypothesis defines a subsystem with its own quantile-filter
 estimate and posterior probability.  The ensemble control signal is the
 posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 A one-subsystem controller (rls, oracle, single-ald) has that law with one
-term at posterior 1.0: the sum starts from -0.0, so it is the subsystem's
-certainty-equivalence input bit for bit.  Every function works over leading
-dimensions, with the subsystem axis S last, so one call serves a whole
-batch of runs.  The posterior update and the law are bound to their arrays
-once (:func:`bind_posterior`, :func:`bind_ensemble_law`) and then stepped,
-and so is the scoring of residuals under the hypotheses
+term at posterior 1.0: the sum of one term is that term, so it is the
+subsystem's certainty-equivalence input bit for bit.  Every function works
+over leading dimensions, with the subsystem axis S last, so one call serves
+a whole batch of runs.  The posterior update and the law are bound to their
+arrays once (:func:`bind_posterior`, :func:`bind_ensemble_law`) and then
+stepped, and so is the scoring of residuals under the hypotheses
 (:func:`bind_log_likelihood`), which reads the residuals alone and builds
 its per-row constants once.
 
-An episode of its own, one row of S <= ``_FOLD_TERMS`` subsystems, is
-stepped by :func:`_bind_one_row` instead, which the episode loop selects.
-Its Bayes and law steps give the array steps' bits.  They keep numpy for
-the calls that set them: ``vecdot``, whose BLAS kernels fuse multiplies and
-adds, ``exp``, which differs from ``math.exp`` in about 5% of values, and
-the NaN-propagating peak ``np.maximum.reduce``.  The slopes, divides,
-floors, sums, safeguarded divisors and clamps they do on Python floats,
-which round every operation as numpy does, without numpy's overhead per
-call.  The semantics they rely on:
+Every sum over the subsystems is a left fold from its first term,
+``np.add.accumulate(v, -1)[..., -1]``: numpy defines ``accumulate`` as the
+running sum r[i] = r[i-1] + v[i], so its order is fixed, where
+``np.add.reduce`` may sum pairwise (it does from 8 terms on).
+
+An episode of its own, one row of S subsystems, is stepped by
+:func:`_bind_one_row` instead, which the episode loop selects.  Its Bayes
+and law steps give the array steps' bits.  They keep numpy for the calls
+that set them: ``vecdot``, whose BLAS kernels fuse multiplies and adds,
+``exp``, which differs from ``math.exp`` in about 5% of values, and the
+NaN-propagating peak ``np.maximum.reduce``.  The slopes, divides, floors,
+sums (``_fold``, the same left fold), safeguarded divisors and clamps they
+do on Python floats, which round every operation as numpy does, without
+numpy's overhead per call.  The semantics they rely on:
 
 - an overflow gives inf and an invalid operation NaN, as in numpy;
 - a comparison with NaN is false, so the floor, the divisor and the
@@ -29,12 +34,7 @@ call.  The semantics they rely on:
   holds, pass NaN through as ``np.maximum`` and ``np.minimum`` do;
 - ``x/0.0`` raises, but no divisor is zero: |b1| is raised to the config's
   eps_b > 0, and every posterior entry the loop holds is at least
-  :data:`POSTERIOR_FLOOR` or NaN, so a posterior total is > 0 or NaN;
-- ``np.add.reduce`` sums a row of fewer than 8 terms left to right, and a
-  longer one pairwise.  The one-row steps sum left to right (``_fold``),
-  hence the bound S <= ``_FOLD_TERMS`` = 7.  Both start from -0.0, which
-  the law passes as ``initial``: numpy's default start, +0.0, would turn a
-  sum of -0.0 terms into +0.0.
+  :data:`POSTERIOR_FLOOR` or NaN, so a posterior total is > 0 or NaN.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ __all__ = [
 DEFAULT_EPS_B = 1e-6
 DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
-
-# The most terms np.add.reduce sums left to right, as _fold does: from 8 terms
-# on it sums pairwise, which differs from a left fold in a quarter to two thirds of rows.
-_FOLD_TERMS = 7
 
 
 def bind_log_likelihood(hyps: tuple[AldParams, ...], rows: int):
@@ -106,14 +102,14 @@ def bind_posterior(post: np.ndarray):
     divergence.
     """
     exp, subtract, multiply, divide, maximum = np.exp, np.subtract, np.multiply, np.divide, np.maximum
-    peak, total = np.maximum.reduce, np.add.reduce
+    peak, fold = np.maximum.reduce, np.add.accumulate
     floor = np.array(POSTERIOR_FLOOR)  # 0-d, which numpy takes faster than a Python float
 
     def update(log_lik) -> None:
         multiply(post, exp(subtract(log_lik, peak(log_lik, -1)[..., None])), post)
         # renormalization can push a floored entry a hair below the floor again, so twice
         for _ in range(2):
-            divide(post, total(post, -1)[..., None], post)
+            divide(post, fold(post, -1)[..., -1:], post)
             maximum(post, floor, out=post)
 
     return update
@@ -129,12 +125,11 @@ def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float =
     by the S subsystems, and ``y_r_next`` broadcast.  Divisors smaller than
     ``eps_b`` in magnitude are replaced by ``eps_b*sign(b1)`` with
     sign(0) = +1, and each input is clamped to [-u_max, u_max].  Non-finite
-    inputs give a non-finite or clamped result.  The sum starts from -0.0,
-    so one subsystem at posterior 1.0 gives its input bit for bit, -0.0
-    included.  All three arrays may change in place between calls; the
-    views into them and the numpy callables are taken here once.  A call
-    may pass an array ``out`` of the result's shape, which receives the
-    input and is returned.
+    inputs give a non-finite or clamped result.  The sum is a left fold
+    from the first term, so one subsystem at posterior 1.0 gives its input
+    bit for bit, -0.0 included.  All three arrays may change in place
+    between calls; the views into them and the numpy callables are taken
+    here once.
 
     The weighted sum is not clamped again.  Posteriors from
     :func:`bind_posterior` sum to one only within rounding, so with every
@@ -145,26 +140,28 @@ def bind_ensemble_law(post, W, eta, eps_b: float = DEFAULT_EPS_B, u_max: float =
     more.  Clamping the sum would add an operation to every call.
     """
     absolute, add, subtract, divide, copysign = np.absolute, np.add, np.subtract, np.divide, np.copysign
-    maximum, minimum, multiply, vecdot, total = np.maximum, np.minimum, np.multiply, np.vecdot, np.add.reduce
+    maximum, minimum, multiply, vecdot, fold = np.maximum, np.minimum, np.multiply, np.vecdot, np.add.accumulate
     b1_hat, alpha, eta_s = W[..., 0], W[..., 1:], eta[..., None, :]
     # 0-d arrays, which numpy takes faster than Python floats
     zero, eps_b, u_min, u_max = np.array(0.0), np.array(eps_b, dtype=float), np.array(-u_max), np.array(u_max)
 
-    def law(y_r_next, out=None):
+    def law(y_r_next):
         # |b1| raised to eps_b with the sign of b1; adding 0.0 turns -0.0 into +0.0
         b1 = copysign(maximum(absolute(b1_hat), eps_b), add(b1_hat, zero))
         u = minimum(maximum(divide(subtract(y_r_next, vecdot(eta_s, alpha)), b1), u_min), u_max)
-        return total(multiply(post, u), -1, out=out, initial=-0.0)
+        return fold(multiply(post, u), -1)[..., -1]
 
     return law
 
 
 def _fold(values) -> float:
-    """The sum of ``values`` left to right from -0.0: ``np.add.reduce``'s bits for up to ``_FOLD_TERMS`` terms.
+    """The sum of ``values`` left to right: the last entry of ``np.add.accumulate``, bit for bit.
 
-    That is the law's reduce, which starts from -0.0 too.  The posterior
-    step's reduce starts from +0.0, but its terms are never -0.0, and then
-    either start gives the same bits.
+    It starts from -0.0, which adds to any value without changing its bits,
+    so it equals accumulate's fold from the first term, and a sum of -0.0
+    terms is -0.0.  It is not builtin ``sum()``: from Python 3.12 that sums
+    floats with compensation, which is not a fold, and the package supports
+    Python 3.10 on.
     """
     total = -0.0
     for value in values:
@@ -189,13 +186,13 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     """The Bayes and control steps of one episode on Python floats: ``(bayes, law)``, with the array steps' bits.
 
     ``post`` (1, S), ``W`` (1, S, d) and ``eta`` (1, d-1) are the episode's
-    arrays, S <= ``_FOLD_TERMS``, and ``eps_b`` and ``u_max`` floats above 0.
+    arrays, and ``eps_b`` and ``u_max`` floats above 0.
     ``bayes(residual)`` scores the residuals (1, S) under the S hypotheses
     ``hyps`` and updates ``post`` in place, as :func:`bind_log_likelihood`
     and :func:`bind_posterior` do; every entry of ``post`` must be at least
-    :data:`POSTERIOR_FLOOR` or NaN.  ``law(y_r, out)`` writes the input for
-    the reference ``y_r``, a float, into ``out[0]`` and returns ``out``: the
-    posterior-weighted sum that :func:`bind_ensemble_law` forms.
+    :data:`POSTERIOR_FLOOR` or NaN.  ``law(y_r)`` returns the input for the
+    reference ``y_r``, a float, as a float: the posterior-weighted sum that
+    :func:`bind_ensemble_law` forms.
     """
     exp, peak, vecdot = np.exp, np.maximum.reduce, np.vecdot
     mus = [h.mu for h in hyps]
@@ -214,12 +211,11 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
             p = [POSTERIOR_FLOOR if v < POSTERIOR_FLOOR else v for v in p]
         post[0] = p
 
-    def law(y_r: float, out):
+    def law(y_r: float) -> float:
         (dots,), (b1s,) = vecdot(eta_s, alpha).tolist(), b1_hat.tolist()
         inputs = [_ce_input(y_r - dot, b1, eps_b, u_max) for dot, b1 in zip(dots, b1s)]
-        # one subsystem's posterior is 1.0 and -0.0 + 1.0*u is u, so skipping the product and the
-        # sum keeps the bits; it saves about 5% of a one-row oracle episode
-        out[0] = _fold(map(mul, post.tolist()[0], inputs)) if weighted else inputs[0]
-        return out
+        # one subsystem's posterior is 1.0, 1.0*u is u and a sum of one term is that term, so skipping
+        # the product and the sum keeps the bits; it saves about 5% of a one-row oracle episode
+        return _fold(map(mul, post.tolist()[0], inputs)) if weighted else inputs[0]
 
     return bayes, law

@@ -17,16 +17,17 @@ shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
 and each binding skips the exact no-ops its batch allows: an all-``rls``
 batch skips the sign and weight.  A batch of one row (:func:`run_episode`)
-with at most ``_FOLD_TERMS`` = 7 subsystems takes its Bayes and law steps
-from ``controller._bind_one_row`` instead, which score, update the
-posteriors and form the control on Python floats with the same bits;
-``_run_batch`` is the only place that picks them.  The measurement noise
-comes from a tape drawn from each seed's own stream, so a run does not
-depend on its batch.  The last seed's row is kept, so paired episodes
+takes its Bayes and law steps from ``controller._bind_one_row`` instead,
+whatever its S, which score, update the posteriors and form the control
+on Python floats with the same bits, since both sum over the subsystems
+left to right; ``_run_batch`` is the only place that picks them.  The
+measurement noise comes from a tape drawn from each seed's own stream, so
+a run does not depend on its batch.  The last seed's row is kept, so paired episodes
 (several controllers run one after another on one seed) draw it once.
 
-The loop keeps y and u per step: the plant and the law write them straight
-into the step's column of their records.  Recording is a sixth phase, bound
+The loop keeps y and u per step: the plant writes y straight into the
+step's column of its record, and the loop writes the law's input into the
+step's column of u and into the history.  Recording is a sixth phase, bound
 the same way by a recorder that the caller picks (see ``_run_batch``).
 ``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
 one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import _FOLD_TERMS, _bind_one_row, bind_ensemble_law, bind_log_likelihood, bind_posterior
+from .controller import _bind_one_row, bind_ensemble_law, bind_log_likelihood, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import _integer, _items, _shown, _store, bind_plant, parameter_vector, reference_trajectory
@@ -80,7 +81,7 @@ _AGGREGATE_HEADER = ["controller", "runs_ok", "runs_failed", "j_bar_mean"]
 _SUMMARY_LINE = "%s,%d,%d,%.17g\r\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeTrace:
     """Per-step record of one episode, rows k = 1..steps.
 
@@ -90,7 +91,8 @@ class EpisodeTrace:
     ``noise`` holds the measurement noise draws e(k).  ``fail_step`` is the
     first step whose record is not finite, or None.  ``steps``, the step
     numbers ``k`` and ``failed`` are derived: ``y.size``, 1..steps and
-    ``fail_step is not None``.
+    ``fail_step is not None``.  A trace compares and hashes by identity, as
+    its arrays cannot: compare the values of two with ``np.array_equal``.
     """
 
     controller: str
@@ -242,7 +244,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
     step_plant = bind_plant(plant, u_now, hist[:, width - n :])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
     limits = cfg.eps_b, cfg.u_max
-    if rows == 1 and S <= _FOLD_TERMS:
+    if rows == 1:
         # an episode of its own: the Bayes and law steps on Python floats, with the array steps' bits
         bayes, control = _bind_one_row(cfg.hypotheses, post, W, eta, *limits)
     else:
@@ -260,9 +262,9 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
         fed[...] = z if feedback_z else y
         # the references y_r(1)..y_r(steps + 1) as Python floats, which the array laws take with the same bits
         y_rs = iter(refs[1:].tolist())
-        control(next(y_rs), u_new)
+        u_new[...] = control(next(y_rs))
         # per step: the noise, the next reference and the step's column of y
-        # and u, into which the plant and the law write their outputs
+        # and u, into which the plant writes its output and the loop the law's
         for e, y_r_next, y_k, u_k in zip(tape.T[1:], y_rs, y_arr.T, u_arr.T):
             y = step_plant(y_k)
             add(y, e, z)
@@ -276,7 +278,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
                 fed[...], y_new[...] = z, y
             else:
                 fed[...] = y
-            u_new[...] = control(y_r_next, u_k)
+            u_new[...] = u_k[...] = control(y_r_next)
             if record:
                 record()
 
@@ -413,7 +415,7 @@ def max_tracking_error(trace: EpisodeTrace, window: tuple[int, int]) -> float:
     return float(np.max(err)) if np.all(np.isfinite(err)) else float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McSummary:
     """Monte Carlo result for one controller: the windowed error ``j_runs[i]`` of run i, seeded ``seed_base + i``.
 
@@ -426,7 +428,9 @@ class McSummary:
     :func:`accumulated_error` checks a window (two integers,
     1 <= k_lo <= k_hi).  ``j_runs`` is stored as a read-only float64 copy
     of a one-dimensional array of real numbers, so a later write into the
-    caller's array changes nothing here.
+    caller's array changes nothing here.  A summary compares and hashes by
+    identity, as its array cannot: compare the values of two with
+    ``np.array_equal``.
     """
 
     controller: str

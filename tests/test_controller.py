@@ -19,7 +19,7 @@ from aldcontrol import (
     quantile_rule,
     run_episode,
 )
-from aldcontrol.controller import _bind_one_row
+from aldcontrol.controller import _bind_one_row, _fold
 from reference import ald_pdf, ald_sample
 
 
@@ -66,22 +66,6 @@ LAW_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e-6, -1e-6, math.inf, -math.inf, math.nan]),
     st.floats(-1e3, 1e3),
 )
-
-
-class TestCeLawOut:
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(1, 4), d=st.integers(1, 4), data=st.data())
-    def test_out_receives_the_same_bits_and_is_returned(self, rows, d, data):
-        # the episode loop passes the step's column of its (rows, steps) input record
-        w = data.draw(arrays(float, (rows, d), elements=LAW_VALUES))
-        eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
-        law, record = ce_law(w, eta, 1e-6, 1e3), np.empty((rows, 3))
-        for out in record.T:
-            y_r_next = data.draw(arrays(float, data.draw(st.sampled_from([(), (1,)])), elements=LAW_VALUES))
-            with np.errstate(all="ignore"):
-                u = law(y_r_next)
-                assert law(y_r_next, out) is out
-            assert u.tobytes() == out.tobytes()
 
 
 def scores(hyps, residuals):
@@ -272,20 +256,6 @@ class TestEnsembleControl:
             assert law(np.array(y_r_next))[0] == u
             assert abs(u) <= bound
 
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(1, 4), n_sub=st.integers(1, 4), d=st.integers(1, 4), data=st.data())
-    def test_out_receives_the_same_bits_and_is_returned(self, rows, n_sub, d, data):
-        W = data.draw(arrays(float, (rows, n_sub, d), elements=LAW_VALUES))
-        eta = data.draw(arrays(float, (rows, d - 1), elements=LAW_VALUES))
-        post = data.draw(arrays(float, (rows, n_sub), elements=st.floats(0.0, 1.0)))
-        law, record = bind_ensemble_law(post, W, eta), np.empty((rows, 3))
-        for out in record.T:
-            y_r_next = np.array([data.draw(LAW_VALUES)])
-            with np.errstate(all="ignore"):
-                u = law(y_r_next)
-                assert law(y_r_next, out) is out
-            assert u.tobytes() == out.tobytes()
-
 
 class TestOracleControl:
     def test_matches_ce_at_true_parameters(self):
@@ -342,8 +312,8 @@ HYPOTHESES = st.builds(
 )
 # a law's constants: a divisor floor that b1 values of LAW_VALUES fall below, and bounds that saturate or never do
 EPS_B, U_MAX = st.sampled_from([1e-6, 0.5]), st.sampled_from([1e3, 1.0, math.inf])
-# the banks the one-row step serves: S <= 7, where np.add.reduce sums left to right
-N_SUB = st.integers(1, 7)
+# the banks the one-row step serves, which is every S: from 8 on np.add.reduce would sum pairwise
+N_SUB = st.integers(1, 12)
 # what the episode loop's posteriors hold: every entry at least the floor, or NaN
 POSTERIORS = st.sampled_from([POSTERIOR_FLOOR, 1.0, math.nan]) | st.floats(POSTERIOR_FLOOR, 1.0)
 
@@ -386,31 +356,31 @@ class TestOneRowStep:
         _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, *rows, eps_b, u_max)
         stacked = bind_ensemble_law(post, W, eta, eps_b, u_max)
         # the loop passes the reference as a Python float to either law
-        y_r, out = data.draw(SPECIAL | st.floats(-1e6, 1e6)), np.empty(1)
+        y_r = data.draw(SPECIAL | st.floats(-1e6, 1e6))
         with np.errstate(all="ignore"):
-            assert law(y_r, out) is out
-            assert same_bits(out, stacked(y_r)[i : i + 1])
+            u = law(y_r)
+            assert type(u) is float
+            assert same_bits([u], stacked(y_r)[i : i + 1])
 
     def test_one_subsystem_keeps_the_sign_of_a_zero_input(self):
-        # a sum from +0.0 would give +0.0: the sum from -0.0 of one input at posterior 1.0 is the input itself
+        # a sum from +0.0 would give +0.0: the left fold of one input at posterior 1.0 is the input itself
         W, eta = np.array([[[1.0, 0.0]]]), np.zeros((1, 1))
         _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)], np.ones((1, 1)), W, eta, 1e-6, 1e3)
-        assert math.copysign(1.0, law(-0.0, np.empty(1))[0]) == -1.0
-        assert same_bits(law(-0.0, np.empty(1)), ce_law(W[:, 0], eta)(-0.0))
+        assert math.copysign(1.0, law(-0.0)) == -1.0
+        assert same_bits([law(-0.0)], ce_law(W[:, 0], eta)(-0.0))
         # and so does every row of a stack
         stack = bind_ensemble_law(np.ones((3, 1)), np.tile(W, (3, 1, 1)), np.zeros((3, 1)))(-0.0)
         assert same_bits(stack, np.full(3, -0.0))
 
-    @pytest.mark.parametrize("n_sub", [3, 9], ids=["left-fold", "pairwise"])
+    @pytest.mark.parametrize("n_sub", [3, 9], ids=["3-terms", "9-terms"])
     def test_a_sum_of_negative_zeros_is_negative_zero(self, n_sub):
         # every input is -0.0 and every weight positive, so every weighted input is -0.0;
-        # numpy's reduce from +0.0 gave +0.0, and so did the fold
+        # numpy's reduce from +0.0 gave +0.0, and so did a fold from +0.0
         W, eta = np.tile([1.0, 0.0], (1, n_sub, 1)), np.zeros((1, 1))
         post = np.full((1, n_sub), 1.0 / n_sub)
         assert same_bits(bind_ensemble_law(post, W, eta)(-0.0), np.array([-0.0]))
-        if n_sub <= 7:
-            _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, post, W, eta, 1e-6, 1e3)
-            assert same_bits(law(-0.0, np.empty(1)), np.array([-0.0]))
+        _, law = _bind_one_row([AldParams(0.5, 0.0, 1.0)] * n_sub, post, W, eta, 1e-6, 1e3)
+        assert same_bits([law(-0.0)], np.array([-0.0]))
 
     def test_a_sum_of_three_folds_left_as_numpy_does(self):
         # (0.1 + 0.2) + 0.3 is 0.6000000000000001 and 0.1 + (0.2 + 0.3) is 0.6
@@ -436,8 +406,45 @@ class TestOneRowStep:
         assert left != normalized([0.1, 0.2, 0.3], lambda p: p[0] + (p[1] + p[2]))
         assert row.tolist() == [left] and same_bits(row, stack[:1])
         _, law = _bind_one_row(hyps, weights[:1], W[:1], eta[:1], 1e-6, 1e3)
-        one = law(1.0, np.empty(1))
-        assert one[0] == 0.6000000000000001 and same_bits(one, bind_ensemble_law(weights, W, eta)(1.0)[:1])
+        one = law(1.0)
+        assert one == 0.6000000000000001 and same_bits([one], bind_ensemble_law(weights, W, eta)(1.0)[:1])
+
+
+def order_sensitive_rows(n_sub: int, rows: int = 500) -> np.ndarray:
+    """(rows, n_sub) terms whose sums depend on their order: magnitudes 1 and 1e+-300 of either sign,
+    about 5% of them +-0.0, +-inf or NaN, and the first rows all -0.0."""
+    rng = np.random.default_rng(n_sub)
+    v = rng.normal(size=(rows, n_sub)) * 10.0 ** rng.choice([-300, 0, 0, 0, 300], size=(rows, n_sub))
+    special = rng.random((rows, n_sub)) < 0.05
+    v[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
+    v[:5] = -0.0
+    return v
+
+
+class TestSummationOrder:
+    """Every sum over the subsystems is a left fold, so the array steps' sums are ``_fold``'s bits for any S."""
+
+    @pytest.mark.parametrize("n_sub", range(1, 18))
+    def test_the_law_sums_left_to_right(self, n_sub):
+        weights = order_sensitive_rows(n_sub)
+        # every input is 1.0, so each weighted input is its weight bit for bit
+        W, eta = np.zeros((len(weights), n_sub, 2)), np.zeros((len(weights), 1))
+        W[..., 0] = 1.0
+        with np.errstate(all="ignore"):
+            u = bind_ensemble_law(weights, W, eta, 1e-6, math.inf)(1.0)
+        assert same_bits(u, [_fold(row) for row in weights.tolist()])
+
+    @pytest.mark.parametrize("n_sub", range(1, 18))
+    def test_the_posterior_total_sums_left_to_right(self, n_sub):
+        post = order_sensitive_rows(n_sub)
+        expected = post.copy()
+        with np.errstate(all="ignore"):
+            for row in expected:
+                for _ in range(2):
+                    row[...] = np.maximum(row / _fold(row.tolist()), POSTERIOR_FLOOR)
+            # equal log-likelihoods multiply every entry by exp(0.0) = 1.0, so only the renormalization acts
+            bind_posterior(post)(np.zeros(post.shape))
+        assert same_bits(post, expected)
 
 
 @pytest.mark.parametrize(

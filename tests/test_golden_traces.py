@@ -3,18 +3,19 @@
 The digests are sha256 hashes of ``export_trace_csv`` output for every preset,
 both feedback modes and every controller token, at 300 steps and seed 0, and
 of two ``montecarlo`` summary CSVs, whose multi-row batches the episodes do
-not step.  The CSVs carry each float to 17 significant digits, so any change
-to the arithmetic of the episode loop, including its order, changes a digest.
-Regenerate them only in a change that is meant to alter the traces, and say
-so in its notes.
+not step, and of one episode of nine hypotheses.  The CSVs carry each float
+to 17 significant digits, so any change to the arithmetic of the episode
+loop, including its order, changes a digest.  Regenerate them only in a
+change that is meant to alter the traces, and say so in its notes.
 """
 
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from aldcontrol import PRESETS, export_trace_csv, preset_config, run_episode
+from aldcontrol import PRESETS, AldParams, export_trace_csv, preset_config, run_episode
 from aldcontrol.cli import main
 
 TRACE_SHA256 = {
@@ -90,6 +91,17 @@ def test_every_preset_feedback_and_token_is_pinned():
         tokens = ["ensemble", "rls", "oracle"] + [f"single-ald:{i}" for i in range(n_hyp)]
         expected |= {(preset, fb, t) for fb in ("output", "measurement") for t in tokens}
     assert set(TRACE_SHA256) == expected
+
+
+def test_nine_hypothesis_ensemble_trace_is_pinned(tmp_path):
+    # S = 9 > 7, where np.add.reduce would sum pairwise: the one-row step and the array steps fold left
+    taus, sigmas = np.linspace(0.1, 0.9, 9), np.geomspace(0.01, 2.0, 9)
+    hypotheses = tuple(AldParams(float(t), 0.0, float(s)) for t, s in zip(taus, sigmas))
+    cfg = replace(preset_config("noise1"), steps=300, seed=0, controller="ensemble", hypotheses=hypotheses)
+    path = tmp_path / "trace.csv"
+    export_trace_csv(run_episode(cfg), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "62951608ffcbdf1b16c3dab61cc79e7adfdfe6961cba02e257fb129feb4d465c"
 
 
 def test_divergent_rls_episode_fails_at_pinned_step():

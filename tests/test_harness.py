@@ -201,6 +201,12 @@ def with_plant(cfg, plant):
     return cfg if plant is None else replace(cfg, plant=plant, w0=None)
 
 
+def many_hypotheses(cfg, n_hyp: int):
+    """``cfg`` at 300 steps with ``n_hyp`` hypotheses, tau from 0.1 to 0.9 and sigma from 0.01 to 2.0."""
+    taus, sigmas = np.linspace(0.1, 0.9, n_hyp), np.geomspace(0.01, 2.0, n_hyp)
+    return short(cfg, hypotheses=[AldParams(t, 0.0, s) for t, s in zip(taus, sigmas)], steps=300)
+
+
 class TestBatchedCore:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -216,7 +222,7 @@ class TestBatchedCore:
     def test_rows_equal_single_runs_and_follow_the_seeds(
         self, preset, plant, feedback, token, steps, seeds, hypotheses, data
     ):
-        # up to 9 hypotheses: run_episode's one-row posterior and ensemble steps sum on Python floats up to 7
+        # up to 9 hypotheses: run_episode's one-row steps sum on Python floats and a batch's on arrays
         cfg = with_plant(replace(preset_config(preset), steps=steps, feedback=feedback, controller=token), plant)
         if hypotheses is not None:
             cfg = replace(cfg, hypotheses=hypotheses)
@@ -230,14 +236,22 @@ class TestBatchedCore:
         for trace, whole in zip(run_batch(replace(cfg, steps=cut), [token], seeds)[0], traces):
             assert_prefix(trace, whole)
 
-    @pytest.mark.parametrize("n_hyp", [7, 8, 9])
-    def test_ensemble_rows_equal_single_runs_on_both_sides_of_the_one_row_bound(self, base, n_hyp):
-        # run_episode's posterior and ensemble steps sum on Python floats for S <= 7 and as a batch does above
-        taus, sigmas = np.linspace(0.1, 0.9, n_hyp), np.geomspace(0.01, 2.0, n_hyp)
-        cfg = short(base, hypotheses=[AldParams(t, 0.0, s) for t, s in zip(taus, sigmas)], steps=300)
+    @pytest.mark.parametrize("n_hyp", [7, 8, 9, 12])
+    def test_ensemble_rows_equal_single_runs_for_seven_to_twelve_hypotheses(self, base, n_hyp):
+        # run_episode's posterior and ensemble steps sum on Python floats and a batch's on arrays,
+        # both left to right, so they agree below 8 terms, where np.add.reduce would too, and from 8 on
+        cfg = many_hypotheses(base, n_hyp)
         [traces] = run_batch(cfg, ["ensemble"], [3, 4])
         for seed, trace in zip([3, 4], traces):
             assert_same_trace(trace, run_episode(replace(cfg, seed=seed)))
+
+    def test_an_episode_of_nine_hypotheses_takes_the_one_row_step(self, base, monkeypatch):
+        # the one-row step is picked by the row count alone, whatever S is
+        binds = []
+        bind = harness._bind_one_row
+        monkeypatch.setattr(harness, "_bind_one_row", lambda *args: binds.append(args[1].shape) or bind(*args))
+        trace = run_episode(many_hypotheses(base, 9))
+        assert binds == [(1, 9)] and trace.posteriors.shape == (300, 9)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -978,6 +992,23 @@ class TestTraceCsv:
 
 # seed bases from 0 to past 2**64, crowded around 2**63, where the seeds leave int64
 SEED_BASES = st.integers(0, 2**65) | st.integers(2**63 - 8, 2**63 + 8)
+
+
+class TestResultIdentity:
+    # the generated __eq__ compared the array fields: == raised ValueError "The truth value of an
+    # array with more than one element is ambiguous", and hash() TypeError "unhashable type"
+    def test_traces_compare_and_hash_by_identity(self, base):
+        cfg = short(base, steps=20)
+        one, two = run_episode(cfg), run_episode(cfg)
+        assert one == one and one != two and one in [one] and one not in [two]
+        assert hash(one) == hash(one) and len({one, two, replace(one)}) == 3
+        assert all(np.array_equal(getattr(one, f.name), getattr(two, f.name)) for f in fields(one))
+
+    def test_summaries_compare_and_hash_by_identity(self):
+        [s] = compare_controllers(short(preset_config("noise1"), steps=20), ["ensemble"], 3, (1, 20))
+        again = replace(s)
+        assert s == s and s != again and s not in [again] and {s: 1}[s] == 1 and hash(s) != hash(again)
+        assert np.array_equal(s.j_runs, again.j_runs)
 
 
 class TestSummaryFields:

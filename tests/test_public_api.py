@@ -45,6 +45,37 @@ def test_binder_signatures_are_pinned():
     assert actual == BINDER_PARAMETERS
 
 
+# The parameters, in order, of the step each binder returns and of the one-row binder's two steps:
+# a parameter added back to a step, such as an ``out`` on a law, is a reviewed edit here.
+STEP_PARAMETERS = {
+    "bind_plant": ["out"],
+    "bind_filter": ["z"],
+    "bind_log_likelihood": ["residual"],
+    "bind_posterior": ["log_lik"],
+    "bind_ensemble_law": ["y_r_next"],
+    "_bind_one_row.bayes": ["residual"],
+    "_bind_one_row.law": ["y_r"],
+}
+
+
+def test_step_signatures_are_pinned():
+    rows, hyps = 2, (aldcontrol.AldParams(0.9, 0.0, 0.5), aldcontrol.AldParams(0.3, 0.1, 2.0))
+    post, W, x = np.full((rows, 2), 0.5), np.zeros((rows, 2, 3)), np.ones((rows, 1, 3))
+    P = np.tile(np.eye(3), (rows, 2, 1, 1))
+    plant = aldcontrol.preset_config("base").plant
+    bayes, law = aldcontrol.controller._bind_one_row(hyps, post[:1], W[:1], x[:1, 0, 1:], 1e-6, 1e3)
+    steps = {
+        "bind_plant": aldcontrol.bind_plant(plant, np.zeros((rows, plant.m)), np.zeros((rows, plant.n))),
+        "bind_filter": aldcontrol.bind_filter(W, P, x, aldcontrol.quantile_rule(hyps)),
+        "bind_log_likelihood": aldcontrol.bind_log_likelihood(hyps, rows),
+        "bind_posterior": aldcontrol.bind_posterior(post),
+        "bind_ensemble_law": aldcontrol.bind_ensemble_law(post, W, x[:, 0, 1:]),
+        "_bind_one_row.bayes": bayes,
+        "_bind_one_row.law": law,
+    }
+    assert {name: list(inspect.signature(step).parameters) for name, step in steps.items()} == STEP_PARAMETERS
+
+
 # The results' stored fields in order, the rest being derived: a new stored result field is a reviewed edit.
 RESULT_FIELDS = {
     "EpisodeTrace": ["controller", "seed", "y_r", "y", "z", "u", "posteriors", "w_hat", "noise", "fail_step"],
