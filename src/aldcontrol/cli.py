@@ -103,6 +103,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote {args.out}")
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError: a run count too large to hold its errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,8 @@ checks and converts it once; a dataclass error comes back as a
 values by the rules of ``plant`` (``_number``, ``_integer`` for ``steps`` and
 ``seed``, ``_items`` for ``hypotheses``) and raises :class:`ConfigError`
 naming the key path, also for a Python caller of :func:`dataclasses.replace`;
-its parts must be of their classes and its controller token a string.
+its parts must be of their classes, and its controller token and feedback
+are stored as Python strings.
 Presets ``base`` and ``noise1``..``noise4`` ship with the package; each is
 read once per process and shared.
 """
@@ -117,6 +118,7 @@ class RunConfig:
         if self.feedback not in FEEDBACK_KINDS:
             raise ConfigError(f"run.feedback must be one of {FEEDBACK_KINDS}, got {self.feedback!r}")
         kind, index = parse_controller(self.controller)
+        _store(self, feedback=str(self.feedback), controller=str(self.controller))
         if kind in ("ensemble", "single_ald") and len(self.hypotheses) == 0:
             raise ConfigError(f"run.controller {self.controller!r} requires at least one hypothesis")
         if kind == "single_ald" and index >= len(self.hypotheses):

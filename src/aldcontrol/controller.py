@@ -71,8 +71,9 @@ def bind_log_likelihood(hyps: tuple[AldParams, ...], rows: int):
     log(tau*(1-tau)/sigma), tau, sigma and mu and the numpy callables are
     taken here once, so the step works on operands of one shape.  The slope
     is ``tau - (u < 0)``: the bool casts to 0.0 or 1.0, so it is tau or
-    exactly tau - 1.  Under mu = +0.0, every shipped hypothesis, u is the
-    residual bit for bit, so its sign is the one the filter step weighted by.
+    exactly tau - 1.  Under mu = 0.0, which every hypothesis stores as +0.0
+    (``plant._number``), u is the residual bit for bit, so its sign is the
+    one the filter step weighted by.
     """
     subtract, multiply, divide, less = np.subtract, np.multiply, np.divide, np.less
 

@@ -22,8 +22,9 @@ whatever its S, which score, update the posteriors and form the control
 on Python floats with the same bits, since both sum over the subsystems
 left to right; ``_run_batch`` is the only place that picks them.  The
 measurement noise comes from a tape drawn from each seed's own stream, so
-a run does not depend on its batch.  The last seed's row is kept, so paired episodes
-(several controllers run one after another on one seed) draw it once.
+a run does not depend on its batch.  The last seed's row is kept, keyed by
+value (``_noise_row``), so paired episodes (several controllers run one
+after another on one seed) draw it once.
 
 The loop keeps y and u per step: the plant writes y straight into the
 step's column of its record, and the loop writes the law's input into the
@@ -47,6 +48,7 @@ Any error raised while stepping propagates.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -138,28 +140,18 @@ def _bank(cfg: RunConfig, token: str):
     return len(rule[0]) > 1, rule, np.tile(cfg.initial_w(), (len(rule[0]), 1))
 
 
-# The last noise row drawn, at most one entry: (id(model), seed, steps) -> (model, read-only row).
-_noise_memo: dict = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _noise_row(noise: NoiseModel, seed: int, steps: int) -> np.ndarray:
     """Measurement noise e(0)..e(steps) of one seed from its scalar mixture stream, read-only.
 
-    The last row drawn is kept, so a paired episode (another controller on
-    the same seed) reads it instead of drawing it again.  It is keyed by the
-    model's identity, never by ``==``, under which a ``mu`` or ``mean`` of
-    -0.0 equals 0.0 although the two can draw zeros of different sign; the
-    entry holds the model, so its id is not reused while the entry lives.
+    The last row drawn is kept, keyed by the values of its arguments, so a
+    paired episode (another controller on the same seed) reads it instead
+    of drawing it again.  Models that compare equal hold the same floats
+    (``plant._number``), so they draw the same row.
     """
-    key = (id(noise), seed, steps)
-    kept = _noise_memo.get(key)
-    if kept is not None:
-        return kept[1]
     draw = _sampler(noise, np.random.default_rng(seed))
     row = np.array([draw() for _ in range(steps + 1)])
     row.flags.writeable = False
-    _noise_memo.clear()
-    _noise_memo[key] = noise, row
     return row
 
 
@@ -422,7 +414,8 @@ class McSummary:
     Everything else is derived from those two fields: ``seeds``, the
     ``runs_ok`` finite runs and ``runs_failed`` others (NaN or infinite),
     and ``j_bar_mean``, the mean over the finite runs (NaN when there are
-    none).  The controller is checked as a config's is (a valid token).
+    none).  The controller is checked as a config's is (a valid token) and
+    stored as a Python str.
     ``seed_base`` and the window are stored as Python ints, checked as
     :func:`run_episode` checks a seed (an integer, at least 0) and as
     :func:`accumulated_error` checks a window (two integers,
@@ -451,7 +444,7 @@ class McSummary:
             raise ValueError(f"j_runs entries must be real numbers, got dtype {j_runs.dtype}")
         j_runs = j_runs.astype(float, copy=False)
         j_runs.flags.writeable = False
-        _store(self, window=window, seed_base=seed_base, j_runs=j_runs)
+        _store(self, controller=str(self.controller), window=window, seed_base=seed_base, j_runs=j_runs)
 
     @property
     def seeds(self) -> np.ndarray:
@@ -495,7 +488,10 @@ def compare_controllers(
     seeds, and each chunk is one core call that steps every controller with
     every seed of the chunk.  A chunk holds at most max(``_BATCH_RUNS``, C)
     (controller, seed) rows for C controllers, one seed per chunk when C
-    exceeds ``_BATCH_RUNS``, so memory stays bounded for any run count.
+    exceeds ``_BATCH_RUNS``, so a chunk's memory stays bounded for any run
+    count.  Beyond the chunk, a run takes one error per controller in the
+    (C, runs) array of errors, allocated before the first chunk: a count too
+    large for memory fails there with numpy's MemoryError.
     Its noise tape is drawn once
     and shared by every controller, so run i sees the same noise under every
     controller.  A chunk records through ``_error_recorder``: it keeps y and
@@ -514,8 +510,9 @@ def compare_controllers(
     runs = _integer(runs, "runs", least=1)
     rows = _window_slice(cfg.steps, window)
     record_errors = _error_recorder(rows)
-    # Python ints, so that every seed run_episode takes works here too
-    seeds = [cfg.seed + i for i in range(runs)]
+    # Python ints, so that every seed run_episode takes works here too; a range, so that a run count too
+    # large for memory fails at j_runs with numpy's MemoryError
+    seeds = range(cfg.seed, cfg.seed + runs)
     j_runs = np.empty((len(controllers), runs))
     chunk = max(1, _BATCH_RUNS // len(controllers))
     for lo in range(0, runs, chunk):

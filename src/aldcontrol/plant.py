@@ -14,6 +14,7 @@ here, one rule per kind, and each error names its field:
 
 - a number (``_number``): an int or a float, numpy's included, but not a
   bool; finite, and above 0 where the field is a scale, a rate or a weight.
+  It is stored as a Python float, with -0.0 turned into +0.0.
   A tuple field (``ArxParams.a`` and ``.b``, ``RunConfig.w0``) must also be
   one-dimensional, each entry passing the same rule (``_float_tuple``);
 - an integer (``_integer``): a Python or numpy int, not a bool, at least a
@@ -25,10 +26,13 @@ here, one rule per kind, and each error names its field:
 A message shows the value it rejects by ``_shown``, which names the type
 alone of a value holding an int too long for Python to print.
 
-Each dataclass stores the Python values these return (``_store``), so two
-configs that compare equal run the same episode.  The JSON reader passes
-every value through unconverted, so a Python caller and a JSON document get
-the same errors.
+Each dataclass stores the Python values these return (``_store``), and a
+string field the ``str`` of the value it checked, so two configs that compare
+equal hold the same values bit for bit and run the same episode.  Floats
+need the signed-zero rule for that: IEEE 754 holds -0.0 == +0.0, yet the two
+can give zeros of different sign downstream (a reference of amplitude -0.0,
+an initial estimate of -0.0).  The JSON reader passes every value through
+unconverted, so a Python caller and a JSON document get the same errors.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ def _integer(value, name: str, error: type[ValueError] = ValueError, least: int 
 def _number(value, name: str, error: type[ValueError] = ValueError, positive: bool = False) -> float:
     """``value`` as a float, the rule of every numeric config field: a number, finite, and above 0 if ``positive``.
 
-    Any other value raises ``error`` naming ``name``.
+    The float is ``float(value) + 0.0``, which is ``float(value)`` bit for
+    bit but for -0.0, returned as +0.0.  Any other value raises ``error``
+    naming ``name``.
     """
     if not (isinstance(value, (float, np.floating)) or _is_integer(value)):
         raise error(f"{name} must be a number, got {_shown(value)}")
@@ -94,7 +100,7 @@ def _number(value, name: str, error: type[ValueError] = ValueError, positive: bo
         raise error(f"{name} must be finite, got an int too large for a float") from None
     if not (math.isfinite(number) and (number > 0 or not positive)):
         raise error(f"{name} must be {'finite and positive' if positive else 'finite'}, got {value!r}")
-    return number
+    return number + 0.0
 
 
 def _float_tuple(values, name: str, error: type[ValueError] = ValueError) -> tuple[float, ...]:
@@ -208,6 +214,7 @@ class TrajectorySpec:
             raise ValueError(f"trajectory kind must be one of {TRAJECTORY_KINDS}, got {self.kind!r}")
         _store(
             self,
+            kind=str(self.kind),
             frequency_hz=_number(self.frequency_hz, "frequency_hz", positive=True),
             sample_period_s=_number(self.sample_period_s, "sample_period_s", positive=True),
             amplitude=_number(self.amplitude, "amplitude"),

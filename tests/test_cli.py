@@ -197,6 +197,14 @@ class TestMonteCarlo:
         assert capsys.readouterr().err == "error: no controllers given\n"
         assert not out.exists()
 
+    def test_run_count_too_large_for_memory_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # 10**15 runs of four controllers need 32 PB, beyond any address space: numpy refuses without allocating
+        calls = spy(monkeypatch, "export_summary_csv")
+        out = tmp_path / "s.csv"
+        assert run_cli("montecarlo", "--preset", "base", "--runs", str(10**15), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert calls == [] and not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = run_cli("montecarlo", "--preset", "base", "--seed", "-3", "--out", str(tmp_path / "s.csv"))
         assert code == 2

@@ -431,30 +431,32 @@ class TestBatchedCore:
         assert len(binds) == 1
         assert ensemble.noise.tobytes() == rls.noise.tobytes()
         # a fresh draw of the same seed gives the same traces
-        harness._noise_memo.clear()
+        harness._noise_row.cache_clear()
         assert_same_trace(run_episode(replace(cfg, controller="rls")), rls)
         assert_same_trace(run_episode(cfg), ensemble)
         assert len(binds) == 2
 
-    def test_noise_models_equal_but_for_a_signed_zero_each_draw_their_own_row(self, base, monkeypatch):
-        # NoiseModel's == holds mu = -0.0 and 0.0 equal; the kept row must not
+    def test_noise_models_equal_but_for_a_signed_zero_share_one_row(self, base, monkeypatch):
+        # the number rule stores mu = -0.0 as +0.0, so the two models hold the same floats and draw one row
         plus, minus = (NoiseModel((MixtureComponent(1.0, AldParams(0.5, mu, 0.1)),)) for mu in (0.0, -0.0))
-        assert plus == minus
+        assert repr(plus) == repr(minus) and plus == minus
         binds = count_sampler_binds(monkeypatch)
         cfg = short(base, steps=20, seed=2)
-        run_episode(replace(cfg, noise=plus))
-        run_episode(replace(cfg, noise=minus))
-        assert len(binds) == 2 and binds[0][0] is plus and binds[1][0] is minus
+        assert_same_trace(run_episode(replace(cfg, noise=plus)), run_episode(replace(cfg, noise=minus)))
+        assert len(binds) == 1
 
     def test_at_most_one_noise_row_is_kept_and_it_is_read_only(self, base, monkeypatch):
         binds = count_sampler_binds(monkeypatch)
         cfg = short(base, steps=30)
         for seed, steps in ((1, 30), (2, 30), (2, 31), (1, 30)):
             run_episode(replace(cfg, seed=seed, steps=steps))
-            assert len(harness._noise_memo) == 1
+            assert harness._noise_row.cache_info().currsize == 1
         compare_controllers(cfg, ["ensemble", "rls"], 5, (1, 30))
-        [(model, row)] = harness._noise_memo.values()
-        assert model is cfg.noise and row.shape == (31,) and not row.flags.writeable
+        info = harness._noise_row.cache_info()
+        assert info.maxsize == info.currsize == 1
+        # the batch's last seed is the kept row, keyed by value: an equal model reads it without a draw
+        row = harness._noise_row(replace(cfg.noise), cfg.seed + 4, 30)
+        assert row.shape == (31,) and not row.flags.writeable
         # each (seed, steps) changed from the one before it, and so did every seed of the batch
         assert len(binds) == 4 + 5
 
@@ -737,6 +739,16 @@ class TestMetrics:
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
             monte_carlo(short(base, steps=20), runs, (1, 20))
+        assert calls == []
+
+    def test_compare_controllers_fails_on_a_run_count_too_large_for_memory_before_any_episode(self, base, monkeypatch):
+        # the seeds were a list as long as the run count, built before the errors' array; 10**15 runs of one
+        # controller need 8 PB, beyond any address space, so numpy refuses the array without allocating it
+        calls = []
+        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            monte_carlo(short(base, steps=20), 10**15, (1, 20))
         assert calls == []
 
     @pytest.mark.parametrize("runs", [2.0, True, np.float64(2), "2"], ids=["float", "bool", "numpy-float", "str"])

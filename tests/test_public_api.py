@@ -187,6 +187,19 @@ def test_an_array_w0_is_stored_as_python_values():
     assert_python_values(cfg, "base")
 
 
+def test_numpy_strings_are_stored_as_python_values():
+    # a numpy.str_ passed every string check and was kept as given
+    base = aldcontrol.preset_config("base")
+    trajectory = replace(base.trajectory, kind=np.str_("sine"))
+    cfg = replace(base, trajectory=trajectory, controller=np.str_("rls"), feedback=np.str_("output"))
+    assert cfg == replace(base, controller="rls")
+    assert_python_values(cfg, "base")
+    summaries = aldcontrol.compare_controllers(replace(base, steps=10), np.array(["rls", "oracle"]), 2, (1, 5))
+    summaries.append(aldcontrol.McSummary(np.str_("single-ald:1"), (1, 5), 0, [0.5]))
+    for s in summaries:
+        assert_python_values((s.controller, s.window, s.seed_base), s.controller)
+
+
 # test oracles that no run executes: they live in the tests' reference module
 MOVED_TO_TESTS = (
     "pinball_loss",
@@ -304,6 +317,15 @@ EXACT_VALUES = [
     (aldcontrol.RunConfig, "steps", 40),
     (aldcontrol.RunConfig, "seed", 3),
 ]
+# (constructor, field, a valid value holding a 0.0, the reference kind), met as its -0.0 twin too (``same_values``).
+# Before the number rule stored +0.0, the twins of the sine amplitude and of w0 ran other episodes.
+ZERO_VALUES = [
+    (aldcontrol.TrajectorySpec, "amplitude", 0.0, "sine"),
+    (aldcontrol.TrajectorySpec, "amplitude", 0.0, "filtered_square"),
+    (aldcontrol.ArxParams, "a", (-1.40625, 0.0), "filtered_square"),
+    (aldcontrol.GaussianParams, "mean", 0.0, "filtered_square"),
+    (aldcontrol.RunConfig, "w0", (1.0, 0.0, 0.0), "filtered_square"),
+]
 # where each constructor's part sits in a RunConfig: attribute names and tuple indices
 PARTS = {
     aldcontrol.AldParams: ("hypotheses", 0),
@@ -332,24 +354,39 @@ def stored(cfg, ctor, field):
     return getattr(part, field)
 
 
+def signed_zero_twin(entry: float) -> float:
+    return -0.0 if entry == 0.0 else entry
+
+
 def same_values(value):
-    """``value`` as numpy ints for an int; else as float32 entries, and as int and np.int64 entries too where every
-    entry is whole."""
+    """``value`` as numpy ints for an int; else as float32 entries, as int and np.int64 entries too where every
+    entry is whole, and with -0.0 for each 0.0 entry where there is one."""
     if isinstance(value, int):
         return [np.int64(value), np.int32(value), np.uint8(value)]
     entries = value if isinstance(value, tuple) else (value,)
-    kinds = [np.float32, *((int, np.int64) if all(v.is_integer() for v in entries) else ())]
+    kinds = [
+        np.float32,
+        *((int, np.int64) if all(v.is_integer() for v in entries) else ()),
+        *((signed_zero_twin,) if 0.0 in entries else ()),
+    ]
     return [tuple(map(kind, value)) if isinstance(value, tuple) else kind(value) for kind in kinds]
 
 
-@pytest.mark.parametrize(
-    "ctor,field,value", EXACT_VALUES, ids=[f"{ctor.__name__}.{field}" for ctor, field, _ in EXACT_VALUES]
-)
-def test_a_config_that_compares_equal_runs_the_same_episode(ctor, field, value):
+# each exact value under the preset's own filtered_square reference, then the values holding a 0.0
+EQUAL_VALUES = [(*row, "filtered_square") for row in EXACT_VALUES] + ZERO_VALUES
+EQUAL_IDS = [f"{ctor.__name__}.{field}" for ctor, field, _ in EXACT_VALUES] + [
+    f"{ctor.__name__}.{field}-zero-{reference}" for ctor, field, _, reference in ZERO_VALUES
+]
+
+
+@pytest.mark.parametrize("ctor,field,value,reference", EQUAL_VALUES, ids=EQUAL_IDS)
+def test_a_config_that_compares_equal_runs_the_same_episode(ctor, field, value, reference):
     # the dataclasses stored the caller's object, so a float32 field drew float32 noise or posteriors,
-    # and an np.int64 steps or seed was kept as one
+    # and an np.int64 steps or seed was kept as one; a -0.0 was kept as -0.0, though it equals 0.0
     noise = aldcontrol.NoiseModel((aldcontrol.MixtureComponent(1.0, aldcontrol.GaussianParams(0.0, 1e-4)),))
-    base = replace(aldcontrol.preset_config("noise4"), steps=40, noise=noise)
+    preset = aldcontrol.preset_config("noise4")
+    trajectory = replace(preset.trajectory, kind=reference)
+    base = replace(preset, steps=40, noise=noise, trajectory=trajectory)
     expected = with_field(base, PARTS[ctor], field, value)
     trace = aldcontrol.run_episode(expected)
     kind = int if isinstance(value, int) else float
@@ -358,6 +395,7 @@ def test_a_config_that_compares_equal_runs_the_same_episode(ctor, field, value):
         cfg = with_field(base, PARTS[ctor], field, same)
         kept = stored(cfg, ctor, field)
         assert {type(v) for v in (kept if isinstance(kept, tuple) else (kept,))} == {kind}
+        assert repr(kept) == repr(stored(expected, ctor, field))  # the same bits: repr tells -0.0 from 0.0
         assert cfg == expected and hash(cfg) == hash(expected)
         other = aldcontrol.run_episode(cfg)
         assert [name for name in arrays if getattr(other, name).tobytes() != getattr(trace, name).tobytes()] == []
@@ -466,3 +504,11 @@ def test_the_number_rule_has_one_home(module):
         rules = ("float", "_number", "_integer", "_items")
         converting = [call for call in calls_in(tree) if ast.unparse(call.func) in rules]
         assert [ast.unparse(call) for call in converting if id(call) not in own] == []
+
+
+@pytest.mark.parametrize("module", submodules(), ids=lambda m: m.__name__)
+def test_no_module_keys_by_identity(module):
+    # the kept noise row was keyed by id(model) beside a value key everywhere else: a cache keyed by identity
+    # is a reviewed edit here
+    tree = ast.parse(inspect.getsource(module))
+    assert [ast.unparse(call) for call in calls_in(tree) if ast.unparse(call.func) == "id"] == []
