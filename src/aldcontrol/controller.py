@@ -6,12 +6,12 @@ posterior-weighted sum of the per-subsystem certainty-equivalence laws.
 A one-subsystem controller (rls, oracle, single-ald) has that law with one
 term at posterior 1.0: the sum of one term is that term, so it is the
 subsystem's certainty-equivalence input bit for bit.  Every function works
-over leading dimensions, with the subsystem axis S last, so one call serves
-a whole batch of runs.  The posterior update and the law are bound to their
-arrays once (:func:`bind_posterior`, :func:`bind_ensemble_law`) and then
-stepped, and so is the scoring of residuals under the hypotheses
-(:func:`bind_log_likelihood`), which reads the residuals alone and builds
-its per-row constants once.
+over a leading axis of rows (the law over any leading dimensions), with the
+subsystem axis S last, so one call serves a whole batch of runs.  The Bayes
+step and the law are bound to their arrays once and then stepped:
+:func:`bind_posterior` scores the residuals under the hypotheses and
+updates the posteriors by the scores, from per-row constants it builds
+once, and :func:`bind_ensemble_law` forms the posterior-weighted input.
 
 Every sum over the subsystems is a left fold from its first term,
 ``np.add.accumulate(v, -1)[..., -1]``: numpy defines ``accumulate`` as the
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_EPS_B",
     "DEFAULT_U_MAX",
     "POSTERIOR_FLOOR",
-    "bind_log_likelihood",
     "bind_posterior",
     "bind_ensemble_law",
 ]
@@ -62,51 +61,40 @@ DEFAULT_U_MAX = 1e3
 POSTERIOR_FLOOR = 1e-12
 
 
-def bind_log_likelihood(hyps: tuple[AldParams, ...], rows: int):
-    """The scoring step of the hypotheses ``hyps`` over ``rows`` rows: a function of the residuals alone.
+def bind_posterior(hyps: tuple[AldParams, ...], post: np.ndarray):
+    """The Bayes step of the hypotheses ``hyps`` bound to the subsystem posteriors ``post`` (rows, S): a function of
+    the residuals.
 
-    Each call returns the ALD log-densities log(tau*(1-tau)/sigma) -
-    u*(tau - 1[u<0])/sigma, u = residual - mu, of prediction residuals
-    z - x'w_hat (rows, S) under the S hypotheses.  The (rows, S) arrays of
-    log(tau*(1-tau)/sigma), tau, sigma and mu and the numpy callables are
-    taken here once, so the step works on operands of one shape.  The slope
-    is ``tau - (u < 0)``: the bool casts to 0.0 or 1.0, so it is tau or
-    exactly tau - 1.  Under mu = 0.0, which every hypothesis stores as +0.0
+    Each call scores the prediction residuals z - x'w_hat (rows, S) under
+    the S hypotheses by their ALD log-densities log(tau*(1-tau)/sigma) -
+    u*(tau - 1[u<0])/sigma, u = residual - mu, and updates ``post`` in place
+    by them along the last axis, in the log domain with max-subtraction; the
+    result is renormalized and floored at :data:`POSTERIOR_FLOOR` so a
+    temporarily discredited subsystem can recover.  The slope is
+    ``tau - (u < 0)``: the bool casts to 0.0 or 1.0, so it is tau or exactly
+    tau - 1.  Under mu = 0.0, which every hypothesis stores as +0.0
     (``plant._number``), u is the residual bit for bit, so its sign is the
-    one the filter step weighted by.
+    one the filter step weighted by.  A non-finite log-likelihood gives
+    non-finite posteriors and so a non-finite weighted control, which the
+    episode loop (it scores banks of two or more subsystems) diagnoses as
+    divergence.  The (rows, S) arrays of log(tau*(1-tau)/sigma), tau, sigma
+    and mu and the numpy callables are taken here once, so the step works on
+    operands of one shape.
     """
-    subtract, multiply, divide, less = np.subtract, np.multiply, np.divide, np.less
+    exp, subtract, multiply, divide, less, maximum = np.exp, np.subtract, np.multiply, np.divide, np.less, np.maximum
+    peak, fold = np.maximum.reduce, np.add.accumulate
 
     def per_row(values):
-        return np.tile(np.array(values, dtype=float), (rows, 1))
+        return np.tile(np.array(values, dtype=float), (len(post), 1))
 
     log_peak = per_row([math.log(h.tau * (1.0 - h.tau) / h.sigma) for h in hyps])
     tau, sigma, mu = (per_row([getattr(h, name) for h in hyps]) for name in ("tau", "sigma", "mu"))
-    zero = np.array(0.0)  # 0-d, which numpy takes faster than a Python float
+    # 0-d arrays, which numpy takes faster than Python floats
+    zero, floor = np.array(0.0), np.array(POSTERIOR_FLOOR)
 
-    def log_likelihood(residual):
+    def update(residual) -> None:
         u = subtract(residual, mu)
-        return subtract(log_peak, divide(multiply(u, subtract(tau, less(u, zero))), sigma))
-
-    return log_likelihood
-
-
-def bind_posterior(post: np.ndarray):
-    """The Bayes update bound to the subsystem posteriors ``post`` (..., S): a function of the log-likelihoods.
-
-    Each call updates ``post`` in place by log-likelihoods along the last
-    axis, computed in the log domain with max-subtraction; the result is
-    renormalized and floored at :data:`POSTERIOR_FLOOR` so a temporarily
-    discredited subsystem can recover.  A non-finite log-likelihood gives
-    non-finite posteriors and so a non-finite weighted control, which the
-    episode loop (it scores banks of two or more subsystems) diagnoses as
-    divergence.
-    """
-    exp, subtract, multiply, divide, maximum = np.exp, np.subtract, np.multiply, np.divide, np.maximum
-    peak, fold = np.maximum.reduce, np.add.accumulate
-    floor = np.array(POSTERIOR_FLOOR)  # 0-d, which numpy takes faster than a Python float
-
-    def update(log_lik) -> None:
+        log_lik = subtract(log_peak, divide(multiply(u, subtract(tau, less(u, zero))), sigma))
         multiply(post, exp(subtract(log_lik, peak(log_lik, -1)[..., None])), post)
         # renormalization can push a floored entry a hair below the floor again, so twice
         for _ in range(2):
@@ -189,11 +177,10 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     ``post`` (1, S), ``W`` (1, S, d) and ``eta`` (1, d-1) are the episode's
     arrays, and ``eps_b`` and ``u_max`` floats above 0.
     ``bayes(residual)`` scores the residuals (1, S) under the S hypotheses
-    ``hyps`` and updates ``post`` in place, as :func:`bind_log_likelihood`
-    and :func:`bind_posterior` do; every entry of ``post`` must be at least
-    :data:`POSTERIOR_FLOOR` or NaN.  ``law(y_r)`` returns the input for the
-    reference ``y_r``, a float, as a float: the posterior-weighted sum that
-    :func:`bind_ensemble_law` forms.
+    ``hyps`` and updates ``post`` in place, as :func:`bind_posterior` does;
+    every entry of ``post`` must be at least :data:`POSTERIOR_FLOOR` or NaN.
+    ``law(y_r)`` returns the input for the reference ``y_r``, a float, as a
+    float: the posterior-weighted sum that :func:`bind_ensemble_law` forms.
     """
     exp, peak, vecdot = np.exp, np.maximum.reduce, np.vecdot
     mus = [h.mu for h in hyps]

@@ -7,11 +7,11 @@ Its rows are (controller, seed) pairs, each a bank of S subsystems: estimates
 newest measurement into every estimate, scores its prediction error to
 refresh the posteriors, and forms the posterior-weighted control for the
 next reference value.  Each phase is its module's public step, bound once
-per batch: ``bind_plant``, ``bind_filter``, ``bind_log_likelihood`` (to the
-hypotheses of the batch's scored ensemble and its scored rows, a prefix of
-the learning rows: it scores that prefix of the residuals the filter step
-returns, and reads nothing else), ``bind_posterior``, and
-``bind_ensemble_law``, to the state arrays.  Every
+per batch: ``bind_plant``, ``bind_filter``, ``bind_posterior`` (to the
+hypotheses of the batch's scored ensemble and the posteriors of its scored
+rows, a prefix of the learning rows: it scores that prefix of the residuals
+the filter step returns, reads nothing else, and updates the posteriors),
+and ``bind_ensemble_law``, to the state arrays.  Every
 history of a row is a column block of one array, which the loop alone
 shifts, once per step: the steps only read their histories and write their
 outputs.  The controllers differ only in the bank set up before the loop,
@@ -21,14 +21,14 @@ takes its Bayes and law steps from ``controller._bind_one_row`` instead,
 whatever its S, which score, update the posteriors and form the control
 on Python floats with the same bits, since both sum over the subsystems
 left to right; ``_run_batch`` is the only place that picks them.  The
-measurement noise comes from a tape drawn from each seed's own stream, so
-a run does not depend on its batch.  The last seed's row is kept, keyed by
-value (``_noise_row``), so paired episodes (several controllers run one
-after another on one seed) draw it once.
+measurement noise comes from a tape that ``_run_batch`` draws from each
+seed's own stream, so a run does not depend on its batch.  The last seed's
+row is kept, keyed by value (``_noise_row``), so paired episodes (several
+controllers run one after another on one seed) draw it once.
 
 The loop keeps y and u per step: the plant writes y straight into the
 step's column of its record, and the loop writes the law's input into the
-step's column of u and into the history.  Recording is a sixth phase, bound
+step's column of u and into the history.  Recording is a fifth phase, bound
 the same way by a recorder that the caller picks (see ``_run_batch``).
 ``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
 one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_controller
-from .controller import _bind_one_row, bind_ensemble_law, bind_log_likelihood, bind_posterior
+from .controller import _bind_one_row, bind_ensemble_law, bind_posterior
 from .estimator import RLS_RULE, bind_filter, quantile_rule
 from .noise import NoiseModel, _sampler
 from .plant import _integer, _items, _shown, _store, bind_plant, parameter_vector, reference_trajectory
@@ -150,23 +150,20 @@ def _noise_row(noise: NoiseModel, seed: int, steps: int) -> np.ndarray:
     (``plant._number``), so they draw the same row.
     """
     draw = _sampler(noise, np.random.default_rng(seed))
-    row = np.array([draw() for _ in range(steps + 1)])
+    # allocated before the first draw, so a step count too large for memory fails there with numpy's MemoryError
+    row = np.fromiter((draw() for _ in range(steps + 1)), float, steps + 1)
     row.flags.writeable = False
     return row
 
 
-def _noise_tape(noise: NoiseModel, seeds: list[int], steps: int) -> np.ndarray:
-    """Measurement noise e(0)..e(steps) of each seed, one row per seed (``_noise_row``'s), in a new array."""
-    return np.array([_noise_row(noise, seed, steps) for seed in seeds])
-
-
-def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: np.ndarray, recorder):
-    """Episodes of ``cfg`` under every controller token in ``controllers`` for every seed, stepped together on the
-    noise ``tape`` (one row per seed).
+def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorder):
+    """Episodes of ``cfg`` under every controller token in ``controllers`` for every seed, stepped together.
 
     ``cfg``'s own controller is not read.  There is one state row per
-    (controller, seed), and the loop keeps each row's y and u per step.  The
-    rest is the ``recorder``'s, bound once to the state like the phases:
+    (controller, seed), and the loop keeps each row's y and u per step.
+    Every row reads its seed's noise row (``_noise_row``), so a seed sees the
+    same noise under every controller.  The rest is the ``recorder``'s,
+    bound once to the state like the phases:
     ``recorder(y, u, noise, y_r, W, post, n_scored, n_learn)`` returns a
     ``record()`` called after every step (or None, for no per-step record)
     and a ``finish()`` called after the loop, which returns one result per
@@ -187,6 +184,8 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
     """
     plant, steps, m = cfg.plant, cfg.steps, cfg.plant.m
     runs = len(seeds)
+    # one row per (controller, seed), in the order of the state rows; each seed's row is drawn at most once
+    tape = np.array([_noise_row(cfg.noise, seed, steps) for seed in seeds] * len(controllers))
     refs = reference_trajectory(cfg.trajectory, steps + 2)
     # scored banks first, then learning-only ones, then frozen ones: the
     # posterior step and the gain step each work on a prefix of the rows
@@ -210,7 +209,6 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
     # uniform over a scored row's S subsystems, and 1.0 on the subsystem of every other row
     post = np.where(np.arange(rows)[:, None] < n_scored, 1.0 / S, np.eye(1, S))
     P = np.tile(cfg.initial_P(), (rows, S, 1, 1))
-    tape = np.tile(tape, (len(controllers), 1))
     feedback_z = cfg.feedback == "measurement"
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
     record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn)
@@ -240,12 +238,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], tape: n
         # an episode of its own: the Bayes and law steps on Python floats, with the array steps' bits
         bayes, control = _bind_one_row(cfg.hypotheses, post, W, eta, *limits)
     else:
-        log_likelihood, update_post = bind_log_likelihood(cfg.hypotheses, n_scored), bind_posterior(post[:n_scored])
-
-        def bayes(residual):
-            update_post(log_likelihood(residual))
-
-        control = bind_ensemble_law(post, W, eta, *limits)
+        bayes, control = bind_posterior(cfg.hypotheses, post[:n_scored]), bind_ensemble_law(post, W, eta, *limits)
     add = np.add
 
     # a diverging run overflows; the recorder diagnoses it after the loop
@@ -349,10 +342,9 @@ def _traces(cfg: RunConfig, controllers: list[str], seeds: list[int]) -> list[li
 
     Row (controller, seed) is bit for bit the :func:`run_episode` trace of ``cfg`` with that controller and seed.
     """
-    tape = _noise_tape(cfg.noise, seeds, cfg.steps)
     return [
         [EpisodeTrace(controller=token, seed=seed, **fields) for seed, fields in zip(seeds, block)]
-        for token, block in zip(controllers, _run_batch(cfg, controllers, seeds, tape, _trace_recorder))
+        for token, block in zip(controllers, _run_batch(cfg, controllers, seeds, _trace_recorder))
     ]
 
 
@@ -516,9 +508,7 @@ def compare_controllers(
     j_runs = np.empty((len(controllers), runs))
     chunk = max(1, _BATCH_RUNS // len(controllers))
     for lo in range(0, runs, chunk):
-        batch = seeds[lo : lo + chunk]
-        tape = _noise_tape(cfg.noise, batch, cfg.steps)
-        j_runs[:, lo : lo + chunk] = _run_batch(cfg, controllers, batch, tape, record_errors)
+        j_runs[:, lo : lo + chunk] = _run_batch(cfg, controllers, seeds[lo : lo + chunk], record_errors)
     j_runs[~np.isfinite(j_runs)] = np.nan  # a run whose error overflows counts as failed too
     window = (rows.start + 1, rows.stop)
     return [McSummary(token, window, cfg.seed, j) for token, j in zip(controllers, j_runs)]
@@ -652,7 +642,14 @@ def export_summary_csv(summaries: list[McSummary], path, force: bool = False) ->
 
 
 def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
-    """Parse a summary CSV into (per-run rows, aggregate rows) as dict lists."""
+    """Parse a summary CSV into (per-run rows, aggregate rows) as dict lists.
+
+    Each data row is read once, in file order, by the row check that
+    :func:`read_trace_csv` uses.  Then the format's own rule: the aggregate
+    header comes exactly once, and the aggregate block has one row per
+    controller of the per-run block, in the same order.  A break of either
+    raises a ValueError naming the path, and the line where there is one.
+    """
     header, data = _read_rows(path)
     if header != _RUN_HEADER:
         raise ValueError(f"{path}: not a summary CSV (empty or missing the controller,run,seed,j_bar_run header)")
@@ -661,8 +658,19 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     # both blocks have the fields of _summary_values, keyed by their header
     keys, block = _RUN_HEADER, per_run
     for line, row in data:
-        if row == _AGGREGATE_HEADER:
-            keys, block = _AGGREGATE_HEADER, aggregate
+        if row != _AGGREGATE_HEADER:
+            values = dict(zip(keys, _parse_row(path, line, row, len(keys), _summary_values)))
+            # the aggregate row i names the per-run block's controller i, and there is none past the last
+            if block is aggregate and controllers[len(aggregate) : len(aggregate) + 1] != [row[0]]:
+                raise ValueError(f"{path}: line {line}: aggregate row {len(aggregate) + 1} is {row[0]!r}, {order}")
+            block.append(values)
+        elif block is aggregate:
+            raise ValueError(f"{path}: line {line}: a second aggregate header")
         else:
-            block.append(dict(zip(keys, _parse_row(path, line, row, len(keys), _summary_values))))
+            controllers = list(dict.fromkeys(r["controller"] for r in per_run))
+            keys, block, order = _AGGREGATE_HEADER, aggregate, f"but the per-run block's controllers are {controllers}"
+    if block is per_run:
+        raise ValueError(f"{path}: no aggregate block (missing the controller,runs_ok,runs_failed,j_bar_mean header)")
+    if len(aggregate) < len(controllers):
+        raise ValueError(f"{path}: {len(aggregate)} aggregate rows, {order}")
     return per_run, aggregate

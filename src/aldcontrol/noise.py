@@ -23,7 +23,7 @@ pick the component, then the component's draws; it is the stream episodes
 are simulated on.  An array takes all its picking uniforms, then a block
 from each component in turn, so it consumes the stream differently.
 
-A run scores residuals with :func:`~aldcontrol.controller.bind_log_likelihood`
+A run scores residuals with :func:`~aldcontrol.controller.bind_posterior`
 alone; the densities and the pinball loss are test oracles (``tests/reference.py``).
 """
 

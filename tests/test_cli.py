@@ -69,6 +69,14 @@ class TestSimulate:
         assert back["k"].size == 40
         assert back["posteriors"].shape == (40, 1)
 
+    def test_step_count_too_large_for_memory_fails_cleanly(self, tmp_path, capsys, monkeypatch, draws_limited):
+        # 10**15 steps need 8 PB for the noise row alone, beyond any address space: numpy refuses without allocating
+        calls = spy(monkeypatch, "export_trace_csv")
+        out = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--preset", "base", "--steps", str(10**15), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert calls == [] and not out.exists()
+
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         args = ("simulate", "--preset", "base", "--steps", "10", "--out", str(out))

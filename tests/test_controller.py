@@ -12,7 +12,6 @@ from aldcontrol import (
     AldParams,
     bind_ensemble_law,
     bind_filter,
-    bind_log_likelihood,
     bind_posterior,
     parameter_vector,
     preset_config,
@@ -68,15 +67,44 @@ LAW_VALUES = st.one_of(
 )
 
 
+# a hypothesis whose peak density is 1.0: it scores a residual r as -2|r| with no rounding wherever 2r is exact
+UNIT = AldParams(0.5, 0.0, 0.25)
+
+
+def posterior_after(hyps, post, residuals):
+    """The posteriors ``post`` (rows, S) after one Bayes step on ``residuals`` under ``hyps``, from a copy bound for
+    it alone."""
+    out = np.array(post, dtype=float)
+    bind_posterior(hyps, out)(np.asarray(residuals, dtype=float))
+    return out
+
+
+def bayes_on_scores(post, log_lik):
+    """``post`` after a Bayes update by the log-likelihoods ``log_lik``, with the Bayes step's ufuncs in its order."""
+    post = post * np.exp(log_lik - np.maximum.reduce(log_lik, -1)[..., None])
+    for _ in range(2):
+        post = np.maximum(post / np.add.accumulate(post, -1)[..., -1:], POSTERIOR_FLOOR)
+    return post
+
+
 def scores(hyps, residuals):
-    """Log-likelihoods of ``residuals`` (S,) or (rows, S) under ``hyps``, from a scoring step bound for them alone."""
+    """Log-likelihoods of ``residuals`` (rows, S) under ``hyps``, read from the Bayes step's posteriors.
+
+    Column j is scored beside :data:`UNIT` at its peak, log-density 0.0, from a uniform prior: the log of the
+    ratio of the two posteriors is then the score, while neither reaches the floor (a score within about
+    +-27 of 0).
+    """
     residuals = np.asarray(residuals, dtype=float)
-    rows = residuals.reshape(-1, len(hyps))
-    return bind_log_likelihood(hyps, len(rows))(rows).reshape(residuals.shape)
+    columns = []
+    for h, r in zip(hyps, residuals.T):
+        post = posterior_after([h, UNIT], np.full((len(r), 2), 0.5), np.column_stack([r, np.zeros_like(r)]))
+        assert np.all(post > POSTERIOR_FLOOR)
+        columns.append(np.log(post[:, 0] / post[:, 1]))
+    return np.column_stack(columns)
 
 
 def log_lik(hyp, residual):
-    return float(scores([hyp], [residual])[0])
+    return float(scores([hyp], [[residual]])[0, 0])
 
 
 @st.composite
@@ -84,8 +112,8 @@ def scored_rows(draw):
     """Hypotheses (S = 1..3, mu anywhere in [-10, 10]) and a (rows, S) array of (r - mu)/sigma, rows = 1..130."""
     hyp = st.builds(AldParams, st.floats(0.01, 0.99), st.floats(-10.0, 10.0), st.floats(1e-3, 1e3))
     hyps = draw(st.lists(hyp, min_size=1, max_size=3))
-    # bounded so that the density does not underflow
-    t = draw(arrays(float, (draw(st.integers(1, 130)), len(hyps)), elements=st.floats(-30.0, 30.0)))
+    # bounded so that no posterior reaches the floor: every score lies in [-23.6, 5.6]
+    t = draw(arrays(float, (draw(st.integers(1, 130)), len(hyps)), elements=st.floats(-12.0, 12.0)))
     return hyps, t
 
 
@@ -109,10 +137,16 @@ class TestSubsystemLogLikelihood:
     def test_table_scores_each_hypothesis_as_alone(self):
         rng = np.random.default_rng(3)
         hyps = [AldParams(0.95, 0.0, 0.01), AldParams(0.5, 0.3, 2.0), AldParams(0.1, -1.0, 0.2)]
-        residuals = rng.normal(size=(4, 3))
-        table = scores(hyps, residuals)
-        for (i, j), r in np.ndenumerate(residuals):
-            assert table[i, j] == log_lik(hyps[j], r)
+        # scaled so that no posterior reaches the floor
+        residuals = rng.normal(size=(4, 3)) * [0.01, 1.0, 0.2]
+        prior = np.full((4, 3), 1.0 / 3.0)
+        stack = posterior_after(hyps, prior, residuals)
+        alone = scores(hyps, residuals)
+        for i, r in enumerate(residuals):
+            # a row of the stack is the row bound alone, and its posteriors weigh each column by its own score
+            assert same_bits(stack[i], posterior_after(hyps, prior[:1], r[None])[0])
+            ratios = np.log(stack[i] / stack[i, 0])
+            assert ratios == pytest.approx(alone[i] - alone[i, 0], rel=1e-12, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(case=scored_rows())
@@ -138,81 +172,74 @@ class TestSubsystemLogLikelihood:
         r = data.draw(arrays(float, (rows, len(hyps)), elements=LAW_VALUES))
         tau, sig = np.array(taus), np.full(len(taus), sigma)
         log_peak = np.array([math.log(t * (1.0 - t) / sigma) for t in taus])
+        prior = np.full(r.shape, 1.0 / len(hyps))
         with np.errstate(all="ignore"):
             want = log_peak - r * np.where(r < 0.0, tau - 1.0, tau) / sig
-            assert scores(hyps, r).tobytes() == want.tobytes()
-
-
-def log_likelihoods(hyps, W, x, z):
-    return scores(hyps, [z - x @ w for w in W])
-
-
-def posterior_after(post, log_lik):
-    """The posteriors ``post`` after one Bayes update, from a copy bound for it alone."""
-    out = np.array(post, dtype=float)
-    bind_posterior(out)(np.asarray(log_lik, dtype=float))
-    return out
+            assert same_bits(posterior_after(hyps, prior, r), bayes_on_scores(prior, want))
 
 
 class TestPosteriorUpdate:
     def test_equal_likelihoods_leave_posteriors(self):
-        out = posterior_after([0.3, 0.7], [-1.7, -1.7])
-        assert out == pytest.approx([0.3, 0.7])
+        out = posterior_after([UNIT, UNIT], [[0.3, 0.7]], [[0.85, 0.85]])
+        assert out[0] == pytest.approx([0.3, 0.7])
 
     def test_single_subsystem_stays_one(self):
-        out = posterior_after([1.0], [-123.0])
-        assert out[0] == 1.0
+        out = posterior_after([UNIT], [[1.0]], [[61.5]])
+        assert out[0, 0] == 1.0
 
     def test_bayes_arithmetic_for_known_ratio(self):
         # residuals ln(2)*sigma/tau > 0 and 0 give a likelihood ratio of exactly 2
         hyp = AldParams(0.5, 0.0, 1.0)
         gap = math.log(2.0) / 0.5
-        out = posterior_after([0.5, 0.5], log_likelihoods([hyp, hyp], [[0.0], [gap]], np.array([1.0]), gap))
-        assert out == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
+        out = posterior_after([hyp, hyp], [[0.5, 0.5]], [[gap, 0.0]])
+        assert out[0] == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
     @pytest.mark.parametrize("shift", [8.0, -16.0, 0.5])
     def test_shift_invariance_is_bitwise(self, shift):
-        # dyadic log-likelihoods and shifts keep every sum exact, so with
-        # max-subtraction a common shift must not change a single bit
-        table = np.array([-3.5, 0.25, -0.125])
-        post = np.array([0.25, 0.5, 0.25])
-        assert np.array_equal(posterior_after(post, table), posterior_after(post, table + shift))
+        # dyadic residuals at or above UNIT's location score -2r exactly, so moving every residual by -shift/2
+        # shifts every log-likelihood by shift; with max-subtraction a common shift must not change a single bit
+        residuals = np.array([[5.75, 4.0, 4.0625]])
+        post = np.array([[0.25, 0.5, 0.25]])
+        hyps = [UNIT] * 3
+        shifted = posterior_after(hyps, post, residuals - shift / 2)
+        assert np.array_equal(posterior_after(hyps, post, residuals), shifted)
 
     def test_floor_keeps_discredited_subsystem_alive(self):
         hyp = AldParams(0.5, 0.0, 0.01)
-        out = posterior_after([0.5, 0.5], log_likelihoods([hyp, hyp], [[0.0], [1e6]], np.array([1.0]), 0.0))
-        assert out[1] >= 1e-12
-        assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
+        out = posterior_after([hyp, hyp], [[0.5, 0.5]], [[0.0, -1e6]])
+        assert out[0, 1] >= 1e-12
+        assert math.fsum(out[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_posterior_rows_stay_on_simplex(self):
-        # one update bound for the whole run, stepped in place as the episode loop does
+        # one Bayes step bound for the whole run, stepped in place as the episode loop does
         rng = np.random.default_rng(31)
         hyps = [AldParams(0.95, 0.0, 0.01), AldParams(0.85, 0.0, 0.1)]
         W = rng.normal(size=(2, 2))
-        post = np.full(2, 0.5)
-        update = bind_posterior(post)
+        post = np.full((1, 2), 0.5)
+        update = bind_posterior(hyps, post)
         for _ in range(200):
             x = rng.normal(size=2)
             z = float(rng.normal())
-            update(log_likelihoods(hyps, W, x, z))
-            assert abs(math.fsum(post) - 1.0) <= 1e-9
+            update(np.array([[z - x @ w for w in W]]))
+            assert abs(math.fsum(post[0]) - 1.0) <= 1e-9
             assert np.all(post >= 1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+            st.lists(st.floats(-5e299, 5e299), min_size=3, max_size=3),
             min_size=1,
             max_size=20,
         ),
         st.integers(1, 3),
     )
     def test_simplex_and_floor_under_extreme_gaps(self, rows, n_sub):
-        post = np.full(n_sub, 1.0 / n_sub)
-        update = bind_posterior(post)
-        for log_lik in rows:
-            update(np.array(log_lik[:n_sub]))
-            assert abs(math.fsum(post) - 1.0) <= 1e-9
+        # under UNIT the log-likelihoods -2|r| lie anywhere in [-1e300, 0]
+        post = np.full((1, n_sub), 1.0 / n_sub)
+        update = bind_posterior([UNIT] * n_sub, post)
+        for residual in rows:
+            update(np.array([residual[:n_sub]]))
+            assert abs(math.fsum(post[0]) - 1.0) <= 1e-9
             assert np.all(post >= 1e-12)
 
 
@@ -248,7 +275,8 @@ class TestEnsembleControl:
         # every law is clamped to +-u_max, their posterior-weighted sum is not: these
         # posteriors of bind_posterior sum to one only within rounding
         post = np.full((1, 2), 0.5)
-        bind_posterior(post)(np.array([[0.1, -0.1]]))
+        # log-likelihoods 0.0 and -0.2 under UNIT
+        bind_posterior([UNIT, UNIT], post)(np.array([[0.0, 0.1]]))
         W = np.array([[[1e-9, 0.0], [1e-9, 0.0]]])  # |b1| < eps_b: each divisor is eps_b, each law saturates
         law = bind_ensemble_law(post, W, np.zeros((1, 1)), 1e-6, 1000.0)
         bound = 1000.0 * (1.0 + 2 * post.shape[1] * np.finfo(float).eps)
@@ -286,11 +314,10 @@ class TestEnsembleCollapse:
         P = np.tile(100.0 * np.eye(3), (seeds, 2, 1, 1))
         post = np.full((seeds, 2), 0.5)
         x_k = np.zeros((seeds, 1, 3))
-        step, update = bind_filter(W, P, x_k, quantile_rule(hyps)), bind_posterior(post)
-        log_likelihood = bind_log_likelihood(hyps, seeds)
+        step, update = bind_filter(W, P, x_k, quantile_rule(hyps)), bind_posterior(hyps, post)
         for x, z in zip(xs, zs):
             x_k[:, 0] = x
-            update(log_likelihood(step(z[:, None])))
+            update(step(z[:, None]))
         assert np.median(post[:, 0]) > 0.9
 
 
@@ -337,12 +364,12 @@ class TestOneRowStep:
         post, i = stack_and_row(data, (n_sub,), POSTERIORS)
         row = post[i : i + 1].copy()
         bayes, _ = _bind_one_row(hyps, row, np.zeros((1, n_sub, 1)), np.zeros((1, 0)), 1e-6, 1e3)
-        log_likelihood, update = bind_log_likelihood(hyps, len(post)), bind_posterior(post)
+        update = bind_posterior(hyps, post)
         for _ in range(data.draw(st.integers(1, 3))):
             residual = data.draw(arrays(float, post.shape, elements=VALUES))
             with np.errstate(all="ignore"):
                 bayes(residual[i : i + 1])
-                update(log_likelihood(residual))
+                update(residual)
             assert same_bits(row, post[i : i + 1])
 
     @settings(max_examples=150, deadline=None)
@@ -394,7 +421,7 @@ class TestOneRowStep:
         hyps = [AldParams(0.5, 0.0, 1.0)] * 3
         bayes, _ = _bind_one_row(hyps, row, W[:1], eta[:1], 1e-6, 1e3)
         bayes(np.zeros((1, 3)))
-        bind_posterior(stack)(bind_log_likelihood(hyps, 2)(np.zeros((2, 3))))
+        bind_posterior(hyps, stack)(np.zeros((2, 3)))
 
         def normalized(p, total):
             for _ in range(2):
@@ -442,19 +469,19 @@ class TestSummationOrder:
             for row in expected:
                 for _ in range(2):
                     row[...] = np.maximum(row / _fold(row.tolist()), POSTERIOR_FLOOR)
-            # equal log-likelihoods multiply every entry by exp(0.0) = 1.0, so only the renormalization acts
-            bind_posterior(post)(np.zeros(post.shape))
+            # equal residuals under equal hypotheses multiply every entry by exp(0.0) = 1.0, so only the
+            # renormalization acts
+            bind_posterior([AldParams(0.5, 0.0, 1.0)] * n_sub, post)(np.zeros(post.shape))
         assert same_bits(post, expected)
 
 
 @pytest.mark.parametrize(
     "bind",
     [
-        lambda post, W, eta: bind_log_likelihood([AldParams(0.5, 0.0, 1.0)] * 3, len(post)),
-        lambda post, W, eta: bind_posterior(post),
+        lambda post, W, eta: bind_posterior([AldParams(0.5, 0.0, 1.0)] * 3, post),
         lambda post, W, eta: bind_ensemble_law(post, W, eta),
     ],
-    ids=["bind_log_likelihood", "bind_posterior", "bind_ensemble_law"],
+    ids=["bind_posterior", "bind_ensemble_law"],
 )
 def test_a_public_binder_has_one_step_for_every_row_count(bind):
     # the one-row step is chosen by the episode loop alone, never by a binder from its shapes

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 import aldcontrol.harness as harness
 from aldcontrol import (
     FEEDBACK_KINDS,
+    POSTERIOR_FLOOR,
     PRESETS,
     AldParams,
     ArxParams,
@@ -356,13 +357,14 @@ class TestBatchedCore:
         assert np.all(np.isfinite(nine.y)) and np.all(np.isfinite(nine.w_hat))
 
     def test_scored_rows_are_scored_at_each_hypothesis_location(self, monkeypatch):
-        # a hypothesis located at noise1's outlier component (mu = 2.0): the
-        # core's scores are the ALD log-densities of the filter's residuals
+        # a hypothesis located at noise1's outlier component (mu = 2.0): each
+        # Bayes step weighs the posteriors by the ALD densities of the filter's residuals
         hyps = (AldParams(0.9, 0.0, 0.5), AldParams(0.5, 2.0, 1.0))
-        residuals, log_liks, bind = [], [], harness.bind_filter
+        residuals, posteriors = [], []
+        bind_filter, bind_posterior = harness.bind_filter, harness.bind_posterior
 
         def keeping(*args):
-            step = bind(*args)
+            step = bind_filter(*args)
 
             def filter_kept(z):
                 r = step(z)
@@ -371,16 +373,29 @@ class TestBatchedCore:
 
             return filter_kept
 
+        def keeping_posteriors(batch_hyps, post):
+            bayes = bind_posterior(batch_hyps, post)
+
+            def bayes_kept(residual):
+                bayes(residual)
+                posteriors.append(post.copy())
+
+            return bayes_kept
+
         monkeypatch.setattr(harness, "bind_filter", keeping)
-        monkeypatch.setattr(harness, "bind_log_likelihood", recording(harness.bind_log_likelihood, log_liks))
+        monkeypatch.setattr(harness, "bind_posterior", keeping_posteriors)
         cfg = replace(preset_config("noise1"), steps=200, hypotheses=hyps)
         run_batch(cfg, ["ensemble", "rls"], [0, 1, 2])
-        assert len(log_liks) == len(residuals) == 200
+        assert len(posteriors) == len(residuals) == 200
         # the scored rows, the ensemble's, come first
         r = np.array(residuals)[:, :3]
-        expected = np.stack([np.log(ald_pdf(h, r[..., j])) for j, h in enumerate(hyps)], axis=-1)
-        assert np.isfinite(expected).all()
-        np.testing.assert_allclose(np.array(log_liks), expected, rtol=1e-12, atol=1e-12)
+        likelihood = np.stack([ald_pdf(h, r[..., j]) for j, h in enumerate(hyps)], axis=-1)
+        assert np.isfinite(np.log(likelihood)).all()
+        # the reference Bayes update of each step from the posteriors before it, renormalized and floored twice
+        expected = np.concatenate([np.full((1, 3, 2), 0.5), posteriors[:-1]]) * likelihood
+        for _ in range(2):
+            expected = np.maximum(expected / expected.sum(axis=-1, keepdims=True), POSTERIOR_FLOOR)
+        np.testing.assert_allclose(np.array(posteriors), expected, rtol=1e-12, atol=1e-12)
 
     def test_a_run_does_not_depend_on_its_length(self, base):
         # a fail step is caused by that step's state: a shorter run is the
@@ -727,7 +742,6 @@ class TestMetrics:
     @pytest.mark.parametrize("controllers", [[], (), iter([])], ids=["list", "tuple", "iterator"])
     def test_compare_controllers_rejects_an_empty_controller_list(self, base, monkeypatch, controllers):
         calls = []
-        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="no controllers"):
             compare_controllers(short(base, steps=20), controllers, 3, (1, 20))
@@ -745,16 +759,23 @@ class TestMetrics:
         # the seeds were a list as long as the run count, built before the errors' array; 10**15 runs of one
         # controller need 8 PB, beyond any address space, so numpy refuses the array without allocating it
         calls = []
-        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
         with pytest.raises(MemoryError, match="Unable to allocate"):
             monte_carlo(short(base, steps=20), 10**15, (1, 20))
         assert calls == []
 
+    def test_a_step_count_too_large_for_memory_fails_before_any_draw(self, base, draws_limited):
+        # the noise row was a list of steps + 1 draws, grown until memory ran out; 10**15 + 1 floats need 8 PB,
+        # beyond any address space, so numpy refuses the row without allocating it
+        cfg = short(base, steps=10**15)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            run_episode(cfg)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            compare_controllers(cfg, ["ensemble", "rls"], 2, (1, 5))
+
     @pytest.mark.parametrize("runs", [2.0, True, np.float64(2), "2"], ids=["float", "bool", "numpy-float", "str"])
     def test_compare_controllers_rejects_a_run_count_that_is_not_an_integer(self, base, monkeypatch, runs):
         calls = []
-        monkeypatch.setattr(harness, "_noise_tape", lambda *args: calls.append(args))
         monkeypatch.setattr(harness, "_run_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="runs must be an integer"):
             compare_controllers(short(base, steps=20), ["ensemble", "rls"], runs, (1, 20))
@@ -1177,6 +1198,41 @@ class TestSummaryCsv:
         path = tmp_path / "summary.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"summary.csv: line {line}: {message}"):
+            read_summary_csv(path)
+
+    # lines 1-5 the per-run block of ensemble and oracle, 6 the aggregate header, 7-8 the aggregate rows
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda lines: lines[:5], None, "no aggregate block"),
+            (lambda lines: lines[:1], None, "no aggregate block"),
+            (
+                lambda lines: lines[:3] + [lines[5]] + lines[3:5] + lines[6:],
+                5,
+                "aggregate row 1 is 'oracle', but the per-run block's controllers are ['ensemble']",
+            ),
+            (lambda lines: lines + [lines[5]], 9, "a second aggregate header"),
+            (lambda lines: lines[:6] + lines[7:5:-1], 7, "aggregate row 1 is 'oracle', but the per-run block's"),
+            (lambda lines: lines + [lines[7]], 9, "aggregate row 3 is 'oracle', but the per-run block's"),
+            (
+                lambda lines: lines[:7],
+                None,
+                "1 aggregate rows, but the per-run block's controllers are ['ensemble', 'oracle']",
+            ),
+        ],
+        ids=["cut-after-the-runs", "header-only", "header-above-a-block", "second-header", "swapped", "extra", "short"],
+    )
+    def test_block_structure_rejected_with_path_and_line(self, tmp_path, edit, line, message):
+        # a file cut after its per-run rows read back with no aggregate rows, and per-run rows below a misplaced
+        # aggregate header were read as aggregate rows ("oracle,1,0,..." as runs_ok=1, runs_failed=0)
+        path = tmp_path / "summary.csv"
+        summaries = [McSummary("ensemble", (1, 5), 0, [0.5, 0.25]), McSummary("oracle", (1, 5), 0, [0.125, np.nan])]
+        export_summary_csv(summaries, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 8 and lines[5] == "controller,runs_ok,runs_failed,j_bar_mean"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        where = "" if line is None else f"line {line}: "
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {where}{message}")):
             read_summary_csv(path)
 
     def test_file_that_is_not_utf8_rejected_with_path(self, tmp_path):

@@ -5,6 +5,7 @@ import inspect
 import pkgutil
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +35,7 @@ def test_every_declared_name_exists():
 BINDER_PARAMETERS = {
     "bind_plant": ["p", "u_now", "y_hist"],
     "bind_filter": ["W", "P", "x", "rule"],
-    "bind_log_likelihood": ["hyps", "rows"],
-    "bind_posterior": ["post"],
+    "bind_posterior": ["hyps", "post"],
     "bind_ensemble_law": ["post", "W", "eta", "eps_b", "u_max"],
 }
 
@@ -50,8 +50,7 @@ def test_binder_signatures_are_pinned():
 STEP_PARAMETERS = {
     "bind_plant": ["out"],
     "bind_filter": ["z"],
-    "bind_log_likelihood": ["residual"],
-    "bind_posterior": ["log_lik"],
+    "bind_posterior": ["residual"],
     "bind_ensemble_law": ["y_r_next"],
     "_bind_one_row.bayes": ["residual"],
     "_bind_one_row.law": ["y_r"],
@@ -67,8 +66,7 @@ def test_step_signatures_are_pinned():
     steps = {
         "bind_plant": aldcontrol.bind_plant(plant, np.zeros((rows, plant.m)), np.zeros((rows, plant.n))),
         "bind_filter": aldcontrol.bind_filter(W, P, x, aldcontrol.quantile_rule(hyps)),
-        "bind_log_likelihood": aldcontrol.bind_log_likelihood(hyps, rows),
-        "bind_posterior": aldcontrol.bind_posterior(post),
+        "bind_posterior": aldcontrol.bind_posterior(hyps, post),
         "bind_ensemble_law": aldcontrol.bind_ensemble_law(post, W, x[:, 0, 1:]),
         "_bind_one_row.bayes": bayes,
         "_bind_one_row.law": law,
@@ -103,15 +101,25 @@ def test_the_core_binds_every_exported_binder():
 
 
 def test_the_filter_step_returns_the_residuals_and_the_scoring_step_reads_them_alone():
-    # the posterior of a subsystem is updated from its residual alone: the
-    # filter step hands over one (rows, S) array, which the scoring step takes as its one argument
+    # the posterior of a subsystem is updated from its residual alone: the filter step hands over one
+    # (rows, S) array, which the Bayes step takes as its one argument, scoring it and updating the posteriors
     rows, hyps = 4, (aldcontrol.AldParams(0.9, 0.0, 0.5), aldcontrol.AldParams(0.3, 0.1, 2.0))
     W, P, x = np.zeros((rows, 2, 3)), np.tile(np.eye(3), (rows, 2, 1, 1)), np.ones((rows, 1, 3))
     r = aldcontrol.bind_filter(W, P, x, aldcontrol.quantile_rule(hyps))(np.ones((rows, 1)))
     assert type(r) is np.ndarray and r.shape == (rows, 2)
-    log_likelihood = aldcontrol.bind_log_likelihood(hyps, rows)
-    assert list(inspect.signature(log_likelihood).parameters) == ["residual"]
-    assert log_likelihood(r).shape == (rows, 2)
+    post = np.full((rows, 2), 0.5)
+    bayes = aldcontrol.bind_posterior(hyps, post)
+    assert list(inspect.signature(bayes).parameters) == ["residual"]
+    assert bayes(r) is None
+    assert post.shape == (rows, 2) and not np.all(post == 0.5)
+
+
+def test_readme_names_every_exported_binder_and_no_other():
+    # the README's list of phases follows the step API: a binder added, renamed or removed is a README edit too
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # a name that follows a word character is private (``_bind_one_row``), and the wildcard ``bind_*`` names none
+    named = set(re.findall(r"(?<!\w)bind_[a-z_]+", readme))
+    assert named == {name for name in dir(aldcontrol) if name.startswith("bind_")}
 
 
 def assert_python_values(value, path: str) -> None:
