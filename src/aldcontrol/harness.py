@@ -647,8 +647,10 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     Each data row is read once, in file order, by the row check that
     :func:`read_trace_csv` uses.  Then the format's own rule: the aggregate
     header comes exactly once, and the aggregate block has one row per
-    controller of the per-run block, in the same order.  A break of either
-    raises a ValueError naming the path, and the line where there is one.
+    controller of the per-run block, in the same order.  Each controller's
+    runs start at run 1, and a controller may come more than once.  A break
+    of either rule raises a ValueError naming the path, and the line where
+    there is one.
     """
     header, data = _read_rows(path)
     if header != _RUN_HEADER:
@@ -667,7 +669,7 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
         elif block is aggregate:
             raise ValueError(f"{path}: line {line}: a second aggregate header")
         else:
-            controllers = list(dict.fromkeys(r["controller"] for r in per_run))
+            controllers = [r["controller"] for r in per_run if r["run"] == 1]
             keys, block, order = _AGGREGATE_HEADER, aggregate, f"but the per-run block's controllers are {controllers}"
     if block is per_run:
         raise ValueError(f"{path}: no aggregate block (missing the controller,runs_ok,runs_failed,j_bar_mean header)")

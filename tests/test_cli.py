@@ -171,6 +171,19 @@ class TestMonteCarlo:
             seeds.setdefault(row["controller"], []).append(row["seed"])
         assert seeds["ensemble"] == seeds["oracle"] == [11, 12]
 
+    def test_repeated_controllers_write_a_file_that_reads_back(self, tmp_path):
+        out = tmp_path / "summary.csv"
+        for tokens in ("rls,rls", "rls,oracle,rls"):
+            assert run_cli(
+                "montecarlo", "--preset", "base", "--steps", "20", "--runs", "2", "--window", "1:20",
+                "--controllers", tokens, "--out", str(out), "--force",
+            ) == 0
+            per_run, aggregate = read_summary_csv(out)
+            assert [row["controller"] for row in aggregate] == tokens.split(",")
+            assert [(row["controller"], row["run"]) for row in per_run] == [
+                (token, run) for token in tokens.split(",") for run in (1, 2)
+            ]
+
     def test_seed_past_int64_runs(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         seed = 2**63

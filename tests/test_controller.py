@@ -167,15 +167,30 @@ class TestSubsystemLogLikelihood:
         data=st.data(),
     )
     def test_at_zero_mu_it_is_the_sign_selected_slope_bit_for_bit(self, taus, sigma, rows, data):
-        # the form that took the filter's sign and picked tau - 1 or tau with np.where
-        hyps = [AldParams(tau, 0.0, sigma) for tau in taus]
-        r = data.draw(arrays(float, (rows, len(hyps)), elements=LAW_VALUES))
-        tau, sig = np.array(taus), np.full(len(taus), sigma)
-        log_peak = np.array([math.log(t * (1.0 - t) / sigma) for t in taus])
-        prior = np.full(r.shape, 1.0 / len(hyps))
+        # |r| <= 15 sigma keeps every score in [-26.4, 5.6], so that no posterior reaches the floor
+        t = data.draw(arrays(float, (rows, len(taus)), elements=st.floats(-15.0, 15.0)))
+        for post in sign_selected_posteriors(taus, sigma, t * sigma):
+            assert np.all(post > POSTERIOR_FLOOR)
+
+    @pytest.mark.parametrize("r", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_at_zero_mu_it_is_the_sign_selected_slope_at_zero_and_non_finite_residuals(self, r):
+        sign_selected_posteriors([0.5, 0.95, 0.01], 1e-3, np.full((2, 3), r))
+        sign_selected_posteriors([0.3], 1e3, np.full((1, 1), r))
+
+
+def sign_selected_posteriors(taus, sigma, r):
+    """Each hypothesis (tau, 0, sigma) beside :data:`UNIT` at its peak, one Bayes step from a uniform prior on column
+    j of ``r``: asserts the posteriors are, bit for bit, those of the form that took the filter's sign and picked
+    tau - 1 or tau with np.where, and returns them."""
+    posteriors = []
+    for tau, col in zip(taus, np.asarray(r, dtype=float).T):
+        prior, zeros = np.full((len(col), 2), 0.5), np.zeros_like(col)
         with np.errstate(all="ignore"):
-            want = log_peak - r * np.where(r < 0.0, tau - 1.0, tau) / sig
-            assert same_bits(posterior_after(hyps, prior, r), bayes_on_scores(prior, want))
+            want = math.log(tau * (1.0 - tau) / sigma) - col * np.where(col < 0.0, tau - 1.0, tau) / sigma
+            post = posterior_after([AldParams(tau, 0.0, sigma), UNIT], prior, np.column_stack([col, zeros]))
+            assert same_bits(post, bayes_on_scores(prior, np.column_stack([want, zeros])))
+        posteriors.append(post)
+    return posteriors
 
 
 class TestPosteriorUpdate:

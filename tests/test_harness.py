@@ -1235,6 +1235,23 @@ class TestSummaryCsv:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {where}{message}")):
             read_summary_csv(path)
 
+    def test_a_repeated_controller_round_trips(self, tmp_path):
+        # the block check took the expected order from the distinct controllers, so the second rls row failed
+        path = tmp_path / "summary.csv"
+        summaries = [
+            McSummary("rls", (1, 5), 0, [0.5, 0.25]),
+            McSummary("oracle", (1, 5), 0, [0.125]),
+            McSummary("rls", (1, 5), 3, [np.nan, 2.0, 4.0]),
+        ]
+        export_summary_csv(summaries, path)
+        per_run, aggregate = read_summary_csv(path)
+        assert [(r["controller"], r["run"], r["seed"]) for r in per_run] == [
+            ("rls", 1, 0), ("rls", 2, 1), ("oracle", 1, 0), ("rls", 1, 3), ("rls", 2, 4), ("rls", 3, 5)
+        ]
+        assert [(r["controller"], r["runs_ok"], r["runs_failed"]) for r in aggregate] == [
+            ("rls", 2, 0), ("oracle", 1, 0), ("rls", 2, 1)
+        ]
+
     def test_file_that_is_not_utf8_rejected_with_path(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_bytes(b"controller,run,seed,j_bar_run\r\nensemble,1,0,\xff\r\n")
