@@ -26,17 +26,13 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args: argparse.Namespace) -> RunConfig:
+    """The loaded config with each override given: the ``RunConfig`` field of its name, and the trajectory's kind."""
     cfg = load_config(args.config) if args.config else preset_config(args.preset)
-    updates = {}
+    names = ("steps", "seed", "feedback", "controller")  # montecarlo has no --controller
+    updates = {name: value for name in names if (value := getattr(args, name, None)) is not None}
     if args.trajectory:
         updates["trajectory"] = replace(cfg.trajectory, kind=_TRAJECTORY_TOKENS[args.trajectory])
-    if args.steps is not None:
-        updates["steps"] = args.steps
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.feedback is not None:
-        updates["feedback"] = args.feedback
-    return replace(cfg, **updates) if updates else cfg
+    return replace(cfg, **updates)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -85,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _base_config(args)
         _writable_path(args.out, args.force)  # before the first episode, not after the run
         if args.command == "simulate":
-            if args.controller is not None:
-                cfg = replace(cfg, controller=args.controller)
             trace = run_episode(cfg)
             export_trace_csv(trace, args.out, force=args.force)
             status = f"failed at step {trace.fail_step}" if trace.failed else "ok"

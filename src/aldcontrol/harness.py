@@ -555,7 +555,10 @@ def export_trace_csv(trace: EpisodeTrace, path, force: bool = False) -> None:
 
 
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header of the CSV file at ``path`` ([] if empty) and the (line number, fields) of each later row."""
+    """The header of the CSV file at ``path`` ([] if empty) and the (line number, fields) of each later row.
+
+    A file that is not text, or that the csv module cannot split, raises a ValueError naming the path.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -563,6 +566,8 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             return header, [(reader.line_num, row) for row in reader]
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not a text file: {exc}") from None
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_row(path, line: int, row: list[str], width: int, convert) -> list:
@@ -618,13 +623,29 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     }
 
 
+def _summary_lines(summaries: list[McSummary]):
+    """The lines of the summary CSV of ``summaries``: the run header, one line per run of each summary, the
+    aggregate header and one aggregate line per summary, in their order."""
+    yield ",".join(_RUN_HEADER) + "\r\n"
+    for s in summaries:
+        runs = enumerate(zip(s.seeds.tolist(), s.j_runs.tolist()), 1)
+        yield from (_SUMMARY_LINE % (s.controller, i, seed, j) for i, (seed, j) in runs)
+    yield ",".join(_AGGREGATE_HEADER) + "\r\n"
+    yield from (_SUMMARY_LINE % (s.controller, s.runs_ok, s.runs_failed, s.j_bar_mean) for s in summaries)
+
+
 def export_summary_csv(summaries: list[McSummary], path, force: bool = False) -> None:
-    """Write per-run rows then an aggregate block, one line per controller (17 significant digits).
+    """Write per-run rows then an aggregate block, one line per summary (17 significant digits).
 
     The summaries may come as any iterable of :class:`McSummary` (the
     sequence rule ``plant._items``), read once; there must be at least one,
     and each must have runs.  Each summary's controller is a valid token
     (see :class:`McSummary`), which no field of the CSV needs to quote.
+    Summary i's runs are the lines ``controller,run,seed,j_bar_run`` with
+    run = 1, 2, .. and seed = seed_base + run - 1; its aggregate line is
+    ``controller,runs_ok,runs_failed,j_bar_mean``, derived from those runs.
+    These lines are the whole format: :func:`read_summary_csv` reads back
+    exactly the files that this function can write.
     """
     summaries = _items(summaries, "summaries", McSummary)
     if not summaries:
@@ -633,46 +654,45 @@ def export_summary_csv(summaries: list[McSummary], path, force: bool = False) ->
         if s.j_runs.size == 0:
             raise ValueError(f"summary for {s.controller!r} has no runs")
     with _writable_path(path, force).open("w", newline="") as fh:
-        fh.write(",".join(_RUN_HEADER) + "\r\n")
-        for s in summaries:
-            runs = enumerate(zip(s.seeds.tolist(), s.j_runs.tolist()), 1)
-            fh.writelines(_SUMMARY_LINE % (s.controller, i, seed, j) for i, (seed, j) in runs)
-        fh.write(",".join(_AGGREGATE_HEADER) + "\r\n")
-        fh.writelines(_SUMMARY_LINE % (s.controller, s.runs_ok, s.runs_failed, s.j_bar_mean) for s in summaries)
+        fh.writelines(_summary_lines(summaries))
 
 
 def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     """Parse a summary CSV into (per-run rows, aggregate rows) as dict lists.
 
-    Each data row is read once, in file order, by the row check that
-    :func:`read_trace_csv` uses.  Then the format's own rule: the aggregate
-    header comes exactly once, and the aggregate block has one row per
-    controller of the per-run block, in the same order.  Each controller's
-    runs start at run 1, and a controller may come more than once.  A break
-    of either rule raises a ValueError naming the path, and the line where
-    there is one.
+    Each data row but the aggregate header is read once, in file order, by
+    the row check that :func:`read_trace_csv` uses.  Then the format's one
+    rule: the file is what :func:`export_summary_csv` writes for the
+    summaries its per-run rows start, one at each row with run 1, from that
+    row's controller and seed and its block's errors.  Each row is compared
+    as its values render back, so NaN matches NaN and ``0.50`` matches
+    ``0.5``, but ``-0`` differs from ``0``.  The first line that differs
+    raises a ValueError naming the path, the line and both versions of it,
+    such as ``line 3: expected 'ensemble,2,1,0.25\\r\\n', got
+    'ensemble,7,9,0.25\\r\\n'``; a file without the aggregate header, or a
+    row that :class:`McSummary` rejects, raises one too.
     """
     header, data = _read_rows(path)
     if header != _RUN_HEADER:
         raise ValueError(f"{path}: not a summary CSV (empty or missing the controller,run,seed,j_bar_run header)")
-    per_run: list[dict] = []
-    aggregate: list[dict] = []
-    # both blocks have the fields of _summary_values, keyed by their header
-    keys, block = _RUN_HEADER, per_run
-    for line, row in data:
-        if row != _AGGREGATE_HEADER:
-            values = dict(zip(keys, _parse_row(path, line, row, len(keys), _summary_values)))
-            # the aggregate row i names the per-run block's controller i, and there is none past the last
-            if block is aggregate and controllers[len(aggregate) : len(aggregate) + 1] != [row[0]]:
-                raise ValueError(f"{path}: line {line}: aggregate row {len(aggregate) + 1} is {row[0]!r}, {order}")
-            block.append(values)
-        elif block is aggregate:
-            raise ValueError(f"{path}: line {line}: a second aggregate header")
-        else:
-            controllers = [r["controller"] for r in per_run if r["run"] == 1]
-            keys, block, order = _AGGREGATE_HEADER, aggregate, f"but the per-run block's controllers are {controllers}"
-    if block is per_run:
+    # the fields of _summary_values of each data row, None for an aggregate header
+    values = [None if row == _AGGREGATE_HEADER else _parse_row(path, line, row, 4, _summary_values) for line, row in data]
+    if None not in values:
         raise ValueError(f"{path}: no aggregate block (missing the controller,runs_ok,runs_failed,j_bar_mean header)")
-    if len(aggregate) < len(controllers):
-        raise ValueError(f"{path}: {len(aggregate)} aggregate rows, {order}")
-    return per_run, aggregate
+    end = values.index(None)
+    starts = [i for i in range(end) if values[i][1] == 1] + [end]
+    summaries = []
+    for lo, hi in zip(starts, starts[1:]):
+        try:  # any window will do: no line depends on it
+            summaries.append(McSummary(values[lo][0], (1, 1), values[lo][2], [v[3] for v in values[lo:hi]]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {data[lo][0]}: {exc}") from None
+    # each line as it renders back, then the end of file, on the line after the last
+    rows = [(1, header), *data]
+    got = [",".join(row) + "\r\n" if v is None else _SUMMARY_LINE % tuple(v) for (_, row), v in zip(rows, [None, *values])]
+    lines = [line for line, _ in rows] + [rows[-1][0] + 1]
+    expected = [*map(repr, _summary_lines(summaries)), "end of file"]
+    for line, want, have in zip(lines, expected, [*map(repr, got), "end of file"]):
+        if want != have:
+            raise ValueError(f"{path}: line {line}: expected {want}, got {have}")
+    return [dict(zip(_RUN_HEADER, v)) for v in values[:end]], [dict(zip(_AGGREGATE_HEADER, v)) for v in values[end + 1 :]]

@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1016,6 +1016,16 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="trace.csv: not a text file"):
             read_trace_csv(path)
 
+    def test_field_past_the_csv_size_limit_rejected_with_path_and_line(self, base, tmp_path):
+        # the csv module's own error escaped: "_csv.Error: field larger than field limit (131072)"
+        path = tmp_path / "trace.csv"
+        export_trace_csv(run_episode(short(base, steps=10)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",", "," + "1" * 200_000, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"trace.csv: line 4: field larger than field limit \(131072\)"):
+            read_trace_csv(path)
+
     def test_io_error_mentions_path(self, base, tmp_path):
         tr = run_episode(short(base, steps=10))
         missing = tmp_path / "no_such_dir" / "trace.csv"
@@ -1025,6 +1035,19 @@ class TestTraceCsv:
 
 # seed bases from 0 to past 2**64, crowded around 2**63, where the seeds leave int64
 SEED_BASES = st.integers(0, 2**65) | st.integers(2**63 - 8, 2**63 + 8)
+# a summary's runs: every float that round-trips through text (a NaN's payload does not), and the extremes
+J_RUNS = st.lists(
+    st.floats(allow_nan=False)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+    min_size=1,
+    max_size=6,
+)
+SUMMARY_TOKENS = st.sampled_from(["ensemble", "rls", "oracle"]) | st.integers(0, 12).map(lambda i: f"single-ald:{i}")
+SUMMARIES = st.lists(
+    st.builds(McSummary, SUMMARY_TOKENS, st.just((1, 5)), SEED_BASES, J_RUNS),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestResultIdentity:
@@ -1163,6 +1186,62 @@ class TestSummaryCsv:
         assert (aggregate["runs_ok"], aggregate["runs_failed"]) == (s.runs_ok, s.runs_failed)
         assert np.float64(aggregate["j_bar_mean"]).tobytes() == np.float64(s.j_bar_mean).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(summaries=SUMMARIES)
+    @example(summaries=[McSummary("rls", (1, 5), 2**63 - 1, [-0.0, math.nan]), McSummary("rls", (1, 5), 0, [0.0])])
+    def test_what_is_written_reads_back_bit_for_bit(self, tmp_path_factory, summaries):
+        path = tmp_path_factory.mktemp("summary") / "summary.csv"
+        export_summary_csv(summaries, path)
+        per_run, aggregate = read_summary_csv(path)
+        assert [(r["controller"], r["run"], r["seed"]) for r in per_run] == [
+            (s.controller, i, seed) for s in summaries for i, seed in enumerate(s.seeds.tolist(), 1)
+        ]
+        j_runs = np.concatenate([s.j_runs for s in summaries])
+        assert np.array([r["j_bar_run"] for r in per_run]).tobytes() == j_runs.tobytes()
+        assert [(r["controller"], r["runs_ok"], r["runs_failed"]) for r in aggregate] == [
+            (s.controller, s.runs_ok, s.runs_failed) for s in summaries
+        ]
+        means = np.array([s.j_bar_mean for s in summaries])
+        assert np.array([r["j_bar_mean"] for r in aggregate]).tobytes() == means.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries=SUMMARIES, data=st.data())
+    def test_an_edited_derived_field_is_rejected_with_path_and_line(self, tmp_path_factory, summaries, data):
+        # the per-run block's run and seed numbers, and every aggregate line, follow from the summaries;
+        # runs numbered 1 and 7 beside the aggregate row "ensemble,5,3,0.125" read back without error
+        path = tmp_path_factory.mktemp("summary") / "summary.csv"
+        export_summary_csv(summaries, path)
+        lines = path.read_text().splitlines()
+        runs = range(1, len(lines) - 1 - len(summaries))
+        aggregate = range(runs.stop + 1, len(lines))
+        edit = data.draw(st.sampled_from(["run", "seed", "controller", "runs_ok", "runs_failed", "j_bar_mean"]
+                                         + ["drop", "duplicate", "swap"]))
+        # a run-1 row's seed is its summary's seed_base, which no other field follows
+        rows = {"run": runs, "seed": [n for n in runs if lines[n].split(",")[1] != "1"]}.get(edit, aggregate)
+        assume(len(rows) > (edit == "swap"))
+        n = data.draw(st.sampled_from(rows))
+        fields = lines[n].split(",")
+        if edit == "controller":
+            fields[0] = data.draw(SUMMARY_TOKENS.filter(lambda token: token != fields[0]))
+        elif edit == "j_bar_mean":
+            fields[3] = "%.17g" % data.draw(J_RUNS.map(lambda j: j[0]).filter(lambda j: "%.17g" % j != fields[3]))
+        elif edit in ("run", "seed", "runs_ok", "runs_failed"):
+            i = {"run": 1, "seed": 2, "runs_ok": 1, "runs_failed": 2}[edit]
+            fields[i] = str(int(fields[i]) + data.draw(st.integers(-3, 3).filter(bool)))
+        lines[n] = ",".join(fields)
+        if edit == "drop":
+            del lines[n]
+        elif edit == "duplicate":
+            lines.insert(n, lines[n])
+        elif edit == "swap":
+            others = [m for m in aggregate if lines[m] != lines[n]]
+            assume(others)
+            m = data.draw(st.sampled_from(others))
+            lines[n], lines[m] = lines[m], lines[n]
+        path.write_text("\r\n".join(lines) + "\r\n", newline="")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line ") + r"\d+: "):
+            read_summary_csv(path)
+
     def test_empty_or_trace_file_rejected_with_path(self, base, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -1200,6 +1279,21 @@ class TestSummaryCsv:
         with pytest.raises(ValueError, match=f"summary.csv: line {line}: {message}"):
             read_summary_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("pid,1,0,0.5", "run.controller: unknown controller 'pid'"),
+            ("rls,1,-2,0.5", "seed_base must be at least 0, got -2"),
+        ],
+        ids=["unknown-controller", "negative-seed"],
+    )
+    def test_a_block_start_that_mcsummary_rejects_names_path_and_line(self, tmp_path, row, message):
+        # both read back without error: the reader checked neither field of a per-run row
+        path = tmp_path / "summary.csv"
+        path.write_text(f"controller,run,seed,j_bar_run\nensemble,1,0,0.5\n{row}\ncontroller,runs_ok,runs_failed,j_bar_mean\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 3: {message}")):
+            read_summary_csv(path)
+
     # lines 1-5 the per-run block of ensemble and oracle, 6 the aggregate header, 7-8 the aggregate rows
     @pytest.mark.parametrize(
         "edit, line, message",
@@ -1209,16 +1303,12 @@ class TestSummaryCsv:
             (
                 lambda lines: lines[:3] + [lines[5]] + lines[3:5] + lines[6:],
                 5,
-                "aggregate row 1 is 'oracle', but the per-run block's controllers are ['ensemble']",
+                r"expected 'ensemble,2,0,0.375\r\n', got 'oracle,1,0,0.125\r\n'",
             ),
-            (lambda lines: lines + [lines[5]], 9, "a second aggregate header"),
-            (lambda lines: lines[:6] + lines[7:5:-1], 7, "aggregate row 1 is 'oracle', but the per-run block's"),
-            (lambda lines: lines + [lines[7]], 9, "aggregate row 3 is 'oracle', but the per-run block's"),
-            (
-                lambda lines: lines[:7],
-                None,
-                "1 aggregate rows, but the per-run block's controllers are ['ensemble', 'oracle']",
-            ),
+            (lambda lines: lines + [lines[5]], 9, r"expected end of file, got 'controller,runs_ok,runs_failed,j_bar_mean\r\n'"),
+            (lambda lines: lines[:6] + lines[7:5:-1], 7, r"expected 'ensemble,2,0,0.375\r\n', got 'oracle,1,1,0.125\r\n'"),
+            (lambda lines: lines + [lines[7]], 9, r"expected end of file, got 'oracle,1,1,0.125\r\n'"),
+            (lambda lines: lines[:7], 8, r"expected 'oracle,1,1,0.125\r\n', got end of file"),
         ],
         ids=["cut-after-the-runs", "header-only", "header-above-a-block", "second-header", "swapped", "extra", "short"],
     )
@@ -1256,6 +1346,13 @@ class TestSummaryCsv:
         path = tmp_path / "summary.csv"
         path.write_bytes(b"controller,run,seed,j_bar_run\r\nensemble,1,0,\xff\r\n")
         with pytest.raises(ValueError, match="summary.csv: not a text file"):
+            read_summary_csv(path)
+
+    def test_field_past_the_csv_size_limit_rejected_with_path_and_line(self, tmp_path):
+        # the csv module's own error escaped: "_csv.Error: field larger than field limit (131072)"
+        path = tmp_path / "summary.csv"
+        path.write_text("controller,run,seed,j_bar_run\nensemble,1,0,0.5\nensemble,2,1," + "1" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=r"summary.csv: line 3: field larger than field limit \(131072\)"):
             read_summary_csv(path)
 
     def test_empty_rejected_before_write(self, base, tmp_path):
