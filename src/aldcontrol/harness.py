@@ -669,8 +669,9 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     ``0.5``, but ``-0`` differs from ``0``.  The first line that differs
     raises a ValueError naming the path, the line and both versions of it,
     such as ``line 3: expected 'ensemble,2,1,0.25\\r\\n', got
-    'ensemble,7,9,0.25\\r\\n'``; a file without the aggregate header, or a
-    row that :class:`McSummary` rejects, raises one too.
+    'ensemble,7,9,0.25\\r\\n'``.  A file with no aggregate header or no
+    summary (the export writes at least one), or a row that
+    :class:`McSummary` rejects, raises one too.
     """
     header, data = _read_rows(path)
     if header != _RUN_HEADER:
@@ -691,6 +692,8 @@ def read_summary_csv(path) -> tuple[list[dict], list[dict]]:
     rows = [(1, header), *data]
     got = [",".join(row) + "\r\n" if v is None else _SUMMARY_LINE % tuple(v) for (_, row), v in zip(rows, [None, *values])]
     lines = [line for line, _ in rows] + [rows[-1][0] + 1]
+    if not summaries:  # export_summary_csv writes at least one
+        raise ValueError(f"{path}: line {lines[1]}: expected a per-run row with run 1, got {got[1]!r}")
     expected = [*map(repr, _summary_lines(summaries)), "end of file"]
     for line, want, have in zip(lines, expected, [*map(repr, got), "end of file"]):
         if want != have:

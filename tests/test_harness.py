@@ -1035,16 +1035,13 @@ class TestTraceCsv:
 
 # seed bases from 0 to past 2**64, crowded around 2**63, where the seeds leave int64
 SEED_BASES = st.integers(0, 2**65) | st.integers(2**63 - 8, 2**63 + 8)
-# a summary's runs: every float that round-trips through text (a NaN's payload does not), and the extremes
-J_RUNS = st.lists(
-    st.floats(allow_nan=False)
-    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
-    min_size=1,
-    max_size=6,
+# a run's error: every float that round-trips through text (a NaN's payload does not), and the extremes
+J_VALUES = st.floats(allow_nan=False) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]
 )
 SUMMARY_TOKENS = st.sampled_from(["ensemble", "rls", "oracle"]) | st.integers(0, 12).map(lambda i: f"single-ald:{i}")
 SUMMARIES = st.lists(
-    st.builds(McSummary, SUMMARY_TOKENS, st.just((1, 5)), SEED_BASES, J_RUNS),
+    st.builds(McSummary, SUMMARY_TOKENS, st.just((1, 5)), SEED_BASES, st.lists(J_VALUES, min_size=1, max_size=6)),
     min_size=1,
     max_size=4,
 )
@@ -1214,8 +1211,8 @@ class TestSummaryCsv:
         lines = path.read_text().splitlines()
         runs = range(1, len(lines) - 1 - len(summaries))
         aggregate = range(runs.stop + 1, len(lines))
-        edit = data.draw(st.sampled_from(["run", "seed", "controller", "runs_ok", "runs_failed", "j_bar_mean"]
-                                         + ["drop", "duplicate", "swap"]))
+        edits = ["run", "seed", "controller", "runs_ok", "runs_failed", "j_bar_mean", "drop", "duplicate", "swap"]
+        edit = data.draw(st.sampled_from(edits))
         # a run-1 row's seed is its summary's seed_base, which no other field follows
         rows = {"run": runs, "seed": [n for n in runs if lines[n].split(",")[1] != "1"]}.get(edit, aggregate)
         assume(len(rows) > (edit == "swap"))
@@ -1224,7 +1221,7 @@ class TestSummaryCsv:
         if edit == "controller":
             fields[0] = data.draw(SUMMARY_TOKENS.filter(lambda token: token != fields[0]))
         elif edit == "j_bar_mean":
-            fields[3] = "%.17g" % data.draw(J_RUNS.map(lambda j: j[0]).filter(lambda j: "%.17g" % j != fields[3]))
+            fields[3] = "%.17g" % data.draw(J_VALUES.filter(lambda j: "%.17g" % j != fields[3]))
         elif edit in ("run", "seed", "runs_ok", "runs_failed"):
             i = {"run": 1, "seed": 2, "runs_ok": 1, "runs_failed": 2}[edit]
             fields[i] = str(int(fields[i]) + data.draw(st.integers(-3, 3).filter(bool)))
@@ -1292,6 +1289,14 @@ class TestSummaryCsv:
         path = tmp_path / "summary.csv"
         path.write_text(f"controller,run,seed,j_bar_run\nensemble,1,0,0.5\n{row}\ncontroller,runs_ok,runs_failed,j_bar_mean\n")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 3: {message}")):
+            read_summary_csv(path)
+
+    def test_a_file_of_the_two_headers_alone_is_rejected_with_path(self, tmp_path):
+        # it read back as ([], []), though export_summary_csv refuses to write a file without summaries
+        path = tmp_path / "summary.csv"
+        path.write_text("controller,run,seed,j_bar_run\ncontroller,runs_ok,runs_failed,j_bar_mean\n")
+        message = r"line 2: expected a per-run row with run 1, got 'controller,runs_ok,runs_failed,j_bar_mean\r\n'"
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             read_summary_csv(path)
 
     # lines 1-5 the per-run block of ensemble and oracle, 6 the aggregate header, 7-8 the aggregate rows
