@@ -180,13 +180,14 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     ``hyps`` and updates ``post`` in place, as :func:`bind_posterior` does;
     every entry of ``post`` must be at least :data:`POSTERIOR_FLOOR` or NaN.
     ``law(y_r)`` returns the input for the reference ``y_r``, a float, as a
-    float: the posterior-weighted sum that :func:`bind_ensemble_law` forms.
+    float: the posterior-weighted sum that :func:`bind_ensemble_law` forms,
+    for every S.  With S = 1 the posterior is 1.0, and ``_fold`` starts from
+    -0.0, so the one term keeps its input's bits, -0.0 and NaN included.
     """
     exp, peak, vecdot = np.exp, np.maximum.reduce, np.vecdot
     mus = [h.mu for h in hyps]
     slopes = [(math.log(h.tau * (1.0 - h.tau) / h.sigma), h.tau, h.sigma) for h in hyps]
     eta_s, b1_hat, alpha = eta[..., None, :], W[..., 0], W[..., 1:]
-    weighted = W.shape[1] > 1
 
     def bayes(residual) -> None:
         (r,) = residual.tolist()
@@ -202,8 +203,6 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     def law(y_r: float) -> float:
         (dots,), (b1s,) = vecdot(eta_s, alpha).tolist(), b1_hat.tolist()
         inputs = [_ce_input(y_r - dot, b1, eps_b, u_max) for dot, b1 in zip(dots, b1s)]
-        # one subsystem's posterior is 1.0, 1.0*u is u and a sum of one term is that term, so skipping
-        # the product and the sum keeps the bits; it saves about 5% of a one-row oracle episode
-        return _fold(map(mul, post.tolist()[0], inputs)) if weighted else inputs[0]
+        return _fold(map(mul, post.tolist()[0], inputs))
 
     return bayes, law

@@ -29,10 +29,11 @@ controllers run one after another on one seed) draw it once.
 The loop keeps y and u per step: the plant writes y straight into the
 step's column of its record, and the loop writes the law's input into the
 step's column of u and into the history.  Recording is a fifth phase, bound
-the same way by a recorder that the caller picks (see ``_run_batch``).
-``_trace_recorder`` builds full traces: :func:`run_episode` is its batch of
-one controller and one seed.  ``_error_recorder`` gives Monte Carlo only
-each run's windowed error.
+the same way by a recorder that the caller picks (see ``_run_batch``), and
+its ``record()`` is called after every step.  ``_trace_recorder`` builds
+full traces: :func:`run_episode` is its batch of one controller and one
+seed.  ``_error_recorder`` gives Monte Carlo only each run's windowed error
+and records nothing per step.
 
 Only banks of two or more subsystems are scored; a one-subsystem posterior
 is the constant 1.0, so the ensemble law gives such a bank its subsystem's
@@ -164,20 +165,17 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorde
     Every row reads its seed's noise row (``_noise_row``), so a seed sees the
     same noise under every controller.  The rest is the ``recorder``'s,
     bound once to the state like the phases:
-    ``recorder(y, u, noise, y_r, W, post, n_scored, n_learn)`` returns a
-    ``record()`` called after every step (or None, for no per-step record)
-    and a ``finish()`` called after the loop, which returns one result per
-    row.  Its arguments:
+    ``recorder(y, u, noise, y_r, W, post, n_scored)`` returns a ``record()``
+    called after every step and a ``finish()`` called after the loop, which
+    returns one result per row.  Its arguments:
 
     - ``y`` and ``u``, the (rows, steps) records the loop fills, and
       ``noise``, the draws e(1)..e(steps) of each row;
     - ``y_r``, the reference y_r(1)..y_r(steps);
     - ``W`` and ``post``, the state arrays, updated in place;
-    - ``n_scored`` and ``n_learn``: only the first ``n_scored`` rows have
-      their posteriors stepped and only the first ``n_learn`` their
-      estimates, and the others never change.  A scored row's bank has
-      all S = len(cfg.hypotheses) subsystems and every other row's bank one,
-      padded to S.
+    - ``n_scored``: only the first ``n_scored`` rows have their posteriors
+      stepped.  A scored row's bank has all S = len(cfg.hypotheses)
+      subsystems and every other row's bank one, padded to S.
 
     The results come back per controller in the order of ``controllers``,
     each block in the order of ``seeds``.
@@ -211,7 +209,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorde
     P = np.tile(cfg.initial_P(), (rows, S, 1, 1))
     feedback_z = cfg.feedback == "measurement"
     y_arr, u_arr = np.empty((rows, steps)), np.empty((rows, steps))
-    record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored, n_learn)
+    record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored)
 
     # Every history is a column block of one array, newest first:
     # hist = [u(k)..u(k-m+1), f(k)..f(k-n+1)], f the fed-back signal, and under
@@ -264,32 +262,28 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorde
             else:
                 fed[...] = y
             u_new[...] = u_k[...] = control(y_r_next)
-            if record:
-                record()
+            record()
 
     results = finish()
     return [results[j * runs : (j + 1) * runs] for j in np.argsort(order)]
 
 
-def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn):
+def _trace_recorder(y, u, noise, y_r, W, post, n_scored):
     """Recorder of full traces: each row's :class:`EpisodeTrace` fields but its controller and seed.
 
-    The records start as copies of the posteriors and estimates at bind
-    time, and per step it copies only those of the rows whose loop steps
-    them: the others never change.  A run fails at step i + 1 when row i is
-    the first whose output, measurement, control or estimates are not
-    finite, and from there on every column of its trace is NaN.  A scored
-    row's trace keeps all S subsystem columns and every other row's its one.
+    Each step's ``record()`` copies all of the posteriors and estimates into
+    the step's columns.  A run fails at step i + 1 when row i is the first
+    whose output, measurement, control or estimates are not finite, and from
+    there on every column of its trace is NaN.  A scored row's trace keeps
+    all S subsystem columns and every other row's its one.
     """
     rows, steps = y.shape
-    posteriors, w_hats = post[:, None].repeat(steps, axis=1), W[:, None].repeat(steps, axis=1)
-    post_now, W_now = post[:n_scored], W[:n_learn]
-    post_cols, W_cols = iter(posteriors[:n_scored].swapaxes(0, 1)), iter(w_hats[:n_learn].swapaxes(0, 1))
+    posteriors, w_hats = np.empty((rows, steps, *post.shape[1:])), np.empty((rows, steps, *W.shape[1:]))
+    post_cols, W_cols = iter(posteriors.swapaxes(0, 1)), iter(w_hats.swapaxes(0, 1))
 
     def record():
-        next(W_cols)[...] = W_now
-        if n_scored:
-            next(post_cols)[...] = post_now
+        next(W_cols)[...] = W
+        next(post_cols)[...] = post
 
     def finish():
         z = y + noise  # the loop's z, added again rather than copied every step
@@ -308,15 +302,14 @@ def _trace_recorder(y, u, noise, y_r, W, post, n_scored, n_learn):
             for row, s_c in enumerate([W.shape[1]] * n_scored + [1] * (rows - n_scored))
         ]
 
-    # a scored row also learns: a batch with no row learning steps neither
-    return (record if n_learn else None), finish
+    return record, finish
 
 
 def _error_recorder(window: slice):
     """Recorder of each run's :func:`accumulated_error` over the trace rows ``window``, NaN for a failed run.
 
-    It keeps no per-step record: ``finish`` reads the loop's y and u and the
-    final W.  A run fails by the trace's rule, and failure needs no history
+    Its ``record()`` does nothing: ``finish`` reads the loop's y and u and
+    the final W.  A run fails by the trace's rule, and failure needs no history
     of W: W changes only by the in-place ``W += gain*innovation``, where
     inf + finite is inf and inf - inf and NaN + x are NaN, so a non-finite
     entry stays non-finite; a frozen W is the validated config's, and a
@@ -331,7 +324,7 @@ def _error_recorder(window: slice):
             err = y[:, window] - y_r[window]
             return np.array([np.nan if f else _mean_square(e) for f, e in zip(failed, err)])
 
-        return None, finish
+        return (lambda: None), finish
 
     return bind
 

@@ -74,6 +74,33 @@ def test_step_signatures_are_pinned():
     assert {name: list(inspect.signature(step).parameters) for name, step in steps.items()} == STEP_PARAMETERS
 
 
+# The recorder contract, in order: what _run_batch binds every recorder to, before it calls the
+# ``record()`` the binding returns after every step and its ``finish()`` once after the loop.
+RECORDER_PARAMETERS = ["y", "u", "noise", "y_r", "W", "post", "n_scored"]
+
+
+def test_recorder_parameters_are_pinned():
+    assert list(inspect.signature(aldcontrol.harness._trace_recorder).parameters) == RECORDER_PARAMETERS
+
+
+def test_every_recorder_records_every_step_of_a_batch_where_no_row_learns():
+    # an oracle-only batch: no row learns and none is scored, yet each recorder returns a record() to call
+    rows, steps = 2, 3
+    y, u, noise, y_r = np.ones((rows, steps)), np.zeros((rows, steps)), np.zeros((rows, steps)), np.zeros(steps)
+    W, post = np.full((rows, 1, 3), 0.5), np.ones((rows, 1))
+    results = []
+    for recorder in (aldcontrol.harness._trace_recorder, aldcontrol.harness._error_recorder(slice(0, steps))):
+        record, finish = recorder(y, u, noise, y_r, W, post, 0)
+        assert callable(record)
+        for _ in range(steps):
+            record()
+        results.append(finish())
+    traces, errors = results
+    assert [t["w_hat"].tolist() for t in traces] == [[[[0.5] * 3]] * steps] * rows
+    assert [t["posteriors"].tolist() for t in traces] == [[[1.0]] * steps] * rows
+    assert errors.tolist() == [1.0] * rows
+
+
 # The results' stored fields in order, the rest being derived: a new stored result field is a reviewed edit.
 RESULT_FIELDS = {
     "EpisodeTrace": ["controller", "seed", "y_r", "y", "z", "u", "posteriors", "w_hat", "noise", "fail_step"],
