@@ -1,15 +1,12 @@
-import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-sys.path.insert(0, str(TOOLS))  # the tool imports bench_record from its own directory
-spec = importlib.util.spec_from_file_location("bench_ab", TOOLS / "bench_ab.py")
-bench_ab = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_ab)
+# the tool imports bench_record from its own directory, as a script run from there would
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_ab  # noqa: E402
 
 END_TO_END = [
     {"name": "episodes_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
