@@ -20,13 +20,13 @@ running sum r[i] = r[i-1] + v[i], so its order is fixed, where
 
 An episode of its own, one row of S subsystems, is stepped by
 :func:`_bind_one_row` instead, which the episode loop selects.  Its Bayes
-and law steps give the array steps' bits.  They keep numpy for the calls
-that set them: ``vecdot``, whose BLAS kernels fuse multiplies and adds,
-``exp``, which differs from ``math.exp`` in about 5% of values, and the
-NaN-propagating peak ``np.maximum.reduce``.  The slopes, divides, floors,
-sums (``_fold``, the same left fold), safeguarded divisors and clamps they
-do on Python floats, which round every operation as numpy does, without
-numpy's overhead per call.  The semantics they rely on:
+and law steps give the array steps' bits.  They keep numpy for the two
+calls that set them: ``vecdot``, whose BLAS kernels fuse multiplies and
+adds, and ``exp``, which differs from ``math.exp`` in about 5% of values.
+The slopes, peak, divides, floors, sums (``_fold``, the same left fold),
+safeguarded divisors and clamps they do on Python floats, which round
+every operation as numpy does, without numpy's overhead per call.  The
+semantics they rely on:
 
 - an overflow gives inf and an invalid operation NaN, as in numpy;
 - a comparison with NaN is false, so the floor, the divisor and the
@@ -34,7 +34,15 @@ numpy's overhead per call.  The semantics they rely on:
   holds, pass NaN through as ``np.maximum`` and ``np.minimum`` do;
 - ``x/0.0`` raises, but no divisor is zero: |b1| is raised to the config's
   eps_b > 0, and every posterior entry the loop holds is at least
-  :data:`POSTERIOR_FLOOR` or NaN, so a posterior total is > 0 or NaN.
+  :data:`POSTERIOR_FLOOR` or NaN, so a posterior total is > 0 or NaN;
+- the peak sets no bits: ``max`` returns one of its arguments, and a
+  +0.0 or -0.0 peak shifts every log-likelihood alike, to exp(±0.0) = 1.0
+  at the peak.  Where ``max`` skips a NaN entry that ``np.maximum.reduce``
+  would return, that entry's term is NaN, so the posterior total is NaN
+  and every entry becomes NaN, as under numpy's NaN peak.  Only the sign
+  of such a NaN can differ (inf - inf gives -NaN on x86), and no result
+  keeps it: the NaN posterior makes its step's control NaN, and a failed
+  run's trace is NaN from that step on.
 """
 
 from __future__ import annotations
@@ -183,17 +191,20 @@ def _bind_one_row(hyps: tuple[AldParams, ...], post, W, eta, eps_b: float, u_max
     float: the posterior-weighted sum that :func:`bind_ensemble_law` forms,
     for every S.  With S = 1 the posterior is 1.0, and ``_fold`` starts from
     -0.0, so the one term keeps its input's bits, -0.0 and NaN included.
+    Only ``exp`` and ``vecdot`` come from numpy; the log-likelihood peak is
+    builtin ``max``, which sets no bits (module docstring).
     """
-    exp, peak, vecdot = np.exp, np.maximum.reduce, np.vecdot
+    exp, vecdot = np.exp, np.vecdot
     mus = [h.mu for h in hyps]
     slopes = [(math.log(h.tau * (1.0 - h.tau) / h.sigma), h.tau, h.sigma) for h in hyps]
     eta_s, b1_hat, alpha = eta[..., None, :], W[..., 0], W[..., 1:]
 
     def bayes(residual) -> None:
         (r,) = residual.tolist()
-        log_lik = np.array([c - u * (tau - (u < 0.0)) / sigma for u, (c, tau, sigma) in zip(map(sub, r, mus), slopes)])
+        log_lik = [c - u * (tau - (u < 0.0)) / sigma for u, (c, tau, sigma) in zip(map(sub, r, mus), slopes)]
+        top = max(log_lik)
         (p,) = post.tolist()
-        p = list(map(mul, p, exp(log_lik - peak(log_lik)).tolist()))
+        p = list(map(mul, p, exp([v - top for v in log_lik]).tolist()))
         for _ in range(2):  # as bind_posterior does
             p_sum = _fold(p)
             p = [v / p_sum for v in p]

@@ -212,24 +212,22 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorde
     record, finish = recorder(y_arr, u_arr, tape[:, 1:], refs[1 : steps + 1], W, post, n_scored)
 
     # Every history is a column block of one array, newest first:
-    # hist = [u(k)..u(k-m+1), f(k)..f(k-n+1)], f the fed-back signal, and under
-    # measurement feedback (f = z) then y(k)..y(k-n+1), so that the plant reads
-    # the last n columns under either feedback.  The control law sees eta = x[1:]
-    # of the regressor x = hist[:, :d], and the estimators the previous step's x.
-    # Every product with a row of W is a vecdot: it gives the same bits as the
-    # per-row dot product, which matvec on the sliced W[..., 1:] does not.
-    d, n = plant.d, plant.n
-    width = d + n if feedback_z else d
-    hist = np.zeros((rows, width))
+    # hist = [u(k)..u(k-m+1), f(k)..f(k-n+1), y(k)..y(k-n+1)], f the fed-back
+    # signal (y or z), and the plant reads the last n columns.  The control law
+    # sees eta = x[1:] of the regressor x = hist[:, :d], and the estimators the
+    # previous step's x.  Every product with a row of W is a vecdot: it gives
+    # the same bits as the per-row dot product, which matvec on the sliced
+    # W[..., 1:] does not.
+    d = plant.d
+    hist = np.zeros((rows, d + plant.n))
     x = hist[:, :d]
     eta, u_now, u_new, older, newer = x[:, 1:], x[:, :m], x[:, 0], hist[:, 1:], hist[:, :-1]
-    # the newest fed-back and output entries, (1, rows) each: both empty when
-    # n = 0, and the output entry also under output feedback, where f is y
+    # the newest fed-back and output entries, (1, rows) each: both empty when n = 0
     fed, y_new = hist[:, m : m + 1].T, hist[:, d : d + 1].T
     y = np.zeros(rows)
     z = y + tape[:, 0]
     z_learn, x_learn = z[:n_learn, None], x[:n_learn, None, :]
-    step_plant = bind_plant(plant, u_now, hist[:, width - n :])
+    step_plant = bind_plant(plant, u_now, hist[:, d:])
     step_filter = bind_filter(W[:n_learn], P[:n_learn], x_learn, rule) if n_learn else None
     limits = cfg.eps_b, cfg.u_max
     if rows == 1:
@@ -257,10 +255,7 @@ def _run_batch(cfg: RunConfig, controllers: list[str], seeds: list[int], recorde
                     bayes(r[:n_scored])
             # shift every history by one and put the newest values in front
             older[...] = newer
-            if feedback_z:
-                fed[...], y_new[...] = z, y
-            else:
-                fed[...] = y
+            fed[...], y_new[...] = z if feedback_z else y, y
             u_new[...] = u_k[...] = control(y_r_next)
             record()
 

@@ -127,6 +127,19 @@ def test_the_core_binds_every_exported_binder():
     }
 
 
+def test_the_one_row_steps_take_only_exp_and_vecdot_from_numpy():
+    # the one-row Bayes and law steps work on Python floats and keep numpy only for the two calls that set
+    # their bits (controller module docstring): the log-likelihood peak is builtin max, not np.maximum.reduce
+    tree = ast.parse(inspect.getsource(aldcontrol.controller))
+    one_row = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_bind_one_row")
+    numpy_names = {
+        node.attr
+        for node in ast.walk(one_row)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    }
+    assert numpy_names == {"exp", "vecdot"}
+
+
 def test_the_filter_step_returns_the_residuals_and_the_scoring_step_reads_them_alone():
     # the posterior of a subsystem is updated from its residual alone: the filter step hands over one
     # (rows, S) array, which the Bayes step takes as its one argument, scoring it and updating the posteriors
